@@ -37,7 +37,7 @@
 //!   at the same time (per-slave ownership is held for the duration of a
 //!   service slot), modeling driver-level mutual exclusion.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use tsbus_des::{Component, ComponentId, Context, Message, MessageExt, SimTime};
@@ -46,9 +46,10 @@ use tsbus_proto::{frame_step, FrameStep};
 
 use crate::frame::{Command, RxFrame, RxType, TxFrame};
 use crate::instrument::{BusInstruments, BusStats};
-use crate::node::{AddressSpace, NodeId};
+use crate::node::{AddressSpace, NodeId, NodeTable};
 use crate::slave::{SlaveDevice, STREAM_ADDR};
 use crate::supervisor::Supervisor;
+use crate::timing::FrameTiming;
 use crate::wiring::{BusParams, RESET_TIMEOUT_BITS};
 
 /// Header byte that addresses the master instead of a slave.
@@ -327,10 +328,12 @@ struct RetryBurst {
 #[derive(Debug)]
 pub struct TpWireBus {
     params: BusParams,
+    /// Every per-frame duration, converted once from `params`.
+    timing: FrameTiming,
     chain: Vec<SlaveDevice>,
     /// raw node id → chain position.
-    positions: HashMap<u8, usize>,
-    attachments: HashMap<u8, ComponentId>,
+    positions: NodeTable<usize>,
+    attachments: NodeTable<ComponentId>,
     master_attachment: Option<ComponentId>,
     lanes: Vec<Lane>,
     /// Parked jobs awaiting a lane.
@@ -390,12 +393,12 @@ impl TpWireBus {
             .retry
             .clamped_to_watchdog(u64::from(RESET_TIMEOUT_BITS));
         params.retry = retry;
-        let mut positions = HashMap::new();
+        let mut positions = NodeTable::new();
         let devices: Vec<SlaveDevice> = chain
             .iter()
             .enumerate()
             .map(|(pos, &node)| {
-                let previous = positions.insert(node.raw(), pos);
+                let previous = positions.insert(node, pos);
                 assert!(previous.is_none(), "duplicate node id {node} in chain");
                 let mut device = SlaveDevice::new(node);
                 device.set_port_count(usize::from(params.wiring.lanes()));
@@ -429,9 +432,10 @@ impl TpWireBus {
         });
         TpWireBus {
             params,
+            timing: FrameTiming::new(&params, devices.len()),
             chain: devices,
             positions,
-            attachments: HashMap::new(),
+            attachments: NodeTable::new(),
             master_attachment: None,
             lanes,
             jobs: VecDeque::new(),
@@ -459,10 +463,10 @@ impl TpWireBus {
     /// Panics if `node` is not part of the chain.
     pub fn attach(&mut self, node: NodeId, component: ComponentId) {
         assert!(
-            self.positions.contains_key(&node.raw()),
+            self.positions.get(node.raw()).is_some(),
             "{node} is not part of this chain"
         );
-        self.attachments.insert(node.raw(), component);
+        self.attachments.insert(node, component);
     }
 
     /// Registers the component receiving master-addressed deliveries.
@@ -485,7 +489,7 @@ impl TpWireBus {
     /// Borrows the slave with the given node id, if present.
     #[must_use]
     pub fn slave(&self, node: NodeId) -> Option<&SlaveDevice> {
-        self.positions.get(&node.raw()).map(|&pos| &self.chain[pos])
+        self.positions.get(node.raw()).map(|pos| &self.chain[pos])
     }
 
     /// Aggregate statistics so far, read back from the registry.
@@ -530,7 +534,7 @@ impl TpWireBus {
     fn attachment_of(&self, endpoint: StreamEndpoint) -> Option<ComponentId> {
         match endpoint {
             StreamEndpoint::Master => self.master_attachment,
-            StreamEndpoint::Slave(node) => self.attachments.get(&node.raw()).copied(),
+            StreamEndpoint::Slave(node) => self.attachments.get(node.raw()),
         }
     }
 
@@ -559,10 +563,10 @@ impl TpWireBus {
     /// Draws whether a single frame transmitted now is corrupted: the
     /// uniform per-frame rate OR'd with the burst channel's current state.
     fn frame_corrupted(&mut self, ctx: &mut Context<'_>) -> bool {
-        let p = self.params;
-        let uniform = p.frame_error_rate > 0.0 && ctx.rng().chance(p.frame_error_rate);
+        let rate = self.params.frame_error_rate;
+        let uniform = rate > 0.0 && ctx.rng().chance(rate);
         let bursty = match self.burst.as_mut() {
-            Some(channel) => channel.corrupts(ctx.now(), p.frame_time(), ctx.rng()),
+            Some(channel) => channel.corrupts(ctx.now(), self.timing.frame, ctx.rng()),
             None => false,
         };
         uniform | bursty
@@ -572,12 +576,11 @@ impl TpWireBus {
     /// plus the burst channel's current state), for aggregating over the
     /// back-to-back frames of a DMA burst.
     fn per_frame_error_rate(&mut self, ctx: &mut Context<'_>) -> f64 {
-        let p = self.params;
         let burst_rate = match self.burst.as_mut() {
-            Some(channel) => channel.rate_at(ctx.now(), p.frame_time(), ctx.rng()),
+            Some(channel) => channel.rate_at(ctx.now(), self.timing.frame, ctx.rng()),
             None => 0.0,
         };
-        1.0 - (1.0 - p.frame_error_rate) * (1.0 - burst_rate)
+        1.0 - (1.0 - self.params.frame_error_rate) * (1.0 - burst_rate)
     }
 
     /// The node the master believes is selected on `lane` (the broadcast
@@ -603,7 +606,7 @@ impl TpWireBus {
         if raw == NodeId::BROADCAST.raw() {
             return None;
         }
-        self.positions.get(&raw).copied()
+        self.positions.get(raw)
     }
 
     /// Whether `pos`'s breaker is Open right now (always `false` when
@@ -677,7 +680,7 @@ impl TpWireBus {
     #[must_use]
     pub fn breaker_state(&self, node: NodeId) -> Option<BreakerState> {
         let sup = self.supervisor.as_ref()?;
-        let pos = *self.positions.get(&node.raw())?;
+        let pos = self.positions.get(node.raw())?;
         Some(sup.state(pos))
     }
 
@@ -685,7 +688,7 @@ impl TpWireBus {
     /// `1.0` when supervision is off or the node is unknown.
     #[must_use]
     pub fn slave_availability(&self, node: NodeId, now: SimTime) -> f64 {
-        let (Some(sup), Some(&pos)) = (self.supervisor.as_ref(), self.positions.get(&node.raw()))
+        let (Some(sup), Some(pos)) = (self.supervisor.as_ref(), self.positions.get(node.raw()))
         else {
             return 1.0;
         };
@@ -732,9 +735,9 @@ impl TpWireBus {
     /// modeling command latency in a real fault-injection rig.
     fn apply_fault(&mut self, ctx: &mut Context<'_>, kind: FaultKind) {
         self.obs.fault(ctx.now(), kind);
-        let position_of = |positions: &HashMap<u8, usize>, node: u8| -> usize {
-            *positions
-                .get(&node)
+        let position_of = |positions: &NodeTable<usize>, node: u8| -> usize {
+            positions
+                .get(node)
                 .unwrap_or_else(|| panic!("fault targets node {node}, which is not on this chain"))
         };
         match kind {
@@ -748,9 +751,7 @@ impl TpWireBus {
             }
             FaultKind::SlaveReset(node) => {
                 let pos = position_of(&self.positions, node);
-                let now = ctx.now();
-                let params = self.params;
-                self.chain[pos].force_reset(now, &params);
+                self.chain[pos].force_reset(ctx.now(), self.timing.watchdog);
             }
             FaultKind::ChainBreak { after } => {
                 self.break_after = Some(after.min(self.chain.len()));
@@ -776,11 +777,14 @@ impl TpWireBus {
                 self.obs.open_issue();
             }
         }
-        let p = self.params;
-        let frame_time = p.frame_time();
-        let hop = p.bits_to_time(p.hop_delay_bits);
+        let FrameTiming {
+            frame: frame_time,
+            hop,
+            timeout_cost,
+            watchdog,
+            ..
+        } = self.timing;
         let now = ctx.now();
-        let timeout_cost = frame_time + p.response_timeout() + p.bits_to_time(p.gap_bits);
 
         let lane = &mut self.lanes[lane_idx];
         lane.in_flight = Some(InFlight {
@@ -824,7 +828,7 @@ impl TpWireBus {
                 continue;
             }
             let arrival = now + frame_time + hop * (pos as u64 + 1);
-            if let Some(rx) = slave.on_tx(&frame, lane_idx, arrival, &p) {
+            if let Some(rx) = slave.on_tx(&frame, lane_idx, arrival, watchdog) {
                 debug_assert!(broadcast || reply.is_none(), "two slaves replied to one TX");
                 reply = Some((pos, rx));
             }
@@ -835,9 +839,8 @@ impl TpWireBus {
 
         if broadcast {
             // No reply expected; model as a successful fire-and-forget.
-            let cost = p.broadcast_time(self.chain.len() as u32);
             ctx.schedule_self_in(
-                cost,
+                self.timing.broadcast,
                 TxnComplete {
                     lane: lane_idx,
                     outcome: Outcome::Ok(RxFrame::new(false, RxType::Status, 0)),
@@ -856,7 +859,7 @@ impl TpWireBus {
                     .enumerate()
                     .any(|(i, s)| !self.crashed[i] && s.pending_interrupt());
                 let rx_corrupt = self.frame_corrupted(ctx);
-                let cost = p.transaction_time(pos as u32 + 1);
+                let cost = self.timing.transaction(pos);
                 let outcome = if rx_corrupt {
                     Outcome::BadRx
                 } else {
@@ -901,7 +904,6 @@ impl TpWireBus {
         kind: InFlightKind,
         attempts: u8,
     ) {
-        let p = self.params;
         let now = ctx.now();
         let lane = &mut self.lanes[lane_idx];
         if lane.busy_since.is_none() {
@@ -917,14 +919,13 @@ impl TpWireBus {
         if self.breaker_open(pos) {
             self.obs.open_issue();
         }
-        let hops = pos as u32 + 1;
-        let cost = p.dma_burst_time(k as u32, hops);
+        let cost = self.params.dma_burst_time(k as u32, pos as u32 + 1);
 
         // A crashed or severed target never acknowledges the arming select:
         // the whole burst degenerates into a timeout.
         if !self.reachable(pos) {
             self.lanes[lane_idx].in_flight = Some(InFlight { kind, attempts });
-            let timeout_cost = cost + p.response_timeout();
+            let timeout_cost = cost + self.timing.response_timeout;
             ctx.schedule_self_in(
                 timeout_cost,
                 TxnComplete {
@@ -945,7 +946,7 @@ impl TpWireBus {
             per_frame > 0.0 && ctx.rng().chance(1.0 - (1.0 - per_frame).powf(body_frames));
         if body_corrupt {
             self.lanes[lane_idx].in_flight = Some(InFlight { kind, attempts });
-            let timeout_cost = cost + p.response_timeout();
+            let timeout_cost = cost + self.timing.response_timeout;
             ctx.schedule_self_in(
                 timeout_cost,
                 TxnComplete {
@@ -960,7 +961,7 @@ impl TpWireBus {
         if ack_corrupt {
             // Write verification / read block re-request costs one extra
             // ordinary transaction.
-            total += p.transaction_time(hops);
+            total += self.timing.transaction(pos);
             let node = self.chain[pos].node().raw();
             self.obs.retry(now, node, Self::class_of_burst(&kind));
         }
@@ -970,22 +971,23 @@ impl TpWireBus {
         // addressed the target).
         let crashed = &self.crashed;
         let break_after = self.break_after;
+        let watchdog = self.timing.watchdog;
         for (other, slave) in self.chain.iter_mut().enumerate() {
             if other != pos && !crashed[other] && break_after.is_none_or(|after| other < after) {
-                slave.observe_burst(lane_idx, arrival, &p);
+                slave.observe_burst(lane_idx, arrival, watchdog);
             }
         }
         let outcome = if is_write {
             let InFlightKind::DmaWrite { pos, ref bytes } = kind else {
                 unreachable!()
             };
-            if self.chain[pos].dma_burst_write(lane_idx, bytes, arrival, &p) {
+            if self.chain[pos].dma_burst_write(lane_idx, bytes, arrival, watchdog) {
                 Outcome::BurstOk(Vec::new())
             } else {
                 Outcome::NoReply // interface in reset: nothing applied
             }
         } else {
-            match self.chain[pos].dma_burst_read(lane_idx, k, arrival, &p) {
+            match self.chain[pos].dma_burst_read(lane_idx, k, arrival, watchdog) {
                 Some(block) => Outcome::BurstOk(block),
                 None => Outcome::NoReply,
             }
@@ -1396,7 +1398,7 @@ impl TpWireBus {
         } else {
             match NodeId::new(dst_byte)
                 .ok()
-                .and_then(|n| self.positions.get(&n.raw()).map(|&p| (n, p)))
+                .and_then(|n| self.positions.get(n.raw()).map(|p| (n, p)))
             {
                 Some((node, pos)) => (StreamEndpoint::Slave(node), Some(pos), false),
                 // Unknown destination: drain the payload from the FIFO (so
@@ -1548,7 +1550,7 @@ impl TpWireBus {
                     return;
                 }
                 JobStep::EnsureAndWrite { dst_node } => {
-                    if let Some(&pos) = self.positions.get(&dst_node.raw()) {
+                    if let Some(pos) = self.positions.get(dst_node.raw()) {
                         if self.traffic_quarantined(pos) {
                             self.fast_fail_job(ctx, lane_idx, pos);
                             return;
@@ -1819,7 +1821,7 @@ impl TpWireBus {
                 // lanes): push the deadline one idle-poll period forward so
                 // the poll timer cannot spin at zero simulated cost while
                 // the quarantine windows run down.
-                let due = ctx.now() + self.params.bits_to_time(self.params.idle_poll_bits);
+                let due = ctx.now() + self.timing.idle_poll;
                 self.set_poll_due(lane_idx, due);
             }
         }
@@ -1949,7 +1951,7 @@ impl TpWireBus {
         // Each poll consumes the INT latch; a still-pending slave re-raises
         // it on the next RX frame that passes it.
         self.int_seen = false;
-        let due = ctx.now() + self.params.bits_to_time(self.params.idle_poll_bits);
+        let due = ctx.now() + self.timing.idle_poll;
         self.set_poll_due(lane_idx, due);
         let owned = self.try_own(pos, lane_idx);
         debug_assert!(owned, "poll target ownership checked by caller");
@@ -2028,7 +2030,7 @@ impl Component for TpWireBus {
                     payload.len() <= MAX_STREAM_PAYLOAD,
                     "stream payload exceeds {MAX_STREAM_PAYLOAD} bytes"
                 );
-                let Some(&pos) = self.positions.get(&from.raw()) else {
+                let Some(pos) = self.positions.get(from.raw()) else {
                     panic!("SendStream from {from}, which is not on this chain");
                 };
                 let dst_byte = match to {
@@ -2063,7 +2065,7 @@ impl Component for TpWireBus {
                     payload.len() <= MAX_STREAM_PAYLOAD,
                     "stream payload exceeds {MAX_STREAM_PAYLOAD} bytes"
                 );
-                let Some(&pos) = self.positions.get(&to.raw()) else {
+                let Some(pos) = self.positions.get(to.raw()) else {
                     panic!("MasterSend to {to}, which is not on this chain");
                 };
                 let job = RelayJob {
@@ -2086,5 +2088,56 @@ impl Component for TpWireBus {
                 panic!("TpWireBus received unexpected message {other:?}");
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    #[test]
+    fn node_tables_resolve_like_a_map() {
+        let chain: Vec<NodeId> = [5, 0, 126, 42, 1]
+            .into_iter()
+            .map(|raw| NodeId::new(raw).expect("valid test id"))
+            .collect();
+        let mut bus = TpWireBus::new(BusParams::theseus_default(), chain.clone());
+        let positions: HashMap<u8, usize> = chain
+            .iter()
+            .enumerate()
+            .map(|(pos, node)| (node.raw(), pos))
+            .collect();
+        let mut attachments = HashMap::new();
+        for (i, &node) in chain.iter().enumerate().step_by(2) {
+            let component = ComponentId::from_raw(10 + i);
+            bus.attach(node, component);
+            attachments.insert(node.raw(), component);
+        }
+        // Every raw byte, including the broadcast id (127) and values past
+        // the 7-bit range, resolves as the map does.
+        for raw in 0..=u8::MAX {
+            assert_eq!(
+                bus.positions.get(raw),
+                positions.get(&raw).copied(),
+                "{raw}"
+            );
+            assert_eq!(bus.attachments.get(raw), attachments.get(&raw).copied());
+        }
+        for raw in 0..=NodeId::BROADCAST.raw() {
+            let node = NodeId::new(raw).expect("7-bit id");
+            let pos = positions.get(&raw).copied();
+            assert_eq!(bus.slave(node).map(SlaveDevice::node), pos.map(|_| node));
+            assert_eq!(
+                bus.attachment_of(StreamEndpoint::Slave(node)),
+                attachments.get(&raw).copied()
+            );
+            for system in [false, true] {
+                let select = TxFrame::select(node, system);
+                assert_eq!(bus.frame_target_pos(0, &select), pos, "{node}");
+            }
+        }
+        assert_eq!(bus.positions.get(NodeId::BROADCAST.raw()), None);
     }
 }

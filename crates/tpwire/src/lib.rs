@@ -56,6 +56,7 @@ pub mod instrument;
 mod node;
 mod slave;
 mod supervisor;
+mod timing;
 mod wiring;
 
 pub use bus::{
@@ -65,7 +66,7 @@ pub use bus::{
 pub use frame::{Command, DecodeFrameError, RxFrame, RxType, TxFrame, FRAME_BITS};
 pub use instrument::{BusInstruments, BusStats};
 pub use node::{AddressSpace, InvalidNodeId, NodeId, SystemReg, MAX_NODE_ID};
-pub use slave::{SlaveDevice, MEMORY_BYTES, STREAM_ADDR};
+pub use slave::{SlaveDevice, Watchdog, MEMORY_BYTES, STREAM_ADDR};
 pub use wiring::{
     BusParams, InvalidWiring, WirePlan, Wiring, RESET_ACTIVE_BITS, RESET_TIMEOUT_BITS,
 };

@@ -90,6 +90,28 @@ impl TryFrom<u8> for NodeId {
     }
 }
 
+/// A map keyed by raw node id with one slot per 7-bit id, so a lookup is an
+/// array index rather than a hash.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeTable<T>([Option<T>; BROADCAST_RAW as usize + 1]);
+
+impl<T: Copy> NodeTable<T> {
+    pub(crate) fn new() -> Self {
+        NodeTable([None; BROADCAST_RAW as usize + 1])
+    }
+
+    /// The value stored for `raw`; `None` for an unset id and for a raw
+    /// value outside the 7-bit id range.
+    pub(crate) fn get(&self, raw: u8) -> Option<T> {
+        self.0.get(usize::from(raw)).copied().flatten()
+    }
+
+    /// Stores `value` for `node`, returning the value it replaces.
+    pub(crate) fn insert(&mut self, node: NodeId, value: T) -> Option<T> {
+        self.0[usize::from(node.raw())].replace(value)
+    }
+}
+
 /// The two address spaces each node exposes.
 ///
 /// The first node address reaches memory and memory-mapped I/O; the second

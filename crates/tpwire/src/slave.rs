@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use tsbus_des::SimTime;
+use tsbus_des::{SimDuration, SimTime};
 
 use crate::frame::{Command, RxFrame, RxType, TxFrame};
 use crate::node::{AddressSpace, NodeId, SystemReg};
@@ -27,6 +27,30 @@ use crate::wiring::BusParams;
 
 /// The memory-space pointer value that addresses the stream FIFO.
 pub const STREAM_ADDR: u8 = 0xFF;
+
+/// The self-reset watchdog of a slave's line interfaces, as durations at
+/// one bus's bit rate. The bus converts them once and hands them to every
+/// frame the slaves observe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Watchdog {
+    /// Idle time after which an interface resets itself
+    /// ([`BusParams::reset_timeout`]).
+    pub reset_timeout: SimDuration,
+    /// How long the reset pulse holds the interface
+    /// ([`BusParams::reset_active`]).
+    pub reset_active: SimDuration,
+}
+
+impl Watchdog {
+    /// The watchdog durations at `params`' bit rate.
+    #[must_use]
+    pub fn new(params: &BusParams) -> Self {
+        Watchdog {
+            reset_timeout: params.reset_timeout(),
+            reset_active: params.reset_active(),
+        }
+    }
+}
 
 /// Size of the byte-addressable memory space (pointer is 8 bits; the last
 /// address is the stream FIFO).
@@ -202,7 +226,7 @@ impl SlaveDevice {
     /// and pointer, clears the shared command/DMA registers and drops the
     /// pending-interrupt latch. Stream FIFOs and memory survive (they
     /// belong to the attachment side).
-    fn reset(&mut self, port: usize, now: SimTime, params: &BusParams) {
+    fn reset(&mut self, port: usize, now: SimTime, watchdog: Watchdog) {
         self.command_reg = 0;
         self.dma_counter = 0;
         self.pending_interrupt = false;
@@ -210,7 +234,7 @@ impl SlaveDevice {
         let p = &mut self.ports[port];
         p.selected = None;
         p.pointer = 0;
-        let until = now + params.reset_active();
+        let until = now + watchdog.reset_active;
         p.reset_until = Some(until);
         // The watchdog restarts once the reset pulse ends (otherwise an
         // idle slave would reset in a tight loop).
@@ -223,9 +247,9 @@ impl SlaveDevice {
     /// its reset active for the spec's pulse length starting at `now`.
     /// Used by fault injection; counts once per interface in
     /// [`reset_count`](Self::reset_count).
-    pub fn force_reset(&mut self, now: SimTime, params: &BusParams) {
+    pub fn force_reset(&mut self, now: SimTime, watchdog: Watchdog) {
         for port in 0..self.ports.len() {
-            self.reset(port, now, params);
+            self.reset(port, now, watchdog);
             let p = &mut self.ports[port];
             p.stream_toggle = None;
             p.stream_latch = 0;
@@ -235,7 +259,7 @@ impl SlaveDevice {
     /// Checks the reset timeout against `now`, possibly entering or leaving
     /// the reset state. Returns `true` if this interface is currently
     /// holding reset (and therefore ignores the incoming frame).
-    fn poll_reset(&mut self, port: usize, now: SimTime, params: &BusParams) -> bool {
+    fn poll_reset(&mut self, port: usize, now: SimTime, watchdog: Watchdog) -> bool {
         if let Some(until) = self.ports[port].reset_until {
             if now < until {
                 return true;
@@ -243,10 +267,10 @@ impl SlaveDevice {
             self.ports[port].reset_until = None;
         }
         let idle = now.saturating_duration_since(self.ports[port].last_valid_tx);
-        if idle >= params.reset_timeout() {
+        if idle >= watchdog.reset_timeout {
             // The reset fired at timeout expiry; it may already be over.
-            let fired_at = self.ports[port].last_valid_tx + params.reset_timeout();
-            self.reset(port, fired_at, params);
+            let fired_at = self.ports[port].last_valid_tx + watchdog.reset_timeout;
+            self.reset(port, fired_at, watchdog);
             let until = self.ports[port].reset_until.expect("reset just set");
             if now < until {
                 return true;
@@ -268,10 +292,10 @@ impl SlaveDevice {
         frame: &TxFrame,
         port: usize,
         now: SimTime,
-        params: &BusParams,
+        watchdog: Watchdog,
     ) -> Option<RxFrame> {
         assert!(port < self.ports.len(), "no such bus interface: {port}");
-        if self.poll_reset(port, now, params) {
+        if self.poll_reset(port, now, watchdog) {
             return None;
         }
         self.ports[port].last_valid_tx = now;
@@ -333,8 +357,8 @@ impl SlaveDevice {
     /// arming select addressed another node, so this interface deselects,
     /// and the frames feed its reset watchdog. Mirrors what `on_tx` does
     /// for non-addressed slaves on the per-frame path.
-    pub fn observe_burst(&mut self, port: usize, now: SimTime, params: &BusParams) {
-        if self.poll_reset(port, now, params) {
+    pub fn observe_burst(&mut self, port: usize, now: SimTime, watchdog: Watchdog) {
+        if self.poll_reset(port, now, watchdog) {
             return;
         }
         self.ports[port].last_valid_tx = now;
@@ -354,9 +378,9 @@ impl SlaveDevice {
         port: usize,
         bytes: &[u8],
         now: SimTime,
-        params: &BusParams,
+        watchdog: Watchdog,
     ) -> bool {
-        if self.poll_reset(port, now, params) {
+        if self.poll_reset(port, now, watchdog) {
             return false;
         }
         self.ports[port].last_valid_tx = now;
@@ -375,9 +399,9 @@ impl SlaveDevice {
         port: usize,
         k: usize,
         now: SimTime,
-        params: &BusParams,
+        watchdog: Watchdog,
     ) -> Option<Vec<u8>> {
-        if self.poll_reset(port, now, params) {
+        if self.poll_reset(port, now, watchdog) {
             return None;
         }
         self.ports[port].last_valid_tx = now;
@@ -456,13 +480,13 @@ mod tests {
         SlaveDevice::new(NodeId::new(id).expect("valid test id"))
     }
 
-    fn params() -> BusParams {
-        BusParams::theseus_default()
+    fn watchdog() -> Watchdog {
+        Watchdog::new(&BusParams::theseus_default())
     }
 
     fn select(dev: &mut SlaveDevice, id: u8, system: bool, now: SimTime) -> Option<RxFrame> {
         let node = NodeId::new(id).expect("valid");
-        dev.on_tx(&TxFrame::select(node, system), 0, now, &params())
+        dev.on_tx(&TxFrame::select(node, system), 0, now, watchdog())
     }
 
     #[test]
@@ -471,8 +495,8 @@ mod tests {
         let mut b = slave(2);
         let t = SimTime::from_nanos(100);
         let frame = TxFrame::select(NodeId::new(1).expect("valid"), false);
-        let reply_a = a.on_tx(&frame, 0, t, &params());
-        let reply_b = b.on_tx(&frame, 0, t, &params());
+        let reply_a = a.on_tx(&frame, 0, t, watchdog());
+        let reply_b = b.on_tx(&frame, 0, t, watchdog());
         assert!(reply_a.is_some(), "selected slave acknowledges");
         assert!(reply_b.is_none(), "other slaves stay quiet");
         // The ack carries the node id.
@@ -488,13 +512,13 @@ mod tests {
         let mut b = slave(2);
         let t = SimTime::from_nanos(100);
         let frame = TxFrame::select(NodeId::BROADCAST, false);
-        assert!(a.on_tx(&frame, 0, t, &params()).is_none());
-        assert!(b.on_tx(&frame, 0, t, &params()).is_none());
+        assert!(a.on_tx(&frame, 0, t, watchdog()).is_none());
+        assert!(b.on_tx(&frame, 0, t, watchdog()).is_none());
         // Both now execute data commands (but in a real broadcast write the
         // master gets no ack; here we drive them individually).
         let w = TxFrame::new(Command::WriteData, 0xAB);
-        let _ = a.on_tx(&w, 0, t, &params());
-        let _ = b.on_tx(&w, 0, t, &params());
+        let _ = a.on_tx(&w, 0, t, watchdog());
+        let _ = b.on_tx(&w, 0, t, watchdog());
         assert_eq!(a.memory(0), 0xAB);
         assert_eq!(b.memory(0), 0xAB);
     }
@@ -503,7 +527,7 @@ mod tests {
     fn unselected_slaves_ignore_data_commands() {
         let mut dev = slave(3);
         let t = SimTime::from_nanos(10);
-        let reply = dev.on_tx(&TxFrame::new(Command::WriteData, 0xFF), 0, t, &params());
+        let reply = dev.on_tx(&TxFrame::new(Command::WriteData, 0xFF), 0, t, watchdog());
         assert!(reply.is_none());
         assert_eq!(dev.memory(0), 0);
     }
@@ -513,15 +537,15 @@ mod tests {
         let mut dev = slave(1);
         let t = SimTime::from_nanos(10);
         select(&mut dev, 1, false, t);
-        dev.on_tx(&TxFrame::new(Command::SetPointer, 0x10), 0, t, &params());
+        dev.on_tx(&TxFrame::new(Command::SetPointer, 0x10), 0, t, watchdog());
         for (i, byte) in [0xDE, 0xAD, 0xBE, 0xEF].iter().enumerate() {
-            dev.on_tx(&TxFrame::new(Command::WriteData, *byte), 0, t, &params());
+            dev.on_tx(&TxFrame::new(Command::WriteData, *byte), 0, t, watchdog());
             assert_eq!(dev.memory(0x10 + i as u8), *byte);
         }
-        dev.on_tx(&TxFrame::new(Command::SetPointer, 0x10), 0, t, &params());
+        dev.on_tx(&TxFrame::new(Command::SetPointer, 0x10), 0, t, watchdog());
         let reads: Vec<u8> = (0..4)
             .map(|_| {
-                dev.on_tx(&TxFrame::new(Command::ReadData, 0), 0, t, &params())
+                dev.on_tx(&TxFrame::new(Command::ReadData, 0), 0, t, watchdog())
                     .expect("selected read replies")
                     .data
             })
@@ -540,14 +564,14 @@ mod tests {
             &TxFrame::new(Command::SetPointer, STREAM_ADDR),
             0,
             t,
-            &params(),
+            watchdog(),
         );
         let mut reads = Vec::new();
         for i in 0..3u8 {
             // Stream reads must alternate the DATA[0] toggle to pop fresh
             // bytes (alternating-bit read port).
             let r = dev
-                .on_tx(&TxFrame::new(Command::ReadData, i & 1), 0, t, &params())
+                .on_tx(&TxFrame::new(Command::ReadData, i & 1), 0, t, watchdog())
                 .expect("read replies");
             assert_eq!(r.rtype, RxType::Data);
             reads.push(r.data);
@@ -556,12 +580,12 @@ mod tests {
         assert!(!dev.pending_interrupt(), "drained queue clears INT");
         // A repeated toggle is a retry: it returns the latched byte again.
         let r = dev
-            .on_tx(&TxFrame::new(Command::ReadData, 0), 0, t, &params())
+            .on_tx(&TxFrame::new(Command::ReadData, 0), 0, t, watchdog())
             .expect("read replies");
         assert_eq!(r.data, 30, "same toggle replays the latched byte");
         // A fresh toggle on an empty FIFO underflows to 0.
         let r = dev
-            .on_tx(&TxFrame::new(Command::ReadData, 1), 0, t, &params())
+            .on_tx(&TxFrame::new(Command::ReadData, 1), 0, t, watchdog())
             .expect("read replies");
         assert_eq!(r.data, 0);
     }
@@ -575,10 +599,10 @@ mod tests {
             &TxFrame::new(Command::SetPointer, STREAM_ADDR),
             0,
             t,
-            &params(),
+            watchdog(),
         );
         for byte in [1, 2, 3] {
-            dev.on_tx(&TxFrame::new(Command::WriteData, byte), 0, t, &params());
+            dev.on_tx(&TxFrame::new(Command::WriteData, byte), 0, t, watchdog());
         }
         assert_eq!(dev.inbound_len(), 3);
         assert_eq!(dev.take_inbound(), vec![1, 2, 3]);
@@ -594,17 +618,17 @@ mod tests {
             &TxFrame::new(Command::SetPointer, SystemReg::DmaCounter.offset()),
             0,
             t,
-            &params(),
+            watchdog(),
         );
-        dev.on_tx(&TxFrame::new(Command::WriteData, 42), 0, t, &params());
+        dev.on_tx(&TxFrame::new(Command::WriteData, 42), 0, t, watchdog());
         dev.on_tx(
             &TxFrame::new(Command::SetPointer, SystemReg::DmaCounter.offset()),
             0,
             t,
-            &params(),
+            watchdog(),
         );
         let r = dev
-            .on_tx(&TxFrame::new(Command::ReadData, 0), 0, t, &params())
+            .on_tx(&TxFrame::new(Command::ReadData, 0), 0, t, watchdog())
             .expect("read replies");
         assert_eq!(r.data, 42);
     }
@@ -615,13 +639,13 @@ mod tests {
         let t = SimTime::from_nanos(10);
         select(&mut dev, 1, false, t);
         let r = dev
-            .on_tx(&TxFrame::new(Command::ReadFlags, 0), 0, t, &params())
+            .on_tx(&TxFrame::new(Command::ReadFlags, 0), 0, t, watchdog())
             .expect("flags reply");
         assert_eq!(r.rtype, RxType::Flags);
         assert_eq!(r.data, 0);
         dev.push_outbound([9]);
         let r = dev
-            .on_tx(&TxFrame::new(Command::ReadFlags, 0), 0, t, &params())
+            .on_tx(&TxFrame::new(Command::ReadFlags, 0), 0, t, watchdog())
             .expect("flags reply");
         assert_eq!(r.data & 0b101, 0b101, "INT + outbound bits set");
     }
@@ -633,26 +657,27 @@ mod tests {
         dev.raise_interrupt();
         assert!(dev.pending_interrupt());
         select(&mut dev, 1, false, t);
-        dev.on_tx(&TxFrame::new(Command::WriteCommand, 0x01), 0, t, &params());
+        dev.on_tx(&TxFrame::new(Command::WriteCommand, 0x01), 0, t, watchdog());
         assert!(!dev.pending_interrupt());
     }
 
     #[test]
     fn idle_slave_resets_after_2048_bit_periods() {
         let mut dev = slave(1);
-        let p = params();
+        let p = BusParams::theseus_default();
+        let wd = Watchdog::new(&p);
         let t0 = SimTime::from_nanos(100);
         select(&mut dev, 1, false, t0);
-        dev.on_tx(&TxFrame::new(Command::SetPointer, 0x20), 0, t0, &p);
+        dev.on_tx(&TxFrame::new(Command::SetPointer, 0x20), 0, t0, wd);
         // Arrive shortly after the reset fires: the slave is mid-reset and
         // ignores the frame.
         let during_reset = t0 + p.reset_timeout() + p.bits_to_time(5);
-        let reply = dev.on_tx(&TxFrame::new(Command::Status, 0), 0, during_reset, &p);
+        let reply = dev.on_tx(&TxFrame::new(Command::Status, 0), 0, during_reset, wd);
         assert!(reply.is_none(), "slave in reset ignores frames");
         assert_eq!(dev.reset_count(), 1);
         // After the 33-bit reset pulse, the slave is alive but deselected.
         let after = during_reset + p.reset_active();
-        let reply = dev.on_tx(&TxFrame::new(Command::Status, 0), 0, after, &p);
+        let reply = dev.on_tx(&TxFrame::new(Command::Status, 0), 0, after, wd);
         assert!(reply.is_none(), "reset cleared the selection");
         let reply = select(&mut dev, 1, false, after + p.bits_to_time(1));
         assert!(reply.is_some(), "reselect succeeds after reset");
@@ -662,12 +687,13 @@ mod tests {
     #[test]
     fn steady_traffic_prevents_reset() {
         let mut dev = slave(1);
-        let p = params();
+        let p = BusParams::theseus_default();
+        let wd = Watchdog::new(&p);
         let mut t = SimTime::from_nanos(100);
         select(&mut dev, 1, false, t);
         for _ in 0..10 {
             t = t + p.reset_timeout() - SimDuration::from_nanos(1);
-            let reply = dev.on_tx(&TxFrame::new(Command::Status, 0), 0, t, &p);
+            let reply = dev.on_tx(&TxFrame::new(Command::Status, 0), 0, t, wd);
             assert!(reply.is_some(), "slave alive at {t}");
         }
         assert_eq!(dev.reset_count(), 0);

@@ -8,7 +8,7 @@ use tsbus_des::{
 };
 use tsbus_tpwire::{
     analytic, BusParams, MasterSend, NodeId, SendStream, StreamDelivered, StreamEndpoint,
-    StreamSent, TpWireBus, Wiring,
+    StreamFailed, StreamSent, TpWireBus, Wiring,
 };
 
 /// An attachment that records everything the bus tells it.
@@ -20,6 +20,7 @@ struct Recorder {
     completions: Vec<(SimTime, usize)>,
     first_delivery: Option<SimTime>,
     last_delivery: Option<SimTime>,
+    failures: Vec<(Option<StreamEndpoint>, String)>,
 }
 
 impl Component for Recorder {
@@ -38,8 +39,15 @@ impl Component for Recorder {
             }
             Err(m) => m,
         };
-        if let Ok(sent) = msg.downcast::<StreamSent>() {
-            self.completions.push((ctx.now(), sent.len));
+        let msg = match msg.downcast::<StreamSent>() {
+            Ok(sent) => {
+                self.completions.push((ctx.now(), sent.len));
+                return;
+            }
+            Err(m) => m,
+        };
+        if let Ok(failed) = msg.downcast::<StreamFailed>() {
+            self.failures.push((failed.to, failed.reason));
         }
     }
 }
@@ -159,6 +167,48 @@ fn master_send_reaches_slave() {
     let rec: &Recorder = sim.component(recs[1]).expect("registered");
     assert_eq!(rec.delivered, b"hello from the master");
     assert_eq!(rec.messages[0].0, StreamEndpoint::Master);
+}
+
+#[test]
+fn unknown_destinations_are_drained_and_reported() {
+    let (mut sim, bus, recs, master) = build(BusParams::theseus_default(), 3);
+    // Node 99 is a valid id that is not on the chain; the broadcast id
+    // names no slave either. Both payloads must leave the source FIFO
+    // without reaching anyone, and the stream must stay framed for the
+    // message queued behind them.
+    sim.with_context(|ctx| {
+        for to in [node(99), NodeId::BROADCAST, node(2)] {
+            ctx.send(
+                bus,
+                SendStream {
+                    from: node(1),
+                    to: StreamEndpoint::Slave(to),
+                    payload: Bytes::from(vec![to.raw(); 20]),
+                },
+            );
+        }
+    });
+    sim.run_until(SimTime::from_millis(50));
+    let sender: &Recorder = sim.component(recs[0]).expect("registered");
+    let discarded = (
+        None,
+        "stream header named an unknown destination".to_owned(),
+    );
+    assert_eq!(sender.failures, vec![discarded.clone(), discarded]);
+    assert_eq!(sender.completions.len(), 1);
+    let dst: &Recorder = sim.component(recs[1]).expect("registered");
+    assert_eq!(
+        dst.messages,
+        vec![(StreamEndpoint::Slave(node(1)), vec![2; 20])]
+    );
+    for quiet in [recs[2], master] {
+        let rec: &Recorder = sim.component(quiet).expect("registered");
+        assert!(rec.delivered.is_empty());
+    }
+    let bus: &TpWireBus = sim.component(bus).expect("registered");
+    assert_eq!(bus.stats().messages_failed, 2);
+    assert_eq!(bus.stats().messages_relayed, 1);
+    assert_eq!(bus.slave(node(1)).expect("on chain").outbound_len(), 0);
 }
 
 #[test]
