@@ -1,15 +1,12 @@
 //! Criterion micro-benchmarks for the hot paths of the tsbus workspace:
-//! the simulation kernel (both pending-event-set implementations), the
-//! TpWIRE frame codec and CRC, the XML wire codec, tuple matching and the
-//! tuplespace store, and one end-to-end bus transfer.
+//! the simulation kernel's event dispatch, the TpWIRE frame codec and CRC,
+//! the XML wire codec, tuple matching and the tuplespace store, and one
+//! end-to-end bus transfer.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use bytes::Bytes;
-use tsbus_des::{
-    BinaryHeapQueue, CalendarQueue, Component, Context, EventQueue, Message, SimDuration, SimTime,
-    Simulator,
-};
+use tsbus_des::{Component, Context, Message, SimDuration, SimTime, Simulator};
 use tsbus_tpwire::{
     crc, BusParams, Command, NodeId, SendStream, StreamEndpoint, TpWireBus, TxFrame,
 };
@@ -40,25 +37,16 @@ impl Component for Bouncer {
     }
 }
 
-/// A named constructor for one pending-event-set implementation.
-type QueueCtor = fn() -> Box<dyn EventQueue>;
-
 fn bench_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel");
-    let queues: [(&str, QueueCtor); 2] = [
-        ("binary_heap", || Box::new(BinaryHeapQueue::new())),
-        ("calendar", || Box::new(CalendarQueue::new())),
-    ];
-    for (name, make) in queues {
-        group.bench_function(BenchmarkId::new("dispatch_10k_events", name), |b| {
-            b.iter(|| {
-                let mut sim = Simulator::with_queue(make());
-                sim.add_component("bouncer", Bouncer { remaining: 10_000 });
-                sim.run(20_000);
-                black_box(sim.events_processed())
-            });
+    group.bench_function("dispatch_10k_events", |b| {
+        b.iter(|| {
+            let mut sim = Simulator::new();
+            sim.add_component("bouncer", Bouncer { remaining: 10_000 });
+            sim.run(20_000);
+            black_box(sim.events_processed())
         });
-    }
+    });
     group.finish();
 }
 

@@ -17,12 +17,6 @@
 //! | `micro_space_index` | keyed read/take against a standing [`Space`] | full scan → key-field index |
 //! | `micro_pool` | kernel self-rearming timers | fresh box per event → recycled boxes |
 //! | `micro_codec` | request-envelope + event encoding | fresh buffers → [`EncodeScratch`] |
-//! | `micro_queue_calendar` | wide pending set of timers | `CalendarQueue` → `BinaryHeapQueue` (the default) |
-//!
-//! The `micro_queue_calendar` arm justifies the kernel's default queue
-//! choice rather than measuring an always-on optimization: its "speedup"
-//! is how much faster the default binary heap is than the calendar queue
-//! on a campaign-sized pending set.
 //!
 //! Absolute events/sec is hardware-bound, so the regression gate
 //! ([`check_against`]) compares *speedups* (optimized over baseline,
@@ -36,8 +30,7 @@ use tsbus_core::{
     run_chaos_trial, ChaosConfig, ClientStep, NetDeliver, NetSend, ScriptedClient, SpaceServerAgent,
 };
 use tsbus_des::{
-    Component, ComponentId, Context, Message, MessageExt, QueueKind, SimDuration, SimTime,
-    Simulator,
+    Component, ComponentId, Context, Message, MessageExt, SimDuration, SimTime, Simulator,
 };
 use tsbus_shard::{run_shard_trial, ReplicationConfig, ShardConfig, ShardTrialConfig};
 use tsbus_tpwire::NodeId;
@@ -452,8 +445,8 @@ impl Component for Ticker {
 
 /// Kernel-only workload: `tickers` components firing `events_each` timer
 /// events apiece, with staggered periods so the pending set stays wide.
-fn ticker_storm(kind: QueueKind, pooling: bool, tickers: u64, events_each: u64) -> u64 {
-    let mut sim = Simulator::with_seed_and_queue(1, kind);
+fn ticker_storm(pooling: bool, tickers: u64, events_each: u64) -> u64 {
+    let mut sim = Simulator::with_seed(1);
     sim.set_pooling(pooling);
     for t in 0..tickers {
         sim.add_component(
@@ -517,18 +510,9 @@ pub fn run_all(smoke: bool) -> PerfReport {
         }),
         measure("micro_space_index", repeats, |opt| space_ops(opt, space_n)),
         measure("micro_pool", repeats, |opt| {
-            ticker_storm(QueueKind::BinaryHeap, opt, tickers, ticks_each)
+            ticker_storm(opt, tickers, ticks_each)
         }),
         measure("micro_codec", repeats, |opt| codec_loop(opt, codec_iters)),
-        // Queue choice: baseline = calendar, optimized = the default heap.
-        measure("micro_queue_calendar", repeats, |opt| {
-            let kind = if opt {
-                QueueKind::BinaryHeap
-            } else {
-                QueueKind::Calendar
-            };
-            ticker_storm(kind, true, tickers, ticks_each)
-        }),
     ];
     PerfReport {
         mode: if smoke { "smoke" } else { "full" },
@@ -607,10 +591,7 @@ mod tests {
     #[test]
     fn workloads_report_identical_event_counts_across_variants() {
         assert_eq!(space_ops(false, 64), space_ops(true, 64));
-        assert_eq!(
-            ticker_storm(QueueKind::BinaryHeap, false, 4, 50),
-            ticker_storm(QueueKind::Calendar, true, 4, 50)
-        );
+        assert_eq!(ticker_storm(false, 4, 50), ticker_storm(true, 4, 50));
         assert_eq!(codec_loop(false, 10), codec_loop(true, 10));
     }
 }

@@ -109,13 +109,7 @@ impl fmt::Display for EventId {
 }
 
 /// A fully-specified event sitting in the pending-event set.
-///
-/// Only the kernel constructs these; custom [`EventQueue`] implementations
-/// order them by [`key`](ScheduledEvent::key) and otherwise treat them as
-/// opaque.
-///
-/// [`EventQueue`]: crate::EventQueue
-pub struct ScheduledEvent {
+pub(crate) struct ScheduledEvent {
     pub(crate) time: SimTime,
     /// FIFO tie-breaker: strictly increasing across all scheduled events.
     pub(crate) seq: u64,
@@ -125,41 +119,10 @@ pub struct ScheduledEvent {
 }
 
 impl ScheduledEvent {
-    /// The instant this event fires.
-    #[must_use]
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
-
-    /// The global scheduling order of this event (FIFO tie-breaker).
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The component the event is addressed to.
-    #[must_use]
-    pub fn target(&self) -> ComponentId {
-        self.target
-    }
-
     /// The deterministic execution key: earlier time first, then earlier
     /// scheduling order.
-    #[must_use]
-    pub fn key(&self) -> (SimTime, u64) {
+    pub(crate) fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
-    }
-}
-
-impl fmt::Debug for ScheduledEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScheduledEvent")
-            .field("time", &self.time)
-            .field("seq", &self.seq)
-            .field("id", &self.id)
-            .field("target", &self.target)
-            .field("msg", &self.msg)
-            .finish()
     }
 }
 

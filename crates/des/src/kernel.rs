@@ -7,7 +7,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::component::{make_context, Component, ComponentId, Context};
 use crate::event::{EventId, Message, ScheduledEvent};
-use crate::queue::{EventQueue, QueueKind};
+use crate::queue::BinaryHeapQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
@@ -79,7 +79,7 @@ impl Hasher for SeqHasher {
 /// borrowed out for dispatch.
 pub(crate) struct SimCore {
     pub(crate) now: SimTime,
-    pub(crate) queue: Box<dyn EventQueue>,
+    pub(crate) queue: BinaryHeapQueue,
     pub(crate) rng: SimRng,
     pub(crate) trace: TraceLog,
     cancelled: HashSet<u64, BuildHasherDefault<SeqHasher>>,
@@ -170,8 +170,7 @@ pub const DEFAULT_EVENT_LIMIT: u64 = u64::MAX;
 ///
 /// Determinism contract: with the same seed, the same component registration
 /// order and the same scheduling calls, two runs produce identical event
-/// orders, identical RNG draws and identical traces — regardless of which
-/// [`EventQueue`] implementation backs the pending-event set.
+/// orders, identical RNG draws and identical traces.
 ///
 /// # Examples
 ///
@@ -207,46 +206,14 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator with the default pending-event set
-    /// ([`QueueKind::default`]) and a fixed default seed (0), so unseeded
+    /// Creates a simulator with a fixed default seed (0), so unseeded
     /// simulations are still reproducible.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_queue(QueueKind::default().build())
-    }
-
-    /// Creates a simulator with an explicit random seed.
-    #[must_use]
-    pub fn with_seed(seed: u64) -> Self {
-        let mut sim = Self::new();
-        sim.core.rng = SimRng::seeded(seed);
-        sim
-    }
-
-    /// Creates a simulator with a named pending-event set implementation.
-    /// The determinism contract makes the choice invisible to results; it
-    /// only affects scheduler cost (see `BENCH_perf.json`).
-    #[must_use]
-    pub fn with_queue_kind(kind: QueueKind) -> Self {
-        Self::with_queue(kind.build())
-    }
-
-    /// [`with_queue_kind`](Self::with_queue_kind) plus an explicit seed.
-    #[must_use]
-    pub fn with_seed_and_queue(seed: u64, kind: QueueKind) -> Self {
-        let mut sim = Self::with_queue_kind(kind);
-        sim.core.rng = SimRng::seeded(seed);
-        sim
-    }
-
-    /// Creates a simulator backed by a caller-chosen pending-event set
-    /// (e.g. [`CalendarQueue`](crate::CalendarQueue)).
-    #[must_use]
-    pub fn with_queue(queue: Box<dyn EventQueue>) -> Self {
         Simulator {
             core: SimCore {
                 now: SimTime::ZERO,
-                queue,
+                queue: BinaryHeapQueue::default(),
                 rng: SimRng::seeded(0),
                 trace: TraceLog::disabled(),
                 cancelled: HashSet::default(),
@@ -258,6 +225,14 @@ impl Simulator {
             components: Vec::new(),
             started: false,
         }
+    }
+
+    /// Creates a simulator with an explicit random seed.
+    #[must_use]
+    pub fn with_seed(seed: u64) -> Self {
+        let mut sim = Self::new();
+        sim.core.rng = SimRng::seeded(seed);
+        sim
     }
 
     /// Enables or disables event-box recycling (on by default). Pooling is
@@ -706,25 +681,6 @@ mod tests {
         sim.run(10_000);
         let t: &RecyclingTicker = sim.component(id).expect("registered");
         assert_eq!(t.fired, 501);
-    }
-
-    #[test]
-    fn queue_kinds_are_interchangeable() {
-        let run = |kind: QueueKind| {
-            let mut sim = Simulator::with_seed_and_queue(3, kind);
-            let id = sim.add_component("rec", Recorder::default());
-            sim.with_context(|ctx| {
-                for i in 0..64u64 {
-                    ctx.schedule_in(SimDuration::from_nanos((i * 37) % 11), id, Num(i));
-                }
-            });
-            sim.run(1_000);
-            sim.component::<Recorder>(id)
-                .expect("registered")
-                .seen
-                .clone()
-        };
-        assert_eq!(run(QueueKind::BinaryHeap), run(QueueKind::Calendar));
     }
 
     #[test]

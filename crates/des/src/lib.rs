@@ -7,12 +7,11 @@
 //!
 //! ## Model
 //!
-//! A [`Simulator`] owns a clock ([`SimTime`]), a pending-event set
-//! ([`EventQueue`]; binary heap by default, an NS-2-style [`CalendarQueue`]
-//! as an alternative), and a registry of [`Component`]s. Components react to
-//! [`Message`]s and use their [`Context`] to schedule further events, draw
-//! deterministic random numbers ([`SimRng`]) and write trace records
-//! ([`TraceLog`]).
+//! A [`Simulator`] owns a clock ([`SimTime`]), a pending-event set (a
+//! binary heap ordered by time, then scheduling order), and a registry of
+//! [`Component`]s. Components react to [`Message`]s and use their
+//! [`Context`] to schedule further events, draw deterministic random
+//! numbers ([`SimRng`]) and write trace records ([`TraceLog`]).
 //!
 //! ## Determinism
 //!
@@ -73,9 +72,8 @@ mod time;
 mod trace;
 
 pub use component::{Component, ComponentId, Context};
-pub use event::{EventId, Message, MessageExt, ScheduledEvent};
+pub use event::{EventId, Message, MessageExt};
 pub use kernel::{Simulator, DEFAULT_EVENT_LIMIT};
-pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind};
 pub use rng::{derive_stream, derive_stream_seed, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceLog, TraceRecord};

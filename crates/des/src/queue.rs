@@ -1,76 +1,14 @@
-//! Pending-event set implementations.
+//! The pending-event set: a binary heap ordered by `(time, seq)`.
 //!
-//! Two interchangeable schedulers are provided, mirroring the choices NS-2
-//! offers:
-//!
-//! * [`BinaryHeapQueue`] — a classic binary heap; `O(log n)` push/pop, the
-//!   default and a good fit for every workload in this workspace.
-//! * [`CalendarQueue`] — Brown's calendar queue (the NS-2 default): amortised
-//!   `O(1)` push/pop when event spacing is roughly uniform, implemented with
-//!   day-width/bucket-count self-resizing.
-//!
-//! Both honour the same determinism contract: pops come out ordered by
-//! `(time, seq)` where `seq` is the global scheduling order, so two runs of
-//! the same scenario produce byte-identical traces regardless of which queue
-//! backs them (a property test in `tests/` checks the two against each
-//! other).
+//! `seq` is the global scheduling order, so events at equal timestamps pop
+//! in FIFO order and two runs of the same scenario produce byte-identical
+//! traces.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::event::ScheduledEvent;
 use crate::time::SimTime;
-
-/// The pending-event set interface used by the [`Simulator`].
-///
-/// Implementations must return events in strictly non-decreasing `(time,
-/// seq)` order.
-///
-/// [`Simulator`]: crate::Simulator
-pub trait EventQueue {
-    /// Inserts an event.
-    fn push(&mut self, event: ScheduledEvent);
-    /// Removes and returns the earliest event, or `None` if empty.
-    fn pop(&mut self) -> Option<ScheduledEvent>;
-    /// The timestamp of the earliest event without removing it.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Names a pending-event set implementation for [`Simulator`] construction.
-///
-/// The determinism contract makes the choice invisible to simulated results
-/// (the cross-queue property test in `tests/it/queue_equivalence.rs` checks
-/// this); it only affects scheduler cost. The default is the binary heap: on
-/// this workspace's campaign workloads the pending set stays small (tens of
-/// events), where the heap measured faster than the calendar queue — see the
-/// `micro_queue_calendar` arm in `BENCH_perf.json`.
-///
-/// [`Simulator`]: crate::Simulator
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueKind {
-    /// [`BinaryHeapQueue`], `O(log n)` operations.
-    #[default]
-    BinaryHeap,
-    /// [`CalendarQueue`], amortised `O(1)` for uniformly spaced events.
-    Calendar,
-}
-
-impl QueueKind {
-    /// Constructs an empty queue of this kind.
-    #[must_use]
-    pub fn build(self) -> Box<dyn EventQueue> {
-        match self {
-            QueueKind::BinaryHeap => Box::new(BinaryHeapQueue::new()),
-            QueueKind::Calendar => Box::new(CalendarQueue::new()),
-        }
-    }
-}
 
 /// Entry wrapper giving the heap the correct ordering.
 struct HeapEntry(ScheduledEvent);
@@ -92,262 +30,31 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Binary-heap pending-event set (`O(log n)` operations).
-///
-/// The default queue of [`Simulator::new`].
-///
-/// [`Simulator::new`]: crate::Simulator::new
+/// Binary-heap pending-event set (`O(log n)` push and pop).
 #[derive(Default)]
-pub struct BinaryHeapQueue {
+pub(crate) struct BinaryHeapQueue {
     heap: BinaryHeap<Reverse<HeapEntry>>,
 }
 
 impl BinaryHeapQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EventQueue for BinaryHeapQueue {
-    fn push(&mut self, event: ScheduledEvent) {
+    /// Inserts an event.
+    pub(crate) fn push(&mut self, event: ScheduledEvent) {
         self.heap.push(Reverse(HeapEntry(event)));
     }
 
-    fn pop(&mut self) -> Option<ScheduledEvent> {
+    /// Removes and returns the earliest event, or `None` if empty.
+    pub(crate) fn pop(&mut self) -> Option<ScheduledEvent> {
         self.heap.pop().map(|Reverse(HeapEntry(ev))| ev)
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
+    /// The timestamp of the earliest event without removing it.
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(HeapEntry(ev))| ev.time)
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-}
-
-impl std::fmt::Debug for BinaryHeapQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinaryHeapQueue")
-            .field("len", &self.heap.len())
-            .finish()
-    }
-}
-
-/// Calendar-queue pending-event set (Brown 1988), the structure NS-2 uses by
-/// default.
-///
-/// Events are hashed into `nbuckets` "days" of width `day_width`; a pop scans
-/// forward from the current day. The queue resizes (doubling/halving bucket
-/// count and re-estimating day width from a sample of inter-event gaps) when
-/// the population crosses 2× / 0.5× the bucket count, keeping operations
-/// amortised `O(1)` for well-behaved event-time distributions.
-pub struct CalendarQueue {
-    buckets: Vec<Vec<ScheduledEvent>>,
-    day_width: u64,
-    /// Index of the bucket the next pop starts scanning from.
-    current_bucket: usize,
-    /// Start time of the current "year" position — the priority floor.
-    current_time: u64,
-    /// End of the current bucket's day; pops beyond it advance the calendar.
-    bucket_top: u64,
-    len: usize,
-    resize_enabled: bool,
-}
-
-impl CalendarQueue {
-    const INITIAL_BUCKETS: usize = 16;
-    const INITIAL_DAY_WIDTH: u64 = 1_000; // 1 µs in ns; self-tunes quickly.
-
-    /// Creates an empty calendar queue with default sizing.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_parameters(Self::INITIAL_BUCKETS, Self::INITIAL_DAY_WIDTH)
-    }
-
-    /// Creates a calendar queue with explicit bucket count and day width (in
-    /// nanoseconds); mainly useful in tests and benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nbuckets` is zero or `day_width_ns` is zero.
-    #[must_use]
-    pub fn with_parameters(nbuckets: usize, day_width_ns: u64) -> Self {
-        assert!(nbuckets > 0, "calendar queue needs at least one bucket");
-        assert!(day_width_ns > 0, "calendar day width must be positive");
-        CalendarQueue {
-            buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
-            day_width: day_width_ns,
-            current_bucket: 0,
-            current_time: 0,
-            bucket_top: day_width_ns,
-            len: 0,
-            resize_enabled: true,
-        }
-    }
-
-    fn bucket_index(&self, time_ns: u64) -> usize {
-        ((time_ns / self.day_width) % self.buckets.len() as u64) as usize
-    }
-
-    /// Inserts preserving per-bucket sortedness (buckets are kept ordered by
-    /// `(time, seq)` so pops inside one bucket are `O(1)` from the front).
-    fn insert_sorted(bucket: &mut Vec<ScheduledEvent>, event: ScheduledEvent) {
-        let pos = bucket
-            .binary_search_by(|probe| probe.key().cmp(&event.key()))
-            .unwrap_or_else(|insertion| insertion);
-        bucket.insert(pos, event);
-    }
-
-    fn resize(&mut self, nbuckets: usize) {
-        if !self.resize_enabled || nbuckets == 0 {
-            return;
-        }
-        let new_width = self.estimate_day_width();
-        let mut drained: Vec<ScheduledEvent> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            drained.append(bucket);
-        }
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.day_width = new_width;
-        self.len = 0;
-        // Re-anchor the calendar at the earliest pending event.
-        let floor = drained
-            .iter()
-            .map(|ev| ev.time.as_nanos())
-            .min()
-            .unwrap_or(self.current_time);
-        self.current_time = floor.min(self.current_time.max(floor));
-        self.current_bucket = self.bucket_index(self.current_time);
-        self.bucket_top = (self.current_time / self.day_width + 1) * self.day_width;
-        for event in drained {
-            self.push_internal(event);
-        }
-    }
-
-    /// Estimates a day width as ~3× the average gap between a sample of the
-    /// soonest pending events (the classic calendar-queue heuristic).
-    fn estimate_day_width(&self) -> u64 {
-        let mut sample: Vec<u64> = self
-            .buckets
-            .iter()
-            .flatten()
-            .map(|ev| ev.time.as_nanos())
-            .collect();
-        if sample.len() < 2 {
-            return self.day_width;
-        }
-        sample.sort_unstable();
-        sample.truncate(25);
-        let gaps: Vec<u64> = sample.windows(2).map(|w| w[1] - w[0]).collect();
-        let nonzero: Vec<u64> = gaps.into_iter().filter(|&g| g > 0).collect();
-        if nonzero.is_empty() {
-            return self.day_width;
-        }
-        let avg = nonzero.iter().sum::<u64>() / nonzero.len() as u64;
-        (avg * 3).max(1)
-    }
-
-    fn push_internal(&mut self, event: ScheduledEvent) {
-        let t = event.time.as_nanos();
-        let idx = self.bucket_index(t);
-        Self::insert_sorted(&mut self.buckets[idx], event);
-        self.len += 1;
-        // Brown's rewind rule: an event earlier than the calendar position
-        // (possible after a resize re-anchored at the then-earliest pending
-        // event) must pull the scan position back, or it would be stranded
-        // behind the cursor and popped out of order.
-        if t < self.current_time {
-            self.current_time = t;
-            self.current_bucket = idx;
-            self.bucket_top = (t / self.day_width + 1) * self.day_width;
-        }
-    }
-}
-
-impl Default for CalendarQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventQueue for CalendarQueue {
-    fn push(&mut self, event: ScheduledEvent) {
-        self.push_internal(event);
-        if self.len > 2 * self.buckets.len() {
-            let target = self.buckets.len() * 2;
-            self.resize(target);
-        }
-    }
-
-    fn pop(&mut self) -> Option<ScheduledEvent> {
-        if self.len == 0 {
-            return None;
-        }
-        // Scan forward one "year" looking for an event inside its day.
-        let nbuckets = self.buckets.len();
-        let mut bucket = self.current_bucket;
-        let mut top = self.bucket_top;
-        for _ in 0..nbuckets {
-            if let Some(front) = self.buckets[bucket].first() {
-                if front.time.as_nanos() < top {
-                    let event = self.buckets[bucket].remove(0);
-                    self.len -= 1;
-                    self.current_bucket = bucket;
-                    self.bucket_top = top;
-                    self.current_time = event.time.as_nanos();
-                    if self.len < self.buckets.len() / 2
-                        && self.buckets.len() > Self::INITIAL_BUCKETS
-                    {
-                        let target = self.buckets.len() / 2;
-                        self.resize(target);
-                    }
-                    return Some(event);
-                }
-            }
-            bucket = (bucket + 1) % nbuckets;
-            top += self.day_width;
-        }
-        // No event within a full year: jump straight to the globally
-        // earliest event (handles sparse/far-future schedules).
-        let (best_idx, best_time) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.first().map(|ev| (i, ev.key())))
-            .min_by_key(|&(_, key)| key)
-            .expect("len > 0 implies a pending event exists");
-        let _ = best_time;
-        let event = self.buckets[best_idx].remove(0);
-        self.len -= 1;
-        self.current_bucket = best_idx;
-        self.current_time = event.time.as_nanos();
-        self.bucket_top = (self.current_time / self.day_width + 1) * self.day_width;
-        Some(event)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.buckets
-            .iter()
-            .filter_map(|b| b.first().map(|ev| ev.key()))
-            .min()
-            .map(|(time, _)| time)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-impl std::fmt::Debug for CalendarQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CalendarQueue")
-            .field("len", &self.len)
-            .field("nbuckets", &self.buckets.len())
-            .field("day_width_ns", &self.day_width)
-            .finish()
     }
 }
 
@@ -367,62 +74,27 @@ mod tests {
         }
     }
 
-    fn drain(queue: &mut dyn EventQueue) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        while let Some(event) = queue.pop() {
-            out.push((event.time.as_nanos(), event.seq));
-        }
-        out
-    }
-
-    fn check_ordering(queue: &mut dyn EventQueue, events: Vec<(u64, u64)>) {
-        let mut expected = events.clone();
-        expected.sort_unstable();
-        for &(t, s) in &events {
-            queue.push(ev(t, s));
-        }
-        assert_eq!(queue.len(), events.len());
-        assert_eq!(drain(queue), expected);
-        assert!(queue.is_empty());
-    }
-
     #[test]
     fn heap_orders_by_time_then_seq() {
-        let mut q = BinaryHeapQueue::new();
-        check_ordering(
-            &mut q,
-            vec![(50, 1), (10, 2), (50, 0), (10, 3), (0, 4), (1_000_000, 5)],
-        );
-    }
-
-    #[test]
-    fn calendar_orders_by_time_then_seq() {
-        let mut q = CalendarQueue::new();
-        check_ordering(
-            &mut q,
-            vec![(50, 1), (10, 2), (50, 0), (10, 3), (0, 4), (1_000_000, 5)],
-        );
-    }
-
-    #[test]
-    fn calendar_handles_far_future_jump() {
-        let mut q = CalendarQueue::with_parameters(4, 10);
-        q.push(ev(1_000_000_000, 0)); // far beyond one calendar "year"
-        q.push(ev(2_000_000_000, 1));
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1_000_000_000)));
-        assert_eq!(drain(&mut q), vec![(1_000_000_000, 0), (2_000_000_000, 1)]);
-    }
-
-    #[test]
-    fn calendar_resizes_under_load() {
-        let mut q = CalendarQueue::new();
-        let events: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 137 % 10_000, i)).collect();
-        check_ordering(&mut q, events);
+        let events = vec![(50, 1), (10, 2), (50, 0), (10, 3), (0, 4), (1_000_000, 5)];
+        let mut expected = events.clone();
+        expected.sort_unstable();
+        let mut q = BinaryHeapQueue::default();
+        for &(t, s) in &events {
+            q.push(ev(t, s));
+        }
+        assert_eq!(q.len(), events.len());
+        let mut drained = Vec::new();
+        while let Some(event) = q.pop() {
+            drained.push((event.time.as_nanos(), event.seq));
+        }
+        assert_eq!(drained, expected);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn peek_matches_pop() {
-        let mut q = BinaryHeapQueue::new();
+        let mut q = BinaryHeapQueue::default();
         assert_eq!(q.peek_time(), None);
         q.push(ev(30, 0));
         q.push(ev(20, 1));
@@ -430,40 +102,5 @@ mod tests {
         let first = q.pop().expect("non-empty");
         assert_eq!(first.time, SimTime::from_nanos(20));
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(30)));
-    }
-
-    #[test]
-    fn replay_failing_schedule() {
-        let times: Vec<u64> = vec![
-            19089, 18114, 17763, 17643, 15921, 14772, 14763, 11496, 11415, 74727, 26361, 515098,
-            565284, 799255, 616069, 256143, 607018, 420867, 143302, 829196, 346817, 830397, 953553,
-            476272, 891398, 355918, 335281, 35706, 983007, 727921, 816851, 132952, 687619, 25081,
-            822031, 660771, 413648, 163036, 494676, 752463, 918848, 816451, 159871, 981148, 547060,
-            504638, 788457, 692722, 472631, 259955, 672300, 189056, 668287, 782961, 851875, 816118,
-            964236, 98233, 90458, 84585, 222237, 957302, 662310, 604290, 517618, 171812, 762974,
-            559508, 473922, 51733, 23059, 102741, 938700, 505992, 230250, 385523, 514016, 35776,
-            999184, 350628, 672199, 78115, 555564, 961245, 176977, 950256, 547249, 298241, 834989,
-            355387, 132877, 919515, 43042, 192165, 441404, 926424, 671005, 488540, 870361, 254947,
-            209357, 519749, 969164, 196238, 872043, 702177, 103465, 928139, 403884, 371886, 626971,
-            580781, 716295, 280137, 735962, 158792, 197184, 752668, 80409, 481414, 531458, 82367,
-            362318, 678423, 20915, 277504, 914132, 405410, 618462, 1957,
-        ];
-        // replicate up to 130 by cycling? use what we have; try to reproduce
-        let mut q = CalendarQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(ev(t, i as u64));
-        }
-        let mut last = 0u64;
-        while let Some(e) = q.pop() {
-            let t = e.time.as_nanos();
-            assert!(t >= last, "inversion: {} after {} (state {:?})", t, last, q);
-            last = t;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn calendar_rejects_zero_buckets() {
-        let _ = CalendarQueue::with_parameters(0, 10);
     }
 }

@@ -127,7 +127,7 @@ pub struct LinkStats {
 ///
 /// # Examples
 ///
-/// See [`CbrSource`](crate::CbrSource) for an end-to-end example.
+/// See the [crate-level example](crate) for a packet sent over a link.
 #[derive(Debug)]
 pub struct Link {
     spec: LinkSpec,

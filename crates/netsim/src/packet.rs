@@ -47,7 +47,7 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Creates a packet with sequence number 0 (sources overwrite it).
+    /// Creates a packet with sequence number 0 (senders overwrite it).
     #[must_use]
     pub fn new(
         src: ComponentId,

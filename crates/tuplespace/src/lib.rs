@@ -11,8 +11,6 @@
 //! * [`Space`] — the store: leased entries, timestamp total order (oldest
 //!   match wins), subscribe/notify events. Time-explicit, so it plugs into
 //!   the discrete-event simulation directly.
-//! * [`SpaceServer`] — a thread-safe wall-clock server with blocking
-//!   `read`/`take` and channel-based notify, mirroring the Java prototype.
 //! * [`discovery`] — service discovery built on the space itself.
 //!
 //! ## Example
@@ -38,14 +36,12 @@
 #![warn(missing_docs)]
 
 pub mod discovery;
-mod live;
 mod space;
 mod template;
 mod tuple;
 mod txn;
 mod value;
 
-pub use live::{SpaceServer, Transaction, WaitTimedOut};
 pub use space::{
     AuditRecord, EntryId, EventKind, Lease, Notification, Space, SpaceStats, SubscriptionId,
 };

@@ -2,67 +2,30 @@
 //!
 //! Run with `cargo run -p tsbus-core --example quickstart`.
 //!
-//! Shows the three faces of the workspace:
-//! 1. the thread-safe live tuplespace ([`SpaceServer`]) — write/read/take,
-//!    leases, blocking ops and notifications;
-//! 2. the simulated space ([`Space`]) under explicit virtual time;
-//! 3. a complete client↔server exchange over the simulated TpWIRE bus.
-
-use std::time::Duration;
+//! Shows the two faces of the workspace:
+//! 1. the tuplespace ([`Space`]) under explicit virtual time — write,
+//!    take, leases and notifications;
+//! 2. a complete client↔server exchange over the simulated TpWIRE bus.
 
 use tsbus_core::{run_case_study, CaseStudyConfig, EndpointCosts};
 use tsbus_des::{SimDuration, SimTime};
 use tsbus_tpwire::BusParams;
-use tsbus_tuplespace::{template, tuple, EventKind, Lease, Space, SpaceServer, ValueType};
+use tsbus_tuplespace::{template, tuple, EventKind, Lease, Space, ValueType};
 
 fn main() {
-    live_space();
     simulated_space();
     over_the_bus();
 }
 
-/// Part 1 — the live, threaded space (the Java-prototype analog).
-fn live_space() {
-    println!("== live tuplespace ==");
-    let server = SpaceServer::new();
-
-    // Producer/consumer across threads: the consumer blocks until a
-    // matching tuple appears.
-    let consumer = {
-        let space = server.clone();
-        std::thread::spawn(move || {
-            space
-                .take_blocking(
-                    &template!["job", ValueType::Int],
-                    Some(Duration::from_secs(2)),
-                )
-                .expect("producer writes within the timeout")
-        })
-    };
-    server.write(tuple!["job", 42], None);
-    let job = consumer.join().expect("consumer thread");
-    println!("consumer took {job}");
-
-    // Leases: entries evaporate when their lifetime runs out.
-    server.write(tuple!["ephemeral"], Some(Duration::from_millis(20)));
-    std::thread::sleep(Duration::from_millis(40));
-    assert!(server.read_if_exists(&template!["ephemeral"]).is_none());
-    println!("leased entry expired on schedule");
-
-    // Notify: subscribe to writes matching a template.
-    let notifications = server.subscribe(template!["alert", ValueType::Str], [EventKind::Written]);
-    server.write(tuple!["alert", "overtemp"], None);
-    let event = notifications
-        .recv_timeout(Duration::from_secs(1))
-        .expect("notified");
-    println!("notified of {}", event.tuple);
-}
-
-/// Part 2 — the same semantics under simulated time.
+/// Part 1 — the space under simulated time.
 fn simulated_space() {
-    println!("\n== simulated tuplespace (virtual time) ==");
+    println!("== tuplespace (virtual time) ==");
     let mut space = Space::new();
     let t0 = SimTime::ZERO;
+
+    // Notify: subscribe to writes matching a template.
+    let alerts = space.subscribe(template!["alert", ValueType::Str], [EventKind::Written]);
+
     space.write(
         tuple!["entry", 7],
         Lease::for_duration(t0, SimDuration::from_secs(160)),
@@ -72,9 +35,26 @@ fn simulated_space() {
     let found = space.take(&template!["entry", ValueType::Int], at_159);
     println!("take at t=159s (lease 160s): {found:?}");
     assert!(found.is_some());
+
+    // Leases: entries evaporate when their lifetime runs out.
+    space.write(
+        tuple!["ephemeral"],
+        Lease::for_duration(at_159, SimDuration::from_millis(20)),
+        at_159,
+    );
+    let later = at_159.saturating_add(SimDuration::from_millis(40));
+    assert!(space.read(&template!["ephemeral"], later).is_none());
+    println!("leased entry expired on schedule");
+
+    space.write(tuple!["alert", "overtemp"], Lease::Forever, later);
+    let notifications = space.drain_notifications();
+    assert_eq!(notifications.len(), 1, "only the alert matches");
+    let event = &notifications[0];
+    assert_eq!(event.subscription, alerts);
+    println!("notified of {} at {}", event.tuple, event.at);
 }
 
-/// Part 3 — the full stack: XML protocol over the simulated TpWIRE bus.
+/// Part 2 — the full stack: XML protocol over the simulated TpWIRE bus.
 fn over_the_bus() {
     println!("\n== client/server over the simulated TpWIRE bus ==");
     let cfg = CaseStudyConfig {

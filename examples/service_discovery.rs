@@ -8,79 +8,49 @@
 //! controller, no reconfiguration. Leased registrations de-register
 //! crashed providers automatically.
 
-use std::time::Duration;
-
-use tsbus_des::SimTime;
+use tsbus_des::{SimDuration, SimTime};
 use tsbus_tuplespace::discovery;
-use tsbus_tuplespace::{Lease, Space, SpaceServer};
+use tsbus_tuplespace::{Lease, Space};
 
 fn main() {
     println!("§2.1 — service discovery on the tuplespace\n");
 
-    // The live server exposes the raw space for the discovery helpers.
-    let server = SpaceServer::new();
+    let mut space = Space::new();
+    let mut now = SimTime::ZERO;
 
     // Two FFT-capable nodes and one logger join the network.
-    server.with_space(|space, now| {
-        discovery::register(space, "fft", "node-7", Lease::Forever, now);
-        discovery::register(space, "fft", "node-9", Lease::Forever, now);
-        discovery::register(space, "logging", "node-2", Lease::Forever, now);
-    });
+    discovery::register(&mut space, "fft", "node-7", Lease::Forever, now);
+    discovery::register(&mut space, "fft", "node-9", Lease::Forever, now);
+    discovery::register(&mut space, "logging", "node-2", Lease::Forever, now);
 
-    let fft_providers = server.with_space(|space, now| discovery::lookup(space, "fft", now));
+    let fft_providers = discovery::lookup(&mut space, "fft", now);
     println!("devices offering 'fft':      {fft_providers:?}");
-    let log_providers = server.with_space(|space, now| discovery::lookup(space, "logging", now));
+    assert_eq!(fft_providers, ["node-7", "node-9"]);
+    let log_providers = discovery::lookup(&mut space, "logging", now);
     println!("devices offering 'logging':  {log_providers:?}");
 
     // A producer picks any provider — it never needs to know addresses in
     // advance (anonymous, associative addressing).
-    let chosen = server
-        .with_space(|space, now| discovery::lookup_one(space, "fft", now))
+    let chosen = discovery::lookup_one(&mut space, "fft", now)
         .expect("at least one fft provider registered");
     println!("\nproducer dispatches its FFT request to {chosen}");
 
     // Dynamic removal: node-7 leaves the network cleanly.
-    server.with_space(|space, now| {
-        let removed = discovery::unregister(space, "fft", "node-7", now);
-        assert!(removed);
-    });
-    let remaining = server.with_space(|space, now| discovery::lookup(space, "fft", now));
+    assert!(discovery::unregister(&mut space, "fft", "node-7", now));
+    let remaining = discovery::lookup(&mut space, "fft", now);
     println!("after node-7 unregisters:    {remaining:?}");
+    assert_eq!(remaining, ["node-9"]);
 
     // Crash-stop removal: a provider that registers with a lease and then
     // dies disappears without any cleanup message.
-    server.with_space(|space, now| {
-        discovery::register(
-            space,
-            "fft",
-            "flaky-node",
-            Lease::for_duration(now, Duration::from_millis(30).into()),
-            now,
-        );
-    });
-    println!(
-        "flaky-node registered (30 ms lease): {:?}",
-        server.with_space(|space, now| discovery::lookup(space, "fft", now))
-    );
-    std::thread::sleep(Duration::from_millis(60));
-    println!(
-        "after its lease expired:             {:?}",
-        server.with_space(|space, now| discovery::lookup(space, "fft", now))
-    );
+    let lease = Lease::for_duration(now, SimDuration::from_millis(30));
+    discovery::register(&mut space, "fft", "flaky-node", lease, now);
+    let with_flaky = discovery::lookup(&mut space, "fft", now);
+    println!("flaky-node registered (30 ms lease): {with_flaky:?}");
+    assert_eq!(with_flaky, ["node-9", "flaky-node"]);
 
-    // The same helpers work on a plain simulated space under virtual time.
-    let mut sim_space = Space::new();
-    discovery::register(
-        &mut sim_space,
-        "actuate",
-        "sim-node",
-        Lease::Until(SimTime::from_secs(100)),
-        SimTime::ZERO,
-    );
-    assert_eq!(
-        discovery::lookup(&mut sim_space, "actuate", SimTime::from_secs(50)),
-        vec!["sim-node".to_owned()]
-    );
-    assert!(discovery::lookup(&mut sim_space, "actuate", SimTime::from_secs(100)).is_empty());
-    println!("\nsame registry semantics verified under simulated time");
+    now = now.saturating_add(SimDuration::from_millis(60));
+    let after_expiry = discovery::lookup(&mut space, "fft", now);
+    println!("after its lease expired:             {after_expiry:?}");
+    assert_eq!(after_expiry, ["node-9"], "the crashed provider aged out");
 }

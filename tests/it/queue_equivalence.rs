@@ -1,14 +1,17 @@
-//! Cross-queue byte-identity: the kernel's determinism contract promises
-//! that the pending-event-set implementation (binary heap vs calendar
-//! queue) and the message-box pool are invisible to results. This file
-//! makes that promise a property: arbitrary schedule/cancel programs must
-//! dispatch identically — same order, same times, same trace — under
-//! every queue kind × pooling combination.
+//! Dispatch order against an independent oracle. Arbitrary
+//! schedule/cancel/re-arm programs run on the kernel with the event-box
+//! pool on and off; every recorder's delivery log must equal the log
+//! computed directly from the program, and the two pooling settings must
+//! agree byte for byte on logs, trace text and event counts.
 
 use proptest::prelude::*;
-use tsbus_des::{
-    Component, Context, Message, MessageExt, QueueKind, SimDuration, SimTime, Simulator,
-};
+use tsbus_des::{Component, Context, Message, MessageExt, SimDuration, SimTime, Simulator};
+
+const RECORDERS: usize = 3;
+/// Delay of the follow-up event a re-arming delivery schedules.
+const REARM_NS: u64 = 17;
+/// Tag offset distinguishing a follow-up from the initial event it re-arms.
+const FOLLOW_UP_TAG: u64 = 1_000_000;
 
 /// One scheduling instruction of a generated program.
 #[derive(Debug, Clone, Copy)]
@@ -21,7 +24,7 @@ struct Instr {
     /// Cancel the event right after scheduling it.
     cancel: bool,
     /// Re-arm a follow-up event on delivery (exercises scheduling from
-    /// inside handlers, where calendar buckets resize mid-run).
+    /// inside handlers).
     rearm: bool,
 }
 
@@ -43,25 +46,22 @@ impl Component for Recorder {
         self.log.push((ctx.now(), evt.tag));
         if evt.rearm {
             let follow_up = Evt {
-                tag: evt.tag + 1_000_000,
+                tag: evt.tag + FOLLOW_UP_TAG,
                 rearm: false,
             };
-            ctx.schedule_self_in(SimDuration::from_nanos(17), follow_up);
+            ctx.schedule_self_in(SimDuration::from_nanos(REARM_NS), follow_up);
         }
         ctx.recycle_box(evt);
     }
 }
 
-/// Replays `program` on a simulator backed by `kind`, returning every
-/// observable: per-recorder delivery logs, the kernel trace text, and the
-/// dispatched-event count.
-fn run_program(
-    program: &[Instr],
-    kind: QueueKind,
-    pooling: bool,
-) -> (Vec<Vec<(SimTime, u64)>>, String, u64) {
-    const RECORDERS: usize = 3;
-    let mut sim = Simulator::with_seed_and_queue(42, kind);
+/// Everything a run exposes: per-recorder delivery logs, the kernel trace
+/// text, and the dispatched-event count.
+type Observed = (Vec<Vec<(SimTime, u64)>>, String, u64);
+
+/// Replays `program` on a fresh simulator, returning every observable.
+fn run_program(program: &[Instr], pooling: bool) -> Observed {
+    let mut sim = Simulator::with_seed(42);
     sim.set_pooling(pooling);
     sim.enable_trace(1 << 16);
     let ids: Vec<_> = (0..RECORDERS)
@@ -91,6 +91,48 @@ fn run_program(
     (logs, sim.trace().to_text(), sim.events_processed())
 }
 
+/// The expected per-recorder logs and event count, derived from the
+/// program alone.
+///
+/// Every event is keyed by `(time, schedule order)`. The program's events
+/// take schedule orders `0..n` (cancelled ones included); a surviving
+/// event fires at its delay. Follow-ups are scheduled from handlers, after
+/// every initial event, in the order their parents fire, so they take
+/// orders `n, n + 1, …` and fire `REARM_NS` after their parent.
+fn oracle(program: &[Instr]) -> (Vec<Vec<(SimTime, u64)>>, u64) {
+    // (time, schedule order, recorder, tag)
+    let mut initial: Vec<(u64, u64, usize, u64)> = program
+        .iter()
+        .enumerate()
+        .filter(|(_, instr)| !instr.cancel)
+        .map(|(i, instr)| {
+            let order = i as u64;
+            (
+                instr.delay_ns,
+                order,
+                usize::from(instr.target) % RECORDERS,
+                order,
+            )
+        })
+        .collect();
+    initial.sort_unstable();
+    let next_order = program.len() as u64;
+    let follow_ups = initial
+        .iter()
+        .filter(|&&(_, order, _, _)| program[order as usize].rearm)
+        .zip(next_order..)
+        .map(|(&(time, _, recorder, tag), order)| {
+            (time + REARM_NS, order, recorder, tag + FOLLOW_UP_TAG)
+        });
+    let mut all: Vec<_> = initial.iter().copied().chain(follow_ups).collect();
+    all.sort_unstable();
+    let mut logs = vec![Vec::new(); RECORDERS];
+    for &(time, _, recorder, tag) in &all {
+        logs[recorder].push((SimTime::from_nanos(time), tag));
+    }
+    (logs, all.len() as u64)
+}
+
 fn instr_strategy() -> impl Strategy<Value = Instr> {
     (0u64..200, 0u8..3, any::<bool>(), any::<bool>()).prop_map(
         |(delay_ns, target, cancel, rearm)| Instr {
@@ -103,52 +145,38 @@ fn instr_strategy() -> impl Strategy<Value = Instr> {
 }
 
 proptest! {
-    /// The doc-comment contract of `tsbus_des::queue`: queue kind and
-    /// pooling are byte-invisible to dispatch order, times and traces.
+    /// Dispatch order and times match the oracle, and pooling is
+    /// byte-invisible to logs, traces and event counts.
     #[test]
-    fn queue_kind_and_pooling_are_invisible(
+    fn dispatch_matches_oracle_with_and_without_pooling(
         program in proptest::collection::vec(instr_strategy(), 0..120)
     ) {
-        let reference = run_program(&program, QueueKind::BinaryHeap, true);
-        for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-            for pooling in [true, false] {
-                if kind == QueueKind::BinaryHeap && pooling {
-                    continue; // the reference itself
-                }
-                let other = run_program(&program, kind, pooling);
-                prop_assert_eq!(
-                    &reference.0, &other.0,
-                    "delivery logs diverged under {:?}/pooling={}", kind, pooling
-                );
-                prop_assert_eq!(
-                    &reference.1, &other.1,
-                    "kernel traces diverged under {:?}/pooling={}", kind, pooling
-                );
-                prop_assert_eq!(
-                    reference.2, other.2,
-                    "event counts diverged under {:?}/pooling={}", kind, pooling
-                );
-            }
-        }
+        let (expected_logs, expected_events) = oracle(&program);
+        let pooled = run_program(&program, true);
+        prop_assert_eq!(&pooled.0, &expected_logs, "delivery logs differ from the oracle");
+        prop_assert_eq!(pooled.2, expected_events, "event count differs from the oracle");
+        let unpooled = run_program(&program, false);
+        prop_assert_eq!(&pooled.0, &unpooled.0, "delivery logs diverged with pooling off");
+        prop_assert_eq!(&pooled.1, &unpooled.1, "kernel traces diverged with pooling off");
+        prop_assert_eq!(pooled.2, unpooled.2, "event counts diverged with pooling off");
     }
 }
 
 /// Deterministic spot check: a dense burst of same-time events keeps FIFO
-/// order on both queues (the tie-break the property above relies on).
+/// order (the tie-break the property above relies on).
 #[test]
-fn same_time_events_dispatch_fifo_on_both_queues() {
+fn same_time_events_dispatch_in_schedule_order() {
     let program: Vec<Instr> = (0..64)
         .map(|i| Instr {
             delay_ns: 5,
             target: (i % 3) as u8,
             cancel: false,
-            rearm: false,
+            rearm: i % 5 == 0,
         })
         .collect();
-    let heap = run_program(&program, QueueKind::BinaryHeap, true);
-    let calendar = run_program(&program, QueueKind::Calendar, true);
-    assert_eq!(heap.0, calendar.0);
-    for log in &heap.0 {
+    let (logs, _, events) = run_program(&program, true);
+    assert_eq!((logs.clone(), events), oracle(&program));
+    for log in &logs {
         let tags: Vec<u64> = log.iter().map(|&(_, tag)| tag).collect();
         let mut sorted = tags.clone();
         sorted.sort_unstable();

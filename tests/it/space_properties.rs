@@ -1,14 +1,10 @@
 //! Property tests on tuplespace invariants: conservation (every written
 //! tuple is taken at most once and never duplicated), ordering, lease
-//! monotonicity — checked over arbitrary operation sequences, and under
-//! real thread concurrency on the live server.
-
-use std::collections::HashMap;
-use std::time::Duration;
+//! monotonicity — checked over arbitrary operation sequences.
 
 use proptest::prelude::*;
 use tsbus_des::{SimDuration, SimTime};
-use tsbus_tuplespace::{template, tuple, Lease, Space, SpaceServer, Template, ValueType};
+use tsbus_tuplespace::{template, tuple, Lease, Space, Template, ValueType};
 
 /// One step of a generated workload.
 #[derive(Debug, Clone)]
@@ -115,89 +111,6 @@ proptest! {
             prop_assert!(!visible || last_seen, "no resurrection");
             last_seen = visible;
         }
-    }
-}
-
-/// Thread-level conservation on the live server: N producers × M
-/// consumers; every produced job is consumed exactly once.
-#[test]
-fn live_server_conserves_under_concurrency() {
-    let server = SpaceServer::new();
-    let producers = 4;
-    let consumers = 4;
-    let jobs_each = 50;
-    let total = producers * jobs_each;
-
-    let producer_handles: Vec<_> = (0..producers)
-        .map(|p| {
-            let space = server.clone();
-            std::thread::spawn(move || {
-                for k in 0..jobs_each {
-                    space.write(tuple!["job", (p * jobs_each + k) as i64], None);
-                }
-            })
-        })
-        .collect();
-    let consumer_handles: Vec<_> = (0..consumers)
-        .map(|_| {
-            let space = server.clone();
-            std::thread::spawn(move || {
-                let tpl = template!["job", ValueType::Int];
-                let mut got = Vec::new();
-                loop {
-                    match space.take_blocking(&tpl, Some(Duration::from_millis(200))) {
-                        Ok(job) => {
-                            got.push(job.field(1).and_then(|v| v.as_int()).expect("int tag"));
-                        }
-                        Err(_) => return got, // queue drained
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in producer_handles {
-        h.join().expect("producer thread");
-    }
-    let mut seen: HashMap<i64, u32> = HashMap::new();
-    for h in consumer_handles {
-        for tag in h.join().expect("consumer thread") {
-            *seen.entry(tag).or_default() += 1;
-        }
-    }
-    assert_eq!(seen.len(), total, "every job consumed");
-    assert!(
-        seen.values().all(|&count| count == 1),
-        "no job consumed twice"
-    );
-    assert!(server.is_empty(), "nothing left behind");
-}
-
-/// Transactions compose with concurrency: racing transactional takes of
-/// one entry admit exactly one winner even across threads.
-#[test]
-fn transactional_take_is_single_winner_across_threads() {
-    for _round in 0..20 {
-        let server = SpaceServer::new();
-        server.write(tuple!["token"], None);
-        let winners: Vec<bool> = (0..4)
-            .map(|_| {
-                let space = server.clone();
-                std::thread::spawn(move || {
-                    let txn = space.transaction();
-                    let won = txn.take(&template!["token"]).is_some();
-                    txn.commit();
-                    won
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("taker thread"))
-            .collect();
-        assert_eq!(
-            winners.iter().filter(|&&w| w).count(),
-            1,
-            "exactly one transactional winner"
-        );
     }
 }
 
