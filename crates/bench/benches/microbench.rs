@@ -12,8 +12,7 @@ use tsbus_tpwire::{
 };
 use tsbus_tuplespace::{template, tuple, Lease, Space, Template, ValueType};
 use tsbus_xmlwire::{
-    encode_request, request_from_wire, request_from_xml, request_to_wire, request_to_xml, Request,
-    WireFormat,
+    request_from_wire, request_from_xml, request_to_wire, request_to_xml, Request, WireFormat,
 };
 
 /// A component that bounces an event back to itself `n` times.
@@ -88,9 +87,6 @@ fn bench_xml(c: &mut Criterion) {
     });
     group.bench_function("parse_write_request", |b| {
         b.iter(|| request_from_xml(black_box(&text)).expect("valid"));
-    });
-    group.bench_function("build_dom", |b| {
-        b.iter(|| encode_request(black_box(&request)));
     });
     let binary = request_to_wire(&request, WireFormat::Binary);
     group.bench_function("encode_binary", |b| {

@@ -14,7 +14,7 @@
 //! | `campaign_standing` | full-stack chaos trial over a large standing space | scans + per-event boxes → indexed space + pooled boxes |
 //! | `campaign_chaos` | the pinned fault-injection chaos trial | same toggles |
 //! | `campaign_shard` | the pinned 4-shard replicated trial | same toggles |
-//! | `micro_space_index` | keyed read/take against a standing [`Space`] | full scan → key-field index |
+//! | `micro_space_index` | keyed read/take against a standing [`Space`] | full scan → per-field value index |
 //! | `micro_pool` | kernel self-rearming timers | fresh box per event → recycled boxes |
 //! | `micro_codec` | request-envelope + event encoding | fresh buffers → [`EncodeScratch`] |
 //!

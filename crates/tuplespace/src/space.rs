@@ -237,14 +237,12 @@ pub struct Space {
     /// On by default; the scan-only mode exists for the perf harness's
     /// ablation baseline and the index-equivalence property tests.
     indexed: bool,
-    /// Which field position the value index keys on — the same canonical
-    /// key position `tsbus-shard` partitions tuples on.
-    key_field: usize,
-    /// Value index: insertion seqs of live entries whose key field exists,
-    /// bucketed by that field's value. `BTreeSet` iteration keeps each
-    /// bucket in insertion order, so indexed matching preserves the
-    /// oldest-match-first contract exactly.
-    by_key: HashMap<Value, BTreeSet<u64>>,
+    /// Value index per field position, built the first time a template
+    /// fixes that position with [`Pattern::Exact`] and kept current from
+    /// then on. Each bucket holds the insertion seqs of the live entries
+    /// carrying that value at that position, in `BTreeSet` (= timestamp)
+    /// order, so indexed matching keeps the oldest-match-first contract.
+    value_index: Vec<Option<HashMap<Value, BTreeSet<u64>>>>,
     /// Deadline index over `Lease::Until` entries, ordered `(deadline,
     /// seq)`: the expiry sweep pops only due entries and `next_deadline`
     /// is a first-element lookup.
@@ -259,21 +257,29 @@ impl Default for Space {
 
 /// Where a template lookup finds its candidate entries.
 enum Candidates<'a> {
-    /// The template does not pin the key field; fall back to a full scan.
+    /// No position the template fixes is indexed; fall back to a full scan.
     Scan,
-    /// The template pins the key field to a value no live entry carries.
+    /// The template fixes an indexed position to a value no live entry
+    /// carries there.
     Empty,
-    /// The bucket of entries sharing the template's key value.
+    /// The smallest bucket among the template's indexed exact positions.
     Bucket(&'a BTreeSet<u64>),
 }
 
-impl Space {
-    /// The default key-field position of the value index: field 1, matching
-    /// `tsbus-shard`'s canonical partition key.
-    pub const DEFAULT_KEY_FIELD: usize = 1;
+/// Adds `seq` to `value`'s bucket, cloning the value only for a new bucket.
+fn insert_into_bucket(index: &mut HashMap<Value, BTreeSet<u64>>, value: &Value, seq: u64) {
+    match index.get_mut(value) {
+        Some(bucket) => {
+            bucket.insert(seq);
+        }
+        None => {
+            index.insert(value.clone(), BTreeSet::from([seq]));
+        }
+    }
+}
 
-    /// Creates an empty space with indexed matching on (keyed on
-    /// [`DEFAULT_KEY_FIELD`](Self::DEFAULT_KEY_FIELD)).
+impl Space {
+    /// Creates an empty space with indexed matching on.
     #[must_use]
     pub fn new() -> Self {
         Space {
@@ -286,8 +292,7 @@ impl Space {
             txns: TxnRegistry::default(),
             audit: Tracer::disabled(),
             indexed: true,
-            key_field: Self::DEFAULT_KEY_FIELD,
-            by_key: HashMap::new(),
+            value_index: Vec::new(),
             deadlines: BTreeSet::new(),
         }
     }
@@ -302,25 +307,10 @@ impl Space {
         space
     }
 
-    /// Creates an empty indexed space keyed on `key_field` instead of the
-    /// default position.
-    #[must_use]
-    pub fn with_key_field(key_field: usize) -> Self {
-        let mut space = Self::new();
-        space.key_field = key_field;
-        space
-    }
-
     /// Whether indexed matching is on.
     #[must_use]
     pub fn is_indexed(&self) -> bool {
         self.indexed
-    }
-
-    /// The field position the value index keys on.
-    #[must_use]
-    pub fn key_field(&self) -> usize {
-        self.key_field
     }
 
     /// Switches indexed matching on or off, rebuilding (or dropping) the
@@ -331,13 +321,11 @@ impl Space {
             return;
         }
         self.indexed = indexed;
-        self.by_key.clear();
+        // Value indexes come back lazily, on the next template that needs one.
+        self.value_index.clear();
         self.deadlines.clear();
         if indexed {
             for (&seq, entry) in &self.entries {
-                if let Some(key) = entry.tuple.field(self.key_field) {
-                    self.by_key.entry(key.clone()).or_default().insert(seq);
-                }
                 if let Lease::Until(deadline) = entry.lease {
                     self.deadlines.insert((deadline, seq));
                 }
@@ -350,8 +338,10 @@ impl Space {
         if !self.indexed {
             return;
         }
-        if let Some(key) = entry.tuple.field(self.key_field) {
-            self.by_key.entry(key.clone()).or_default().insert(seq);
+        for (index, value) in self.value_index.iter_mut().zip(entry.tuple.iter()) {
+            if let Some(index) = index {
+                insert_into_bucket(index, value, seq);
+            }
         }
         if let Lease::Until(deadline) = entry.lease {
             self.deadlines.insert((deadline, seq));
@@ -362,11 +352,13 @@ impl Space {
     fn remove_entry(&mut self, seq: u64) -> Entry {
         let entry = self.entries.remove(&seq).expect("caller found this seq");
         if self.indexed {
-            if let Some(key) = entry.tuple.field(self.key_field) {
-                if let Some(bucket) = self.by_key.get_mut(key) {
-                    bucket.remove(&seq);
-                    if bucket.is_empty() {
-                        self.by_key.remove(key);
+            for (index, value) in self.value_index.iter_mut().zip(entry.tuple.iter()) {
+                if let Some(index) = index {
+                    if let Some(bucket) = index.get_mut(value) {
+                        bucket.remove(&seq);
+                        if bucket.is_empty() {
+                            index.remove(value);
+                        }
                     }
                 }
             }
@@ -377,28 +369,63 @@ impl Space {
         entry
     }
 
+    /// Builds the value index of every position `template` fixes with
+    /// [`Pattern::Exact`] that has none yet, over the current entries.
+    fn index_exact_positions(&mut self, template: &Template) {
+        if !self.indexed {
+            return;
+        }
+        for (pos, pattern) in template.patterns().iter().enumerate() {
+            if !matches!(pattern, Pattern::Exact(_)) {
+                continue;
+            }
+            if self.value_index.len() <= pos {
+                self.value_index.resize_with(pos + 1, || None);
+            }
+            if self.value_index[pos].is_some() {
+                continue;
+            }
+            let mut index: HashMap<Value, BTreeSet<u64>> = HashMap::new();
+            for (&seq, entry) in &self.entries {
+                if let Some(value) = entry.tuple.field(pos) {
+                    insert_into_bucket(&mut index, value, seq);
+                }
+            }
+            self.value_index[pos] = Some(index);
+        }
+    }
+
     /// Where to look for entries matching `template`.
     ///
-    /// The bucket is usable exactly when the template has [`Pattern::Exact`]
-    /// at the key field: equal-arity matching then guarantees every match
-    /// carries that key value, and every entry with a key field is indexed,
-    /// so the bucket is complete. Anything else (shorter templates, typed or
-    /// wildcard key patterns) falls back to the scan.
+    /// A position's bucket is usable whenever the template has
+    /// [`Pattern::Exact`] there and that position is indexed: equal-arity
+    /// matching then guarantees every match carries that value, and every
+    /// entry long enough to have the field is indexed, so the bucket is
+    /// complete. The smallest such bucket wins; a missing bucket means no
+    /// match. Templates that fix no indexed position fall back to the scan.
     fn candidates(&self, template: &Template) -> Candidates<'_> {
         if !self.indexed {
             return Candidates::Scan;
         }
-        match template.patterns().get(self.key_field) {
-            Some(Pattern::Exact(value)) => match self.by_key.get(value) {
-                Some(bucket) => Candidates::Bucket(bucket),
-                None => Candidates::Empty,
-            },
-            _ => Candidates::Scan,
+        let mut best: Option<&BTreeSet<u64>> = None;
+        for (pattern, index) in template.patterns().iter().zip(&self.value_index) {
+            let (Pattern::Exact(value), Some(index)) = (pattern, index) else {
+                continue;
+            };
+            match index.get(value) {
+                None => return Candidates::Empty,
+                Some(bucket) if best.is_none_or(|best| bucket.len() < best.len()) => {
+                    best = Some(bucket);
+                }
+                Some(_) => {}
+            }
         }
+        best.map_or(Candidates::Scan, Candidates::Bucket)
     }
 
     /// The insertion seq of the oldest entry matching `template`.
-    fn oldest_match(&self, template: &Template) -> Option<u64> {
+    fn oldest_match(&mut self, template: &Template) -> Option<u64> {
+        self.index_exact_positions(template);
         match self.candidates(template) {
             Candidates::Scan => self
                 .entries
@@ -414,7 +441,8 @@ impl Space {
     }
 
     /// The insertion seqs of every entry matching `template`, oldest first.
-    fn collect_matches(&self, template: &Template) -> Vec<u64> {
+    fn collect_matches(&mut self, template: &Template) -> Vec<u64> {
+        self.index_exact_positions(template);
         match self.candidates(template) {
             Candidates::Scan => self
                 .entries
@@ -595,6 +623,7 @@ impl Space {
     /// Counts live entries matching `template`.
     pub fn count(&mut self, template: &Template, now: SimTime) -> usize {
         self.expire(now);
+        self.index_exact_positions(template);
         match self.candidates(template) {
             Candidates::Scan => self
                 .entries
@@ -1045,10 +1074,11 @@ mod tests {
             space.write(tuple!["job", 1], Lease::Until(t(10)), t(0));
             space.write(tuple!["job", 2], Lease::Forever, t(0));
             space.write(tuple!["job", 1, "dup-key"], Lease::Until(t(5)), t(1));
-            space.write(tuple!["solo"], Lease::Forever, t(1)); // arity ≤ key field
-                                                               // Exact key: bucketed lookup.
+            // Too short to carry field 1.
+            space.write(tuple!["solo"], Lease::Forever, t(1));
+            // Exact tag and key: the smaller of two buckets.
             out.push(format!("{:?}", space.read(&template!["job", 1], t(2))));
-            // Typed key: scan fallback.
+            // Typed key: the tag's bucket.
             out.push(format!(
                 "{:?}",
                 space.read(&template!["job", ValueType::Int], t(2))
@@ -1071,6 +1101,72 @@ mod tests {
     }
 
     #[test]
+    fn per_field_index_agrees_with_scan_on_every_fixed_position() {
+        fn probe(space: &mut Space, out: &mut Vec<String>, tpl: Template, now: SimTime) {
+            out.push(format!("{tpl} read {:?}", space.read(&tpl, now)));
+            out.push(format!("{tpl} count {}", space.count(&tpl, now)));
+        }
+        let nan = f64::from_bits(0x7ff8_0000_0000_0000);
+        let other_nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        assert_index_equivalent(|space| {
+            let mut out = Vec::new();
+            space.write(tuple!["obj", 1, 0, 0.0], Lease::Forever, t(0));
+            space.write(tuple!["obj", 2, 1, -0.0], Lease::Until(t(5)), t(0));
+            space.write(tuple!["obj", 3, 1, nan], Lease::Forever, t(0));
+            space.write(tuple!["obj", 4, 2], Lease::Forever, t(0));
+            space.write(tuple!["obj", 5], Lease::Forever, t(0));
+            space.write(tuple!["obj", 6, 1, other_nan], Lease::Forever, t(1));
+            // Takes and an expiry before positions 2 and 3 are ever fixed,
+            // so their indexes are first built over a churned store.
+            let keyed = template!["obj", 1, ValueType::Int, ValueType::Float];
+            out.push(format!("{:?}", space.take(&keyed, t(2))));
+            space.expire(t(6));
+            // Non-key position, alone and with the key.
+            let class_1 = template!["obj", ValueType::Int, 1, Pattern::Wildcard];
+            probe(space, &mut out, class_1.clone(), t(6));
+            probe(
+                space,
+                &mut out,
+                template![Pattern::Wildcard, 3, 1, Pattern::Wildcard],
+                t(6),
+            );
+            probe(
+                space,
+                &mut out,
+                template![Pattern::Wildcard, 4, 1, Pattern::Wildcard],
+                t(6),
+            );
+            // A class no entry carries, and a probe of the wrong arity.
+            probe(
+                space,
+                &mut out,
+                template!["obj", ValueType::Int, 9, ValueType::Float],
+                t(6),
+            );
+            probe(
+                space,
+                &mut out,
+                template![Pattern::Wildcard, Pattern::Wildcard, 2],
+                t(6),
+            );
+            // Floats by bits: each signed zero and NaN payload matches itself.
+            for value in [0.0, -0.0, nan, other_nan] {
+                let tpl = template!["obj", ValueType::Int, ValueType::Int, value];
+                probe(space, &mut out, tpl, t(6));
+            }
+            // A transaction takes by class and aborts: the entry comes back
+            // into every index with its original timestamp.
+            let txn = space.txn_begin();
+            out.push(format!("{:?}", space.txn_take(txn, &class_1, t(7))));
+            probe(space, &mut out, class_1.clone(), t(7));
+            space.txn_abort(txn, t(8)).expect("open");
+            probe(space, &mut out, class_1, t(8));
+            out.push(format!("{:?}", space.read_all(&Template::any(4), t(8))));
+            out
+        });
+    }
+
+    #[test]
     fn set_indexed_rebuilds_and_drops_consistently() {
         let mut space = Space::unindexed();
         space.write(tuple!["a", 1], Lease::Until(t(10)), t(0));
@@ -1082,6 +1178,11 @@ mod tests {
         space.set_indexed(false);
         assert_eq!(space.next_deadline(), Some(t(10)));
         assert_eq!(space.take(&template!["a", 2], t(1)), Some(tuple!["a", 2]));
+        // Written while off: the rebuilt index must see it.
+        space.write(tuple!["a", 3], Lease::Forever, t(1));
+        space.set_indexed(true);
+        assert_eq!(space.take(&template!["a", 3], t(2)), Some(tuple!["a", 3]));
+        assert_eq!(space.read(&template!["a", 2], t(2)), None);
     }
 
     #[test]

@@ -20,19 +20,24 @@ pub enum ValueType {
 
 impl fmt::Display for ValueType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+        f.write_str(self.name())
+    }
+}
+
+impl ValueType {
+    /// The lowercase name, as [`Display`](fmt::Display) writes it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
             ValueType::Int => "int",
             ValueType::Float => "float",
             ValueType::Str => "str",
             ValueType::Bool => "bool",
             ValueType::Bytes => "bytes",
-        };
-        write!(f, "{name}")
+        }
     }
-}
 
-impl ValueType {
-    /// Parses the lowercase name produced by [`Display`](fmt::Display).
+    /// Parses the lowercase name produced by [`name`](Self::name).
     #[must_use]
     pub fn from_name(name: &str) -> Option<ValueType> {
         match name {

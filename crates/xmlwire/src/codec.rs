@@ -190,25 +190,19 @@ fn kind_from_name(name: &str) -> Option<EventKind> {
     }
 }
 
-/// Encodes a notification as its `<event>` document.
-#[must_use]
-pub fn encode_event(event: &WireEvent) -> XmlElement {
-    XmlElement::new("event")
-        .with_attr("sub", event.subscription.to_string())
-        .with_attr("kind", kind_name(event.kind))
-        .with_child(encode_tuple(&event.tuple))
-}
-
 /// Serializes a notification to its XML text.
 #[must_use]
 pub fn event_to_xml(event: &WireEvent) -> String {
-    encode_event(event).to_xml()
+    let mut out = String::new();
+    write_event(event, &mut out);
+    out
 }
 
 /// [`event_to_xml`] into a reusable buffer (cleared first); byte-identical
 /// output.
 pub fn event_to_xml_into(event: &WireEvent, out: &mut String) {
-    encode_event(event).to_xml_into(out);
+    out.clear();
+    write_event(event, out);
 }
 
 /// Decodes an `<event>` element.
@@ -330,25 +324,6 @@ fn shape(message: impl Into<String>) -> DecodeWireError {
 // Values / tuples / templates
 // ---------------------------------------------------------------------
 
-/// Encodes one value as `<field type="…">…</field>`.
-#[must_use]
-pub fn encode_value(value: &Value) -> XmlElement {
-    let el = XmlElement::new("field").with_attr("type", value.type_of().to_string());
-    match value {
-        Value::Int(v) => el.with_text(v.to_string()),
-        Value::Float(v) => el.with_text(format!("{v:?}")),
-        Value::Str(v) => {
-            if v.is_empty() {
-                el
-            } else {
-                el.with_text(v.clone())
-            }
-        }
-        Value::Bool(v) => el.with_text(v.to_string()),
-        Value::Bytes(v) => el.with_text(hex_encode(v)),
-    }
-}
-
 /// Decodes a `<field>` element.
 ///
 /// # Errors
@@ -362,7 +337,7 @@ pub fn decode_value(el: &XmlElement) -> Result<Value, DecodeWireError> {
     let type_name = el.attr("type").ok_or_else(|| shape("field without type"))?;
     let vt = ValueType::from_name(type_name)
         .ok_or_else(|| shape(format!("unknown field type {type_name:?}")))?;
-    let text = el.text();
+    let text = el.text_cow();
     match vt {
         ValueType::Int => text
             .parse::<i64>()
@@ -372,8 +347,8 @@ pub fn decode_value(el: &XmlElement) -> Result<Value, DecodeWireError> {
             .parse::<f64>()
             .map(Value::Float)
             .map_err(|e| shape(format!("bad float {text:?}: {e}"))),
-        ValueType::Str => Ok(Value::Str(text)),
-        ValueType::Bool => match text.as_str() {
+        ValueType::Str => Ok(Value::Str(text.into_owned())),
+        ValueType::Bool => match &*text {
             "true" => Ok(Value::Bool(true)),
             "false" => Ok(Value::Bool(false)),
             other => Err(shape(format!("bad bool {other:?}"))),
@@ -382,16 +357,6 @@ pub fn decode_value(el: &XmlElement) -> Result<Value, DecodeWireError> {
             .map(Value::Bytes)
             .map_err(|m| shape(format!("bad bytes field: {m}"))),
     }
-}
-
-/// Encodes a tuple as `<tuple>…</tuple>`.
-#[must_use]
-pub fn encode_tuple(tuple: &Tuple) -> XmlElement {
-    let mut el = XmlElement::new("tuple");
-    for field in tuple {
-        el.push_child(encode_value(field));
-    }
-    el
 }
 
 /// Decodes a `<tuple>` element.
@@ -404,26 +369,6 @@ pub fn decode_tuple(el: &XmlElement) -> Result<Tuple, DecodeWireError> {
         return Err(shape(format!("expected <tuple>, found <{}>", el.name())));
     }
     el.child_elements().map(decode_value).collect()
-}
-
-/// Encodes a template as `<template>…</template>` with one `<pattern>` per
-/// position.
-#[must_use]
-pub fn encode_template(template: &Template) -> XmlElement {
-    let mut el = XmlElement::new("template");
-    for pattern in template.patterns() {
-        let child = match pattern {
-            Pattern::Exact(v) => XmlElement::new("pattern")
-                .with_attr("kind", "exact")
-                .with_child(encode_value(v)),
-            Pattern::AnyOfType(vt) => XmlElement::new("pattern")
-                .with_attr("kind", "type")
-                .with_attr("type", vt.to_string()),
-            Pattern::Wildcard => XmlElement::new("pattern").with_attr("kind", "any"),
-        };
-        el.push_child(child);
-    }
-    el
 }
 
 /// Decodes a `<template>` element.
@@ -474,72 +419,29 @@ pub fn decode_template(el: &XmlElement) -> Result<Template, DecodeWireError> {
 // Requests / responses
 // ---------------------------------------------------------------------
 
-/// Encodes a request as its `<op>` document.
-#[must_use]
-pub fn encode_request(request: &Request) -> XmlElement {
-    match request {
-        Request::Write { tuple, lease_ns } => {
-            let mut el = XmlElement::new("op").with_attr("type", "write");
-            if let Some(ns) = lease_ns {
-                el = el.with_attr("lease-ns", ns.to_string());
-            }
-            el.with_child(encode_tuple(tuple))
-        }
-        Request::Read {
-            template,
-            timeout_ns,
-        } => op_with_template("read", template, *timeout_ns),
-        Request::Take {
-            template,
-            timeout_ns,
-        } => op_with_template("take", template, *timeout_ns),
-        Request::ReadIfExists { template } => op_with_template("read-if-exists", template, None),
-        Request::TakeIfExists { template } => op_with_template("take-if-exists", template, None),
-        Request::Count { template } => op_with_template("count", template, None),
-        Request::Subscribe { template, kinds } => {
-            let mut el = XmlElement::new("op").with_attr("type", "subscribe");
-            let names: Vec<&str> = kinds.iter().map(|&k| kind_name(k)).collect();
-            el = el.with_attr("kinds", names.join(","));
-            el.with_child(encode_template(template))
-        }
-        Request::Unsubscribe { id } => XmlElement::new("op")
-            .with_attr("type", "unsubscribe")
-            .with_attr("sub", id.to_string()),
-        Request::Renew { template, lease_ns } => {
-            let mut el = XmlElement::new("op").with_attr("type", "renew");
-            if let Some(ns) = lease_ns {
-                el = el.with_attr("lease-ns", ns.to_string());
-            }
-            el.with_child(encode_template(template))
-        }
-    }
-}
-
-/// Encodes a request envelope: the `<op>` document, with the identity
-/// (`client`/`seq`/`ack` attributes) when present. An id-less envelope
-/// encodes byte-identically to its bare request.
-#[must_use]
-pub fn encode_request_envelope(envelope: &RequestEnvelope) -> XmlElement {
-    let mut el = encode_request(&envelope.request);
-    if let Some(id) = envelope.id {
-        el = el
-            .with_attr("client", id.client.to_string())
-            .with_attr("seq", id.seq.to_string())
-            .with_attr("ack", envelope.ack.to_string());
-    }
-    el
-}
-
-/// Serializes a request envelope to its XML text.
+/// Serializes a request envelope to its XML text: the `<op>` document,
+/// with the identity (`client`/`seq`/`ack` attributes) when present. An
+/// id-less envelope encodes byte-identically to its bare request.
 #[must_use]
 pub fn request_envelope_to_xml(envelope: &RequestEnvelope) -> String {
-    encode_request_envelope(envelope).to_xml()
+    let mut out = String::new();
+    write_request(
+        &envelope.request,
+        envelope.id.map(|id| (id, envelope.ack)),
+        &mut out,
+    );
+    out
 }
 
 /// [`request_envelope_to_xml`] into a reusable buffer (cleared first);
 /// byte-identical output.
 pub fn request_envelope_to_xml_into(envelope: &RequestEnvelope, out: &mut String) {
-    encode_request_envelope(envelope).to_xml_into(out);
+    out.clear();
+    write_request(
+        &envelope.request,
+        envelope.id.map(|id| (id, envelope.ack)),
+        out,
+    );
 }
 
 /// Decodes an `<op>` element together with its optional identity
@@ -573,23 +475,14 @@ pub fn request_envelope_from_xml(text: &str) -> Result<RequestEnvelope, DecodeWi
     decode_request_envelope(&el)
 }
 
-/// Encodes a response with its echoed request identity (if any). An
-/// uncorrelated response encodes byte-identically to the plain form.
-#[must_use]
-pub fn encode_correlated_response(re: Option<RequestId>, response: &Response) -> XmlElement {
-    let mut el = encode_response(response);
-    if let Some(id) = re {
-        el = el
-            .with_attr("client", id.client.to_string())
-            .with_attr("seq", id.seq.to_string());
-    }
-    el
-}
-
-/// Serializes a correlated response to its XML text.
+/// Serializes a response with its echoed request identity (if any) to its
+/// XML text. An uncorrelated response encodes byte-identically to the
+/// plain form.
 #[must_use]
 pub fn correlated_response_to_xml(re: Option<RequestId>, response: &Response) -> String {
-    encode_correlated_response(re, response).to_xml()
+    let mut out = String::new();
+    write_response(response, re, &mut out);
+    out
 }
 
 /// [`correlated_response_to_xml`] into a reusable buffer (cleared first);
@@ -599,27 +492,23 @@ pub fn correlated_response_to_xml_into(
     response: &Response,
     out: &mut String,
 ) {
-    encode_correlated_response(re, response).to_xml_into(out);
-}
-
-fn op_with_template(kind: &str, template: &Template, timeout_ns: Option<u64>) -> XmlElement {
-    let mut el = XmlElement::new("op").with_attr("type", kind);
-    if let Some(ns) = timeout_ns {
-        el = el.with_attr("timeout-ns", ns.to_string());
-    }
-    el.with_child(encode_template(template))
+    out.clear();
+    write_response(response, re, out);
 }
 
 /// Serializes a request to its XML text.
 #[must_use]
 pub fn request_to_xml(request: &Request) -> String {
-    encode_request(request).to_xml()
+    let mut out = String::new();
+    write_request(request, None, &mut out);
+    out
 }
 
 /// [`request_to_xml`] into a reusable buffer (cleared first); byte-identical
 /// output.
 pub fn request_to_xml_into(request: &Request, out: &mut String) {
-    encode_request(request).to_xml_into(out);
+    out.clear();
+    write_request(request, None, out);
 }
 
 /// Parses a request document.
@@ -718,34 +607,12 @@ pub fn decode_request(el: &XmlElement) -> Result<Request, DecodeWireError> {
     }
 }
 
-/// Encodes a response as its `<resp>` document.
-#[must_use]
-pub fn encode_response(response: &Response) -> XmlElement {
-    match response {
-        Response::WriteAck => XmlElement::new("resp").with_attr("type", "ack"),
-        Response::Entry { tuple } => {
-            let el = XmlElement::new("resp").with_attr("type", "entry");
-            match tuple {
-                Some(t) => el.with_child(encode_tuple(t)),
-                None => el,
-            }
-        }
-        Response::Count { count } => XmlElement::new("resp")
-            .with_attr("type", "count")
-            .with_attr("n", count.to_string()),
-        Response::Error { message } => XmlElement::new("resp")
-            .with_attr("type", "error")
-            .with_text(message.clone()),
-        Response::SubscriptionAck { id } => XmlElement::new("resp")
-            .with_attr("type", "sub-ack")
-            .with_attr("sub", id.to_string()),
-    }
-}
-
 /// Serializes a response to its XML text.
 #[must_use]
 pub fn response_to_xml(response: &Response) -> String {
-    encode_response(response).to_xml()
+    let mut out = String::new();
+    write_response(response, None, &mut out);
+    out
 }
 
 /// Parses a response document.
@@ -795,17 +662,221 @@ pub fn decode_response(el: &XmlElement) -> Result<Response, DecodeWireError> {
 }
 
 // ---------------------------------------------------------------------
+// Direct XML writer
+// ---------------------------------------------------------------------
+//
+// Every message is written straight into the caller's `String`, with no
+// document tree in between. The layout is the wire format's: attributes
+// in a fixed order, no whitespace between tags, and an element with no
+// content self-closes, except that a bytes field and an error always
+// carry a (possibly empty) text node, so `<field type="bytes"></field>`
+// and `<resp type="error"></resp>` keep their end tags while an empty
+// string field is `<field type="str"/>`. Attribute values are protocol
+// names and decimal numbers, which never need escaping; character data
+// is escaped.
+
+fn push_attr(out: &mut String, key: &str, value: &str) {
+    out.push(' ');
+    out.push_str(key);
+    out.push_str("=\"");
+    out.push_str(value);
+    out.push('"');
+}
+
+fn push_u64_attr(out: &mut String, key: &str, value: u64) {
+    use core::fmt::Write;
+    let _ = write!(out, " {key}=\"{value}\"");
+}
+
+fn push_identity_attrs(out: &mut String, id: RequestId) {
+    push_u64_attr(out, "client", id.client);
+    push_u64_attr(out, "seq", id.seq);
+}
+
+fn write_value(value: &Value, out: &mut String) {
+    use core::fmt::Write;
+    out.push_str("<field");
+    push_attr(out, "type", value.type_of().name());
+    match value {
+        Value::Str(v) if v.is_empty() => {
+            out.push_str("/>");
+            return;
+        }
+        Value::Str(v) => {
+            out.push('>');
+            crate::dom::escape_into(v, out);
+        }
+        Value::Int(v) => {
+            let _ = write!(out, ">{v}");
+        }
+        Value::Float(v) => {
+            let _ = write!(out, ">{v:?}");
+        }
+        Value::Bool(v) => {
+            let _ = write!(out, ">{v}");
+        }
+        Value::Bytes(v) => {
+            out.push('>');
+            for b in v {
+                let _ = write!(out, "{b:02x}");
+            }
+        }
+    }
+    out.push_str("</field>");
+}
+
+fn write_tuple(tuple: &Tuple, out: &mut String) {
+    if tuple.arity() == 0 {
+        out.push_str("<tuple/>");
+        return;
+    }
+    out.push_str("<tuple>");
+    for field in tuple {
+        write_value(field, out);
+    }
+    out.push_str("</tuple>");
+}
+
+fn write_template(template: &Template, out: &mut String) {
+    if template.arity() == 0 {
+        out.push_str("<template/>");
+        return;
+    }
+    out.push_str("<template>");
+    for pattern in template.patterns() {
+        out.push_str("<pattern");
+        match pattern {
+            Pattern::Exact(v) => {
+                push_attr(out, "kind", "exact");
+                out.push('>');
+                write_value(v, out);
+                out.push_str("</pattern>");
+            }
+            Pattern::AnyOfType(vt) => {
+                push_attr(out, "kind", "type");
+                push_attr(out, "type", vt.name());
+                out.push_str("/>");
+            }
+            Pattern::Wildcard => {
+                push_attr(out, "kind", "any");
+                out.push_str("/>");
+            }
+        }
+    }
+    out.push_str("</template>");
+}
+
+/// Writes an `<op>` document; `identity` adds the envelope's
+/// `client`/`seq`/`ack` attributes after the request's own.
+fn write_request(request: &Request, identity: Option<(RequestId, u64)>, out: &mut String) {
+    enum Body<'a> {
+        Tuple(&'a Tuple),
+        Template(&'a Template),
+        Empty,
+    }
+    let lease = |ns: &Option<u64>| ns.map(|ns| ("lease-ns", ns));
+    let timeout = |ns: &Option<u64>| ns.map(|ns| ("timeout-ns", ns));
+    let (kind, number, body) = match request {
+        Request::Write { tuple, lease_ns } => ("write", lease(lease_ns), Body::Tuple(tuple)),
+        Request::Read {
+            template,
+            timeout_ns,
+        } => ("read", timeout(timeout_ns), Body::Template(template)),
+        Request::Take {
+            template,
+            timeout_ns,
+        } => ("take", timeout(timeout_ns), Body::Template(template)),
+        Request::ReadIfExists { template } => ("read-if-exists", None, Body::Template(template)),
+        Request::TakeIfExists { template } => ("take-if-exists", None, Body::Template(template)),
+        Request::Count { template } => ("count", None, Body::Template(template)),
+        Request::Subscribe { template, .. } => ("subscribe", None, Body::Template(template)),
+        Request::Unsubscribe { id } => ("unsubscribe", Some(("sub", *id)), Body::Empty),
+        Request::Renew { template, lease_ns } => {
+            ("renew", lease(lease_ns), Body::Template(template))
+        }
+    };
+    out.push_str("<op");
+    push_attr(out, "type", kind);
+    if let Some((key, value)) = number {
+        push_u64_attr(out, key, value);
+    }
+    if let Request::Subscribe { kinds, .. } = request {
+        out.push_str(" kinds=\"");
+        for (i, &kind) in kinds.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(kind_name(kind));
+        }
+        out.push('"');
+    }
+    if let Some((id, ack)) = identity {
+        push_identity_attrs(out, id);
+        push_u64_attr(out, "ack", ack);
+    }
+    match body {
+        Body::Tuple(tuple) => {
+            out.push('>');
+            write_tuple(tuple, out);
+            out.push_str("</op>");
+        }
+        Body::Template(template) => {
+            out.push('>');
+            write_template(template, out);
+            out.push_str("</op>");
+        }
+        Body::Empty => out.push_str("/>"),
+    }
+}
+
+/// Writes a `<resp>` document; `re` adds the echoed `client`/`seq`
+/// attributes after the response's own.
+fn write_response(response: &Response, re: Option<RequestId>, out: &mut String) {
+    out.push_str("<resp");
+    match response {
+        Response::WriteAck => push_attr(out, "type", "ack"),
+        Response::Entry { .. } => push_attr(out, "type", "entry"),
+        Response::Count { count } => {
+            push_attr(out, "type", "count");
+            push_u64_attr(out, "n", *count);
+        }
+        Response::Error { .. } => push_attr(out, "type", "error"),
+        Response::SubscriptionAck { id } => {
+            push_attr(out, "type", "sub-ack");
+            push_u64_attr(out, "sub", *id);
+        }
+    }
+    if let Some(id) = re {
+        push_identity_attrs(out, id);
+    }
+    match response {
+        Response::Entry { tuple: Some(tuple) } => {
+            out.push('>');
+            write_tuple(tuple, out);
+            out.push_str("</resp>");
+        }
+        // An error always carries a text node, even an empty one.
+        Response::Error { message } => {
+            out.push('>');
+            crate::dom::escape_into(message, out);
+            out.push_str("</resp>");
+        }
+        _ => out.push_str("/>"),
+    }
+}
+
+fn write_event(event: &WireEvent, out: &mut String) {
+    out.push_str("<event");
+    push_u64_attr(out, "sub", event.subscription);
+    push_attr(out, "kind", kind_name(event.kind));
+    out.push('>');
+    write_tuple(&event.tuple, out);
+    out.push_str("</event>");
+}
+
+// ---------------------------------------------------------------------
 // Hex helpers (bytes fields)
 // ---------------------------------------------------------------------
-
-fn hex_encode(bytes: &[u8]) -> String {
-    use core::fmt::Write;
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
-    }
-    out
-}
 
 fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
     if !text.len().is_multiple_of(2) {
@@ -841,8 +912,10 @@ mod tests {
             Value::Bytes(vec![0, 255, 16]),
             Value::Bytes(Vec::new()),
         ] {
-            let encoded = encode_value(&v);
-            let decoded = decode_value(&encoded).expect("own encoding decodes");
+            let mut xml = String::new();
+            write_value(&v, &mut xml);
+            let parsed = crate::parser::parse(&xml).expect("valid xml");
+            let decoded = decode_value(&parsed).expect("own encoding decodes");
             assert_eq!(decoded, v, "value {v:?}");
         }
     }
@@ -850,7 +923,8 @@ mod tests {
     #[test]
     fn tuple_roundtrip_through_text() {
         let t = tuple!["sensor", 42, 23.5, true, vec![1u8, 2, 3]];
-        let xml = encode_tuple(&t).to_xml();
+        let mut xml = String::new();
+        write_tuple(&t, &mut xml);
         let parsed = crate::parser::parse(&xml).expect("valid xml");
         assert_eq!(decode_tuple(&parsed).expect("decodes"), t);
     }
@@ -858,7 +932,8 @@ mod tests {
     #[test]
     fn template_roundtrip_with_all_pattern_kinds() {
         let tpl = template!["tag", ValueType::Int, Pattern::Wildcard];
-        let xml = encode_template(&tpl).to_xml();
+        let mut xml = String::new();
+        write_template(&tpl, &mut xml);
         let parsed = crate::parser::parse(&xml).expect("valid xml");
         assert_eq!(decode_template(&parsed).expect("decodes"), tpl);
     }
@@ -1074,7 +1149,8 @@ mod tests {
         /// equality holds by bit comparison of the canonical NaN).
         #[test]
         fn arbitrary_values_roundtrip(v in value_strategy()) {
-            let xml = encode_value(&v).to_xml();
+            let mut xml = String::new();
+            write_value(&v, &mut xml);
             let parsed = crate::parser::parse(&xml).expect("valid xml");
             let back = decode_value(&parsed).expect("decodes");
             match (&v, &back) {
@@ -1098,7 +1174,8 @@ mod tests {
         ) {
             prop_assume!(fields.iter().all(|f| !matches!(f, Value::Float(x) if x.is_nan())));
             let t = Tuple::new(fields);
-            let xml = encode_tuple(&t).to_xml();
+            let mut xml = String::new();
+            write_tuple(&t, &mut xml);
             let parsed = crate::parser::parse(&xml).expect("valid xml");
             prop_assert_eq!(decode_tuple(&parsed).expect("decodes"), t);
         }

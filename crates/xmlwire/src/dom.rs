@@ -3,6 +3,7 @@
 //! processing instructions beyond the prolog).
 
 use core::fmt;
+use std::borrow::Cow;
 
 /// A node in an element's child list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,6 +49,26 @@ impl XmlElement {
             attributes: Vec::new(),
             children: Vec::new(),
         }
+    }
+
+    /// The parser's constructor: `name` was lexed with the same grammar
+    /// [`is_valid_name`] checks, so it is not checked again.
+    pub(crate) fn from_lexed_name(name: &str) -> Self {
+        XmlElement {
+            name: name.to_owned(),
+            attributes: Vec::new(),
+            children: Vec::new(),
+        }
+    }
+
+    /// Appends an attribute whose `key` the parser lexed as a name.
+    pub(crate) fn push_lexed_attr(&mut self, key: &str, value: String) {
+        self.attributes.push((key.to_owned(), value));
+    }
+
+    /// Appends a text child.
+    pub(crate) fn push_text(&mut self, text: String) {
+        self.children.push(XmlNode::Text(text));
     }
 
     /// The element name.
@@ -144,22 +165,22 @@ impl XmlElement {
         out
     }
 
+    /// [`text`](Self::text) without the copy when the content is at most
+    /// one text node, the shape of every protocol leaf.
+    pub(crate) fn text_cow(&self) -> Cow<'_, str> {
+        match self.children.as_slice() {
+            [] => Cow::Borrowed(""),
+            [XmlNode::Text(text)] => Cow::Borrowed(text),
+            _ => Cow::Owned(self.text()),
+        }
+    }
+
     /// Serializes to a compact XML string (no whitespace between tags).
     #[must_use]
     pub fn to_xml(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out);
         out
-    }
-
-    /// Serializes compactly into a caller-owned buffer, clearing it first.
-    ///
-    /// The output is byte-identical to [`to_xml`](Self::to_xml); the buffer
-    /// form exists so steady-state encoders can reuse one allocation across
-    /// messages instead of building a fresh `String` per call.
-    pub fn to_xml_into(&self, out: &mut String) {
-        out.clear();
-        self.write_into(out);
     }
 
     /// Serializes with two-space indentation — for logs and documentation,
@@ -262,8 +283,8 @@ pub fn escape(text: &str) -> String {
 }
 
 /// Appends `text` to `out` with the five predefined entities escaped —
-/// the serializer's allocation-free workhorse.
-fn escape_into(text: &str, out: &mut String) {
+/// the serializers' allocation-free workhorse.
+pub(crate) fn escape_into(text: &str, out: &mut String) {
     for c in text.chars() {
         match c {
             '&' => out.push_str("&amp;"),

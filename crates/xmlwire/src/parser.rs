@@ -47,6 +47,7 @@ impl std::error::Error for ParseXmlError {}
 /// ```
 pub fn parse(input: &str) -> Result<XmlElement, ParseXmlError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -60,6 +61,7 @@ pub fn parse(input: &str) -> Result<XmlElement, ParseXmlError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -106,7 +108,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> Result<String, ParseXmlError> {
+    /// Lexes a name with the grammar of [`is_valid_name`](crate::is_valid_name),
+    /// borrowed from the input (the grammar is ASCII, so both ends of the
+    /// slice fall on character boundaries).
+    fn parse_name(&mut self) -> Result<&'a str, ParseXmlError> {
         let start = self.pos;
         match self.peek() {
             Some(c) if c.is_ascii_alphabetic() || c == b'_' => self.pos += 1,
@@ -116,7 +121,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
+        Ok(&self.input[start..self.pos])
     }
 
     fn expect(&mut self, c: u8) -> Result<(), ParseXmlError> {
@@ -156,7 +161,7 @@ impl<'a> Parser<'a> {
     fn parse_element(&mut self) -> Result<XmlElement, ParseXmlError> {
         self.expect(b'<')?;
         let name = self.parse_name()?;
-        let mut element = XmlElement::new(name.clone());
+        let mut element = XmlElement::from_lexed_name(name);
         loop {
             self.skip_whitespace();
             match self.peek() {
@@ -175,7 +180,7 @@ impl<'a> Parser<'a> {
                     self.expect(b'=')?;
                     self.skip_whitespace();
                     let value = self.parse_attr_value()?;
-                    element = element.with_attr(key, value);
+                    element.push_lexed_attr(key, value);
                 }
                 None => return Err(self.error("unterminated start tag")),
             }
@@ -218,7 +223,7 @@ impl<'a> Parser<'a> {
                         .map_err(|_| self.error("character data is not UTF-8"))?;
                     let text = unescape(raw).map_err(|m| self.error(m))?;
                     if !text.is_empty() {
-                        element = element.with_text(text);
+                        element.push_text(text);
                     }
                 }
                 None => return Err(self.error(format!("missing end tag </{name}>"))),

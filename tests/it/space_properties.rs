@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use tsbus_des::{SimDuration, SimTime};
-use tsbus_tuplespace::{template, tuple, Lease, Space, Template, ValueType};
+use tsbus_tuplespace::{
+    template, tuple, Lease, Pattern, Space, Template, Tuple, TxnId, Value, ValueType,
+};
 
 /// One step of a generated workload.
 #[derive(Debug, Clone)]
@@ -154,102 +156,205 @@ fn count_matches_model_under_churn() {
 // Indexed vs scan equivalence
 // ---------------------------------------------------------------------
 
-/// A template shape for the equivalence workload: exact-key templates
-/// ride the key-field index, the rest fall back to the scan path.
-#[derive(Debug, Clone, Copy)]
-enum Probe {
-    /// `("k", key)` — bucket lookup when indexed.
-    ExactKey(u8),
-    /// `("k", any int)` — wildcard at the key field, always a scan.
-    TypedKey,
-    /// `(*, *)` — full wildcard.
-    Wild,
-    /// `(*)` — arity-1, never matches the arity-2 writes.
-    WrongArity,
+/// Two NaNs with different bit patterns: value equality (and so index
+/// lookup) is by bits, so each matches only itself.
+const NAN_A: u64 = 0x7ff8_0000_0000_0000;
+const NAN_B: u64 = 0x7ff8_0000_0000_0001;
+
+/// Floats written at position 3: signed zeros and two NaN payloads.
+fn written_float(pick: u8) -> f64 {
+    match pick % 5 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from_bits(NAN_A),
+        3 => f64::from_bits(NAN_B),
+        _ => 1.5,
+    }
 }
 
+/// The equivalence workload's tuples: `(tag, key, class, reading)`
+/// truncated to arity 2–4, with tag in {"k", "j"}, key 0..5, class 0..3.
+fn entry_tuple(arity: u8, tag: bool, key: u8, class: u8, reading: u8) -> Tuple {
+    let fields = [
+        Value::from(if tag { "k" } else { "j" }),
+        Value::Int(i64::from(key % 5)),
+        Value::Int(i64::from(class % 3)),
+        Value::Float(written_float(reading)),
+    ];
+    Tuple::new(fields[..usize::from(2 + arity % 3)].to_vec())
+}
+
+/// The exact values a probe may fix at `pos`: every value the workload
+/// writes there plus ones no entry carries (tag "z", key 99, class 7,
+/// reading 2.5, an int where a float lives, anything past position 3).
+fn probe_value(pos: usize, pick: u8) -> Value {
+    match pos {
+        0 => Value::from(["k", "j", "z"][usize::from(pick % 3)]),
+        1 => Value::Int([0, 1, 2, 3, 4, 99][usize::from(pick % 6)]),
+        2 => Value::Int([0, 1, 2, 7][usize::from(pick % 4)]),
+        3 if pick % 7 == 5 => Value::Float(2.5),
+        3 if pick % 7 == 6 => Value::Int(0),
+        3 => Value::Float(written_float(pick % 7)),
+        _ => Value::Int(i64::from(pick)),
+    }
+}
+
+/// One probe position: exact (from [`probe_value`]), typed or wildcard.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Exact(u8),
+    Typed(bool),
+    Wild,
+}
+
+/// A probe template: arity 1–5 (so some probes have the wrong arity for
+/// every entry), each position exact, typed or wildcard — so probes fix
+/// non-key positions, several positions at once, or values nobody holds.
+#[derive(Debug, Clone)]
+struct Probe(Vec<Slot>);
+
 impl Probe {
-    fn template(self) -> Template {
-        use tsbus_tuplespace::Pattern;
-        match self {
-            Probe::ExactKey(key) => template!["k", i64::from(key)],
-            Probe::TypedKey => template!["k", ValueType::Int],
-            Probe::Wild => Template::new(vec![Pattern::Wildcard, Pattern::Wildcard]),
-            Probe::WrongArity => Template::any(1),
-        }
+    fn template(&self) -> Template {
+        Template::new(
+            self.0
+                .iter()
+                .enumerate()
+                .map(|(pos, slot)| match *slot {
+                    Slot::Exact(pick) => Pattern::Exact(probe_value(pos, pick)),
+                    // The type that lives at `pos`, or one that never does.
+                    Slot::Typed(native) => Pattern::AnyOfType(match (pos, native) {
+                        (0, true) => ValueType::Str,
+                        (3, true) => ValueType::Float,
+                        (_, true) => ValueType::Int,
+                        (_, false) => ValueType::Bytes,
+                    }),
+                    Slot::Wild => Pattern::Wildcard,
+                })
+                .collect(),
+        )
     }
 }
 
 /// One step of the equivalence workload.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum XOp {
-    Write { key: u8, lease_secs: Option<u8> },
+    Write {
+        tuple: Tuple,
+        lease_secs: Option<u8>,
+    },
     Read(Probe),
     ReadAll(Probe),
     Take(Probe),
     Count(Probe),
-    Renew { key: u8, lease_secs: u8 },
+    Renew {
+        probe: Probe,
+        lease_secs: u8,
+    },
     AdvanceAndExpire(u8),
+    /// Takes under the open transaction, beginning one if none is open.
+    TxnTake(Probe),
+    /// Ends the open transaction (if any): commit, or abort and reinstate.
+    TxnEnd {
+        commit: bool,
+    },
+    /// Switches the subject space's index off or on (the oracle stays a
+    /// scan).
+    SetIndexed(bool),
 }
 
 fn probe_strategy() -> impl Strategy<Value = Probe> {
-    prop_oneof![
-        (0u8..6).prop_map(Probe::ExactKey),
-        Just(Probe::TypedKey),
-        Just(Probe::Wild),
-        Just(Probe::WrongArity),
-    ]
+    // The vendored proptest has no weighted prop_oneof; repeating the
+    // exact arm biases probes toward fixed positions the index serves.
+    let slot = prop_oneof![
+        any::<u8>().prop_map(Slot::Exact),
+        any::<u8>().prop_map(Slot::Exact),
+        any::<bool>().prop_map(Slot::Typed),
+        Just(Slot::Wild),
+    ];
+    proptest::collection::vec(slot, 1..6).prop_map(Probe)
 }
 
 fn xop_strategy() -> impl Strategy<Value = XOp> {
-    // The vendored proptest has no weighted prop_oneof; repeating the
-    // write arm biases the mix toward a populated space.
+    let write = || {
+        (
+            (any::<u8>(), any::<bool>(), any::<u8>()),
+            (any::<u8>(), any::<u8>()),
+            proptest::option::of(1u8..20),
+        )
+            .prop_map(
+                |((arity, tag, key), (class, reading), lease_secs)| XOp::Write {
+                    tuple: entry_tuple(arity, tag, key, class, reading),
+                    lease_secs,
+                },
+            )
+    };
+    // Repeating the write arm biases the mix toward a populated space.
     prop_oneof![
-        (0u8..6, proptest::option::of(1u8..20))
-            .prop_map(|(key, lease_secs)| XOp::Write { key, lease_secs }),
-        (0u8..6, proptest::option::of(1u8..20))
-            .prop_map(|(key, lease_secs)| XOp::Write { key, lease_secs }),
-        (0u8..6, proptest::option::of(1u8..20))
-            .prop_map(|(key, lease_secs)| XOp::Write { key, lease_secs }),
+        write(),
+        write(),
+        write(),
         probe_strategy().prop_map(XOp::Read),
         probe_strategy().prop_map(XOp::ReadAll),
         probe_strategy().prop_map(XOp::Take),
         probe_strategy().prop_map(XOp::Take),
         probe_strategy().prop_map(XOp::Count),
-        (0u8..6, 1u8..20).prop_map(|(key, lease_secs)| XOp::Renew { key, lease_secs }),
+        (probe_strategy(), 1u8..20)
+            .prop_map(|(probe, lease_secs)| XOp::Renew { probe, lease_secs }),
         (1u8..8).prop_map(XOp::AdvanceAndExpire),
+        probe_strategy().prop_map(XOp::TxnTake),
+        any::<bool>().prop_map(|commit| XOp::TxnEnd { commit }),
+        any::<bool>().prop_map(XOp::SetIndexed),
     ]
+}
+
+/// A space under test plus its open transaction and clock.
+struct Subject {
+    space: Space,
+    txn: Option<TxnId>,
+    now: SimTime,
 }
 
 /// Applies one op and renders every observable it produces (return
 /// value, then any notifications drained) as a comparable string.
-fn apply_xop(space: &mut Space, op: XOp, now: &mut SimTime) -> String {
+/// `SetIndexed` reaches only a space that started indexed, so the scan
+/// oracle never changes mode.
+fn apply_xop(subject: &mut Subject, op: &XOp, oracle: bool) -> String {
+    let Subject { space, txn, now } = subject;
     let mut out = match op {
-        XOp::Write { key, lease_secs } => {
+        XOp::Write { tuple, lease_secs } => {
             let lease = match lease_secs {
                 None => Lease::Forever,
-                Some(s) => Lease::for_duration(*now, SimDuration::from_secs(u64::from(s))),
+                Some(s) => Lease::for_duration(*now, SimDuration::from_secs(u64::from(*s))),
             };
-            format!(
-                "{:?}",
-                space.write(tuple!["k", i64::from(key)], lease, *now)
-            )
+            format!("{:?}", space.write(tuple.clone(), lease, *now))
         }
         XOp::Read(probe) => format!("{:?}", space.read(&probe.template(), *now)),
         XOp::ReadAll(probe) => format!("{:?}", space.read_all(&probe.template(), *now)),
         XOp::Take(probe) => format!("{:?}", space.take(&probe.template(), *now)),
         XOp::Count(probe) => format!("{:?}", space.count(&probe.template(), *now)),
-        XOp::Renew { key, lease_secs } => {
-            let lease = Lease::for_duration(*now, SimDuration::from_secs(u64::from(lease_secs)));
-            format!(
-                "{:?}",
-                space.renew(&Probe::ExactKey(key).template(), lease, *now)
-            )
+        XOp::Renew { probe, lease_secs } => {
+            let lease = Lease::for_duration(*now, SimDuration::from_secs(u64::from(*lease_secs)));
+            format!("{:?}", space.renew(&probe.template(), lease, *now))
         }
         XOp::AdvanceAndExpire(secs) => {
-            *now += SimDuration::from_secs(u64::from(secs));
+            *now += SimDuration::from_secs(u64::from(*secs));
             space.expire(*now);
             format!("expired@{:?}", *now)
+        }
+        XOp::TxnTake(probe) => {
+            let id = *txn.get_or_insert_with(|| space.txn_begin());
+            format!("{:?}", space.txn_take(id, &probe.template(), *now))
+        }
+        XOp::TxnEnd { commit } => match txn.take() {
+            Some(id) if *commit => format!("{:?}", space.txn_commit(id, *now)),
+            Some(id) => format!("{:?}", space.txn_abort(id, *now)),
+            None => "no txn".to_owned(),
+        },
+        XOp::SetIndexed(on) => {
+            if !oracle {
+                space.set_indexed(*on);
+            }
+            "toggled".to_owned()
         }
     };
     for notification in space.drain_notifications() {
@@ -259,39 +364,41 @@ fn apply_xop(space: &mut Space, op: XOp, now: &mut SimTime) -> String {
 }
 
 proptest! {
-    /// The key-field index is invisible: an indexed space and a scan-only
-    /// space agree on every observable of every op sequence — results,
-    /// notification streams, audit trails, stats, deadlines.
+    /// The per-field value index is invisible: an indexed space and a
+    /// scan-only space agree on every observable of every op sequence —
+    /// results, notification streams, audit trails, stats, deadlines —
+    /// across mixed arities, float fields compared by bits, indexes first
+    /// built mid-run, index toggling and aborted transaction takes.
     #[test]
     fn indexed_space_is_equivalent_to_scan_space(
         ops in proptest::collection::vec(xop_strategy(), 0..60)
     ) {
         use tsbus_tuplespace::EventKind;
-        let mut indexed = Space::new();
-        let mut scan = Space::unindexed();
-        for space in [&mut indexed, &mut scan] {
-            space.enable_audit();
-            space.subscribe(
-                Template::new(vec![
-                    tsbus_tuplespace::Pattern::Wildcard,
-                    tsbus_tuplespace::Pattern::Wildcard,
-                ]),
-                [EventKind::Written, EventKind::Taken, EventKind::Expired],
-            );
+        let mut subject = Subject { space: Space::new(), txn: None, now: SimTime::ZERO };
+        let mut oracle = Subject { space: Space::unindexed(), txn: None, now: SimTime::ZERO };
+        for s in [&mut subject, &mut oracle] {
+            s.space.enable_audit();
+            for arity in 2..=4 {
+                s.space.subscribe(
+                    Template::any(arity),
+                    [EventKind::Written, EventKind::Taken, EventKind::Expired],
+                );
+            }
         }
-        let mut now_i = SimTime::ZERO;
-        let mut now_s = SimTime::ZERO;
         for (step, op) in ops.iter().enumerate() {
-            let a = apply_xop(&mut indexed, *op, &mut now_i);
-            let b = apply_xop(&mut scan, *op, &mut now_s);
+            let a = apply_xop(&mut subject, op, false);
+            let b = apply_xop(&mut oracle, op, true);
             prop_assert_eq!(a, b, "step {} ({:?}) diverged", step, op);
         }
-        // Terminal sweep + full-state comparison.
-        now_i += SimDuration::from_secs(100);
-        now_s += SimDuration::from_secs(100);
-        indexed.expire(now_i);
-        scan.expire(now_s);
-        prop_assert_eq!(indexed.len(now_i), scan.len(now_s));
+        // Close any open transaction, then a terminal sweep and a
+        // full-state comparison.
+        let end = XOp::TxnEnd { commit: false };
+        prop_assert_eq!(apply_xop(&mut subject, &end, false), apply_xop(&mut oracle, &end, true));
+        let (indexed, scan) = (&mut subject.space, &mut oracle.space);
+        let now = subject.now + SimDuration::from_secs(100);
+        indexed.expire(now);
+        scan.expire(now);
+        prop_assert_eq!(indexed.len(now), scan.len(now));
         prop_assert_eq!(indexed.next_deadline(), scan.next_deadline());
         prop_assert_eq!(format!("{:?}", indexed.stats()), format!("{:?}", scan.stats()));
         let audit_i: Vec<String> = indexed.audit().map(|r| format!("{r:?}")).collect();
