@@ -12,8 +12,6 @@
 //! | arm | workload | baseline → optimized |
 //! |---|---|---|
 //! | `campaign_standing` | full-stack chaos trial over a large standing space | scans + per-event boxes → indexed space + pooled boxes |
-//! | `campaign_chaos` | the pinned fault-injection chaos trial | same toggles |
-//! | `campaign_shard` | the pinned 4-shard replicated trial | same toggles |
 //! | `micro_space_index` | keyed read/take against a standing [`Space`] | full scan → per-field value index |
 //! | `micro_pool` | kernel self-rearming timers | fresh box per event → recycled boxes |
 //! | `micro_codec` | request-envelope + event encoding | fresh buffers → [`EncodeScratch`] |
@@ -26,13 +24,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use tsbus_core::{
-    run_chaos_trial, ChaosConfig, ClientStep, NetDeliver, NetSend, ScriptedClient, SpaceServerAgent,
-};
+use tsbus_core::{ClientStep, NetDeliver, NetSend, ScriptedClient, SpaceServerAgent};
 use tsbus_des::{
     Component, ComponentId, Context, Message, MessageExt, SimDuration, SimTime, Simulator,
 };
-use tsbus_shard::{run_shard_trial, ReplicationConfig, ShardConfig, ShardTrialConfig};
 use tsbus_tpwire::NodeId;
 use tsbus_tuplespace::{tuple, Lease, Pattern, Space, Template, Value};
 use tsbus_xmlwire::{
@@ -350,35 +345,6 @@ fn standing_trial(optimized: bool, n_items: u64) -> u64 {
     sim.events_processed()
 }
 
-/// The pinned fault-injection chaos trial (seed 11: crash + revive under
-/// retries with dedup on).
-fn chaos_trial(optimized: bool) -> u64 {
-    let cfg = ChaosConfig {
-        indexed_space: optimized,
-        pooling: optimized,
-        ..ChaosConfig::default()
-    };
-    run_chaos_trial(&cfg, 11).events_processed
-}
-
-/// The pinned sharded trial: 4 shards, 2-way mirrored, quorum writes,
-/// read + take phases (the `fig_shard_sweep` reference point).
-fn shard_trial(optimized: bool, n_items: u64) -> u64 {
-    let shard = ShardConfig::new(4, ReplicationConfig::mirrored(2))
-        .expect("the pinned shard point is valid");
-    let mut cfg = ShardTrialConfig::new(shard);
-    cfg.bus.bit_rate_hz = 1_000_000.0;
-    cfg.service_time = SimDuration::from_millis(2);
-    cfg.endpoint_cost = SimDuration::from_millis(1);
-    cfg.workload.window = 32;
-    cfg.workload.n_items = n_items;
-    cfg.indexed_space = optimized;
-    cfg.pooling = optimized;
-    let result = run_shard_trial(&cfg, 5);
-    assert!(result.finished, "the pinned shard trial must finish");
-    result.events_processed
-}
-
 /// Keyed read + take against a standing space of `n` tuples: O(n²)
 /// total matching work under the scan baseline, O(n) with the index.
 fn space_ops(optimized: bool, n: u64) -> u64 {
@@ -494,7 +460,6 @@ fn codec_loop(optimized: bool, iterations: u64) -> u64 {
 pub fn run_all(smoke: bool) -> PerfReport {
     let repeats = if smoke { 2 } else { 3 };
     let standing_items = if smoke { 768 } else { 4096 };
-    let shard_items = if smoke { 100 } else { 200 };
     let space_n = if smoke { 1 << 9 } else { 1 << 12 };
     let tickers = if smoke { 64 } else { 256 };
     let ticks_each = if smoke { 500 } else { 2_000 };
@@ -503,10 +468,6 @@ pub fn run_all(smoke: bool) -> PerfReport {
     let arms = vec![
         measure("campaign_standing", repeats, |opt| {
             standing_trial(opt, standing_items)
-        }),
-        measure("campaign_chaos", repeats, chaos_trial),
-        measure("campaign_shard", repeats, |opt| {
-            shard_trial(opt, shard_items)
         }),
         measure("micro_space_index", repeats, |opt| space_ops(opt, space_n)),
         measure("micro_pool", repeats, |opt| {

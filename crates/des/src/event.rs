@@ -6,7 +6,7 @@
 //! monotonically increasing sequence number, exactly like NS-2's scheduler
 //! contract).
 
-use core::any::Any;
+use core::any::{Any, TypeId};
 use core::fmt;
 
 use crate::component::ComponentId;
@@ -70,22 +70,24 @@ pub trait MessageExt {
 impl MessageExt for Box<dyn Message> {
     // Note the explicit derefs: `Box<dyn Message>` itself satisfies the
     // blanket `Message` impl, so plain method calls would resolve to the
-    // box's own `as_any` (type-id = Box<dyn Message>) instead of the inner
-    // message's.
+    // box's own `type_id` or `as_any` (type-id = Box<dyn Message>) instead
+    // of the inner message's.
+    #[inline]
     fn downcast<T: Any>(self) -> Result<Box<T>, Box<dyn Message>> {
-        if (*self).as_any().is::<T>() {
-            Ok(Message::into_any(self)
-                .downcast::<T>()
-                .expect("type id already checked"))
+        if (*self).type_id() == TypeId::of::<T>() {
+            let any: Box<dyn Any> = self;
+            Ok(any.downcast::<T>().expect("type id already checked"))
         } else {
             Err(self)
         }
     }
 
+    #[inline]
     fn downcast_ref<T: Any>(&self) -> Option<&T> {
         (**self).as_any().downcast_ref::<T>()
     }
 
+    #[inline]
     fn is<T: Any>(&self) -> bool {
         (**self).as_any().is::<T>()
     }
@@ -100,29 +102,38 @@ impl MessageExt for Box<dyn Message> {
 /// [`Context::schedule_in`]: crate::Context::schedule_in
 /// [`Context::cancel`]: crate::Context::cancel
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(pub(crate) u64);
+pub struct EventId {
+    /// The event's scheduling order, unique per simulator.
+    pub(crate) seq: u64,
+    /// The pending-event slab slot holding it while it is pending.
+    pub(crate) slot: u32,
+}
 
 impl fmt::Display for EventId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ev#{}", self.0)
+        write!(f, "ev#{}", self.seq)
     }
 }
 
-/// A fully-specified event sitting in the pending-event set.
+/// An event taken from the pending-event set for dispatch.
 pub(crate) struct ScheduledEvent {
     pub(crate) time: SimTime,
     /// FIFO tie-breaker: strictly increasing across all scheduled events.
     pub(crate) seq: u64,
-    pub(crate) id: EventId,
+    /// The slab slot it was pending in.
+    pub(crate) slot: u32,
     pub(crate) target: ComponentId,
     pub(crate) msg: Box<dyn Message>,
 }
 
 impl ScheduledEvent {
-    /// The deterministic execution key: earlier time first, then earlier
-    /// scheduling order.
-    pub(crate) fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    /// The id [`Context::schedule_in`](crate::Context::schedule_in) and
+    /// friends returned for this event.
+    pub(crate) fn id(&self) -> EventId {
+        EventId {
+            seq: self.seq,
+            slot: self.slot,
+        }
     }
 }
 
@@ -153,24 +164,5 @@ mod tests {
         let msg: Box<dyn Message> = Box::new(Ping(9));
         assert_eq!(msg.downcast_ref::<Ping>(), Some(&Ping(9)));
         assert!(msg.downcast_ref::<Pong>().is_none());
-    }
-
-    #[test]
-    fn event_key_orders_by_time_then_seq() {
-        let a = ScheduledEvent {
-            time: SimTime::from_nanos(5),
-            seq: 2,
-            id: EventId(0),
-            target: ComponentId::from_raw(0),
-            msg: Box::new(Pong),
-        };
-        let b = ScheduledEvent {
-            time: SimTime::from_nanos(5),
-            seq: 3,
-            id: EventId(1),
-            target: ComponentId::from_raw(0),
-            msg: Box::new(Pong),
-        };
-        assert!(a.key() < b.key());
     }
 }

@@ -2,12 +2,10 @@
 //! the main event loop.
 
 use std::any::{Any, TypeId};
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::component::{make_context, Component, ComponentId, Context};
-use crate::event::{EventId, Message, ScheduledEvent};
-use crate::queue::BinaryHeapQueue;
+use crate::event::{EventId, Message};
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
@@ -32,6 +30,10 @@ const POOL_CAP_PER_TYPE: usize = 256;
 struct MessagePool {
     enabled: bool,
     free: Vec<(TypeId, Vec<Box<dyn Any>>)>,
+    /// Boxes held across all buckets. Scheduling skips the scan while it
+    /// is zero, which is the common case: only cancelled events and
+    /// components that call [`Context::recycle`] fill the pool.
+    pooled: usize,
 }
 
 impl MessagePool {
@@ -39,6 +41,7 @@ impl MessagePool {
         MessagePool {
             enabled: true,
             free: Vec::new(),
+            pooled: 0,
         }
     }
 
@@ -53,36 +56,13 @@ impl MessagePool {
     }
 }
 
-/// Hashes an event sequence id with one multiply. The keys are the kernel's
-/// own counter values, never outside input, so SipHash's resistance to
-/// crafted collisions buys nothing on this path.
-#[derive(Default)]
-struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// The mutable simulator state a [`Context`] can reach while a component is
 /// borrowed out for dispatch.
 pub(crate) struct SimCore {
     pub(crate) now: SimTime,
-    pub(crate) queue: BinaryHeapQueue,
+    pub(crate) queue: EventQueue,
     pub(crate) rng: SimRng,
     pub(crate) trace: TraceLog,
-    cancelled: HashSet<u64, BuildHasherDefault<SeqHasher>>,
     next_seq: u64,
     names: Vec<String>,
     events_processed: u64,
@@ -92,10 +72,12 @@ pub(crate) struct SimCore {
 impl SimCore {
     /// Boxes `value`, reusing a recycled box of the same concrete type when
     /// the pool has one.
+    #[inline]
     pub(crate) fn alloc_msg<T: Message>(&mut self, value: T) -> Box<dyn Message> {
-        if self.pool.enabled {
+        if self.pool.pooled > 0 {
             if let Some(at) = self.pool.bucket_index(TypeId::of::<T>()) {
                 if let Some(slot) = self.pool.free[at].1.pop() {
+                    self.pool.pooled -= 1;
                     let mut slot: Box<T> = slot.downcast().expect("pool bucket holds only T");
                     *slot = value;
                     return slot;
@@ -122,8 +104,11 @@ impl SimCore {
         let bucket = &mut self.pool.free[at].1;
         if bucket.len() < POOL_CAP_PER_TYPE {
             bucket.push(Message::into_any(msg));
+            self.pool.pooled += 1;
         }
     }
+
+    #[inline]
     pub(crate) fn schedule(
         &mut self,
         time: SimTime,
@@ -132,21 +117,19 @@ impl SimCore {
     ) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = EventId(seq);
+        let slot = self.queue.push(time, seq, target, msg);
+        let id = EventId { seq, slot };
         self.trace
             .record(self.now, target, "sched", format_args!("{id} @ {time}"));
-        self.queue.push(ScheduledEvent {
-            time,
-            seq,
-            id,
-            target,
-            msg,
-        });
         id
     }
 
     pub(crate) fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id.0);
+        // A cancelled event's box never reaches a component; reclaim it
+        // for the next schedule of the same message type.
+        if let Some(msg) = self.queue.cancel(id.seq, id.slot) {
+            self.recycle_msg(msg);
+        }
     }
 
     pub(crate) fn name_of(&self, id: ComponentId) -> &str {
@@ -213,10 +196,9 @@ impl Simulator {
         Simulator {
             core: SimCore {
                 now: SimTime::ZERO,
-                queue: BinaryHeapQueue::default(),
+                queue: EventQueue::default(),
                 rng: SimRng::seeded(0),
                 trace: TraceLog::disabled(),
-                cancelled: HashSet::default(),
                 next_seq: 0,
                 names: Vec::new(),
                 events_processed: 0,
@@ -242,6 +224,7 @@ impl Simulator {
         self.core.pool.enabled = enabled;
         if !enabled {
             self.core.pool.free.clear();
+            self.core.pool.pooled = 0;
         }
     }
 
@@ -380,36 +363,39 @@ impl Simulator {
     /// skipped silently (they do not count as a step).
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        loop {
-            let Some(event) = self.core.queue.pop() else {
-                return false;
-            };
-            if !self.core.cancelled.is_empty() && self.core.cancelled.remove(&event.id.0) {
-                // A cancelled event's box never reaches a component; reclaim
-                // it for the next schedule of the same message type.
-                self.core.recycle_msg(event.msg);
-                continue;
-            }
-            debug_assert!(event.time >= self.core.now, "event from the past");
-            self.core.now = event.time;
-            self.core.events_processed += 1;
-            let target = event.target;
-            self.core
-                .trace
-                .record(event.time, target, "fire", format_args!("{}", event.id));
-            let Some(slot) = self.components.get_mut(target.index()) else {
-                panic!("event {} targets unknown component {target}", event.id);
-            };
-            let mut component = slot
-                .take()
-                .unwrap_or_else(|| panic!("component {target} re-entered during its own dispatch"));
-            {
-                let mut ctx = make_context(&mut self.core, target);
-                component.handle(&mut ctx, event.msg);
-            }
-            self.components[target.index()] = Some(component);
-            return true;
+        self.dispatch_next(SimTime::MAX)
+    }
+
+    /// Dispatches the earliest pending event if it fires no later than
+    /// `bound` (cancelled events are discarded on the way). Returns whether
+    /// an event was dispatched.
+    fn dispatch_next(&mut self, bound: SimTime) -> bool {
+        let Some(event) = self.core.queue.take_next(bound) else {
+            return false;
+        };
+        debug_assert!(event.time >= self.core.now, "event from the past");
+        self.core.now = event.time;
+        self.core.events_processed += 1;
+        let target = event.target;
+        let id = event.id();
+        self.core
+            .trace
+            .record(event.time, target, "fire", format_args!("{id}"));
+        let Some(slot) = self.components.get_mut(target.index()) else {
+            panic!("event {id} targets unknown component {target}");
+        };
+        let mut component = slot
+            .take()
+            .unwrap_or_else(|| panic!("component {target} re-entered during its own dispatch"));
+        {
+            let mut ctx = make_context(&mut self.core, target);
+            component.handle(&mut ctx, event.msg);
         }
+        self.components[target.index()] = Some(component);
+        // Pops the dispatched event's key unless the handler's first
+        // schedule already took its place.
+        self.core.queue.settle();
+        true
     }
 
     /// Runs until the pending-event set drains or `limit` events have been
@@ -427,15 +413,8 @@ impl Simulator {
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         self.ensure_started();
         let mut dispatched = 0;
-        loop {
-            match self.core.queue.peek_time() {
-                Some(t) if t <= until => {
-                    if self.step() {
-                        dispatched += 1;
-                    }
-                }
-                _ => break,
-            }
+        while self.dispatch_next(until) {
+            dispatched += 1;
         }
         if until > self.core.now {
             self.core.now = until;
@@ -545,6 +524,25 @@ mod tests {
         assert_eq!(rec.seen, vec![(SimTime::from_secs(1), 1)]);
         assert_eq!(sim.now(), SimTime::from_secs(1));
         assert_eq!(sim.pending_events(), 1);
+    }
+
+    #[test]
+    fn run_until_discards_a_cancelled_head_without_passing_the_bound() {
+        let mut sim = Simulator::new();
+        let id = sim.add_component("rec", Recorder::default());
+        sim.with_context(|ctx| {
+            let doomed = ctx.schedule_at(SimTime::from_nanos(5), id, Num(1));
+            ctx.schedule_at(SimTime::from_nanos(10), id, Num(2));
+            ctx.cancel(doomed);
+        });
+        assert_eq!(sim.run_until(SimTime::from_nanos(7)), 0);
+        assert_eq!(sim.now(), SimTime::from_nanos(7));
+        assert_eq!(sim.pending_events(), 1);
+        let rec: &Recorder = sim.component(id).expect("registered");
+        assert!(rec.seen.is_empty(), "the 10 ns event fired before its time");
+        assert_eq!(sim.run_until(SimTime::from_nanos(10)), 1);
+        let rec: &Recorder = sim.component(id).expect("registered");
+        assert_eq!(rec.seen, vec![(SimTime::from_nanos(10), 2)]);
     }
 
     /// A component that re-arms itself a fixed number of times.

@@ -63,6 +63,7 @@ impl SimRng {
     }
 
     /// The next raw 64-bit draw (xoshiro256**).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.state[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.state[1] << 17;
@@ -76,6 +77,7 @@ impl SimRng {
     }
 
     /// A uniform draw in `[0, 1)`.
+    #[inline]
     pub fn uniform_f64(&mut self) -> f64 {
         // 53 high-quality bits → the standard [0, 1) double construction.
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
@@ -152,6 +154,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.uniform_f64() < p

@@ -34,11 +34,13 @@ impl Counter {
     }
 
     /// Adds one.
+    #[inline]
     pub fn increment(&mut self) {
         self.add(1);
     }
 
     /// Adds `n`.
+    #[inline]
     pub fn add(&mut self, n: u64) {
         self.count = self.count.saturating_add(n);
     }
@@ -514,6 +516,7 @@ impl BusyTime {
     }
 
     /// Accumulates one busy span.
+    #[inline]
     pub fn add(&mut self, span: SimDuration) {
         self.total = SimDuration::from_nanos(self.total.as_nanos().saturating_add(span.as_nanos()));
     }

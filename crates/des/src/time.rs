@@ -60,6 +60,7 @@ impl SimTime {
 
     /// Creates an instant from nanoseconds since simulation start.
     #[must_use]
+    #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
     }
@@ -88,6 +89,7 @@ impl SimTime {
 
     /// Nanoseconds since simulation start.
     #[must_use]
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
@@ -105,6 +107,7 @@ impl SimTime {
     /// Panics if `earlier` is later than `self`; simulated time never runs
     /// backwards, so this indicates a logic error in the caller.
     #[must_use]
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         match self.0.checked_sub(earlier.0) {
             Some(d) => SimDuration(d),
@@ -115,6 +118,7 @@ impl SimTime {
     /// The span from `earlier` to `self`, or [`SimDuration::ZERO`] if
     /// `earlier` is later than `self`.
     #[must_use]
+    #[inline]
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -123,6 +127,7 @@ impl SimTime {
     /// overflowing. Useful when computing deadlines from caller-supplied
     /// (possibly huge) timeouts.
     #[must_use]
+    #[inline]
     pub const fn saturating_add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
@@ -136,6 +141,7 @@ impl SimDuration {
 
     /// Creates a span from nanoseconds.
     #[must_use]
+    #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimDuration(nanos)
     }
@@ -180,6 +186,7 @@ impl SimDuration {
 
     /// The span in nanoseconds.
     #[must_use]
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
@@ -204,12 +211,14 @@ impl SimDuration {
 
     /// Whether this span is zero.
     #[must_use]
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Checked multiplication by an integer factor.
     #[must_use]
+    #[inline]
     pub const fn checked_mul(self, rhs: u64) -> Option<SimDuration> {
         match self.0.checked_mul(rhs) {
             Some(v) => Some(SimDuration(v)),
@@ -220,12 +229,14 @@ impl SimDuration {
     /// Multiplication by an integer factor, saturating at
     /// [`SimDuration::MAX`].
     #[must_use]
+    #[inline]
     pub const fn saturating_mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(rhs))
     }
 
     /// Subtraction saturating at [`SimDuration::ZERO`].
     #[must_use]
+    #[inline]
     pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
@@ -254,6 +265,7 @@ impl SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -264,6 +276,7 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -272,6 +285,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -284,6 +298,7 @@ impl Sub<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.duration_since(rhs)
     }
@@ -292,6 +307,7 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -302,6 +318,7 @@ impl Add for SimDuration {
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -310,6 +327,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -320,6 +338,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -328,6 +347,7 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         self.checked_mul(rhs)
             .expect("simulation duration multiplication overflow")

@@ -88,6 +88,7 @@ impl TraceLog {
     }
 
     /// Appends a record (no-op when disabled).
+    #[inline]
     pub fn record(
         &mut self,
         time: SimTime,
@@ -95,9 +96,22 @@ impl TraceLog {
         label: &str,
         detail: impl fmt::Display,
     ) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.push_record(time, component, label, detail);
         }
+    }
+
+    /// The body of [`record`](Self::record), kept out of line so the
+    /// disabled check inlines into every caller.
+    #[cold]
+    #[inline(never)]
+    fn push_record(
+        &mut self,
+        time: SimTime,
+        component: ComponentId,
+        label: &str,
+        detail: impl fmt::Display,
+    ) {
         if self.records.len() == self.capacity {
             self.records.pop_front();
             self.dropped += 1;

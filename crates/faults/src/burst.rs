@@ -138,6 +138,7 @@ impl GilbertElliott {
 
     /// Draws whether a frame transmitted at `now` (one frame lasting
     /// `frame_time`) is corrupted, advancing the channel first.
+    #[inline]
     pub fn corrupts(&mut self, now: SimTime, frame_time: SimDuration, rng: &mut SimRng) -> bool {
         let rate = self.rate_at(now, frame_time, rng);
         rate > 0.0 && rng.chance(rate)
@@ -146,6 +147,7 @@ impl GilbertElliott {
     /// Advances the channel to `now` and returns the per-frame error rate
     /// of the state it is then in (no corruption draw is consumed). Useful
     /// for aggregating several back-to-back frames, e.g. a DMA burst.
+    #[inline]
     pub fn rate_at(&mut self, now: SimTime, frame_time: SimDuration, rng: &mut SimRng) -> f64 {
         self.advance_to(now, frame_time, rng);
         match self.state {

@@ -184,6 +184,7 @@ impl SlaveHealth {
 
     /// Feeds one transaction outcome (`ok = false` for a retry, CRC error,
     /// timeout, or exhausted budget).
+    #[inline]
     pub fn record(&mut self, alpha: f64, ok: bool) {
         let x = if ok { 0.0 } else { 1.0 };
         self.ewma = if self.samples == 0 {
@@ -296,6 +297,7 @@ impl CircuitBreaker {
     /// Consults the breaker before issuing a transaction at `now`. May
     /// transition Open → Half-Open when the open window has expired; the
     /// transition, if any, is returned for trace emission.
+    #[inline]
     pub fn admit(&mut self, now: SimTime) -> (Admission, Option<Transition>) {
         match self.state {
             BreakerState::Closed => (Admission::Admit, None),
@@ -328,6 +330,7 @@ impl CircuitBreaker {
 
     /// Feeds the outcome of one completed transaction (including probes)
     /// at `now`. Returns the transition it caused, if any.
+    #[inline]
     pub fn record(&mut self, now: SimTime, ok: bool) -> Option<Transition> {
         self.health.record(self.cfg.ewma_alpha, ok);
         match self.state {

@@ -170,11 +170,13 @@ impl Registry {
     }
 
     /// Adds one to a counter.
+    #[inline]
     pub fn inc(&mut self, id: CounterId) {
         self.add(id, 1);
     }
 
     /// Adds `n` to a counter.
+    #[inline]
     pub fn add(&mut self, id: CounterId, n: u64) {
         match &mut self.slots[id.0].instrument {
             Instrument::Counter(c) => c.add(n),
@@ -269,6 +271,7 @@ impl Registry {
     }
 
     /// Accumulates one busy span.
+    #[inline]
     pub fn add_busy(&mut self, id: BusyId, span: SimDuration) {
         match &mut self.slots[id.0].instrument {
             Instrument::Busy(b) => b.add(span),

@@ -341,10 +341,18 @@ impl<E> Tracer<E> {
     }
 
     /// Records one event (no-op when disabled).
+    #[inline]
     pub fn emit(&mut self, event: E) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.push(event);
         }
+    }
+
+    /// The body of [`emit`](Self::emit), kept out of line so the disabled
+    /// check inlines into every caller.
+    #[cold]
+    #[inline(never)]
+    fn push(&mut self, event: E) {
         if let Some(capacity) = self.capacity {
             if self.events.len() == capacity {
                 self.events.pop_front();

@@ -772,14 +772,14 @@ impl TpWireBus {
         // Chaos-harness invariant probe: a request issued to a slave whose
         // breaker is Open is a supervision bug (the layers above should
         // have fast-failed it). Booked, never expected.
-        if let Some(pos) = self.frame_target_pos(lane_idx, &frame) {
-            if self.breaker_open(pos) {
-                self.obs.open_issue();
+        if self.supervisor.is_some() {
+            if let Some(pos) = self.frame_target_pos(lane_idx, &frame) {
+                if self.breaker_open(pos) {
+                    self.obs.open_issue();
+                }
             }
         }
         let FrameTiming {
-            frame: frame_time,
-            hop,
             timeout_cost,
             watchdog,
             ..
@@ -818,17 +818,18 @@ impl TpWireBus {
         let broadcast = in_broadcast
             || (frame.cmd == Command::SelectNode && frame.data & 0x7F == NodeId::BROADCAST.raw());
         let mut reply: Option<(usize, RxFrame)> = None;
-        let crashed = &self.crashed;
-        let break_after = self.break_after;
-        for (pos, slave) in self.chain.iter_mut().enumerate() {
-            // Crashed slaves neither execute nor reply (their chain
-            // repeater stays passive); nothing past a chain break sees the
-            // frame at all.
-            if crashed[pos] || break_after.is_some_and(|after| pos >= after) {
+        // Nothing past a chain break sees the frame at all; crashed slaves
+        // neither execute nor reply (their chain repeater stays passive).
+        let reach = self.break_after.unwrap_or(self.chain.len());
+        let passes = self.chain[..reach]
+            .iter_mut()
+            .zip(&self.crashed)
+            .zip(self.timing.arrivals());
+        for (pos, ((slave, &crashed), &after)) in passes.enumerate() {
+            if crashed {
                 continue;
             }
-            let arrival = now + frame_time + hop * (pos as u64 + 1);
-            if let Some(rx) = slave.on_tx(&frame, lane_idx, arrival, watchdog) {
+            if let Some(rx) = slave.on_tx(&frame, lane_idx, now + after, watchdog) {
                 debug_assert!(broadcast || reply.is_none(), "two slaves replied to one TX");
                 reply = Some((pos, rx));
             }
@@ -1084,8 +1085,10 @@ impl TpWireBus {
                 let node = self.lane_node(lane_idx);
                 self.obs
                     .txn_ok(ctx.now(), node, Self::class_of_frame(&frame), 1);
-                if let Some(pos) = self.frame_target_pos(lane_idx, &frame) {
-                    self.supervise_outcome(ctx.now(), pos, true);
+                if self.supervisor.is_some() {
+                    if let Some(pos) = self.frame_target_pos(lane_idx, &frame) {
+                        self.supervise_outcome(ctx.now(), pos, true);
+                    }
                 }
                 if rx.int {
                     self.int_seen = true;
@@ -1200,6 +1203,29 @@ impl TpWireBus {
             }
         }
 
+        // A relay job, the bulky activity, advances in place when its frame
+        // went through.
+        if let (Some(rx), Some(Activity::Job(job))) = (rx, &mut self.lanes[lane_idx].activity) {
+            let mut flip_src = None;
+            match frame.cmd {
+                Command::ReadData => {
+                    job.buffer.push_back(rx.data);
+                    job.read_done += 1;
+                    job.chunk_left = job.chunk_left.saturating_sub(1);
+                    flip_src = job.src_pos();
+                }
+                Command::WriteData => {
+                    job.written += 1;
+                }
+                _ => {}
+            }
+            if let Some(pos) = flip_src {
+                self.read_toggles[lane_idx][pos] = !self.read_toggles[lane_idx][pos];
+            }
+            self.continue_job(ctx, lane_idx);
+            return;
+        }
+
         let activity = self.lanes[lane_idx]
             .activity
             .take()
@@ -1277,30 +1303,11 @@ impl TpWireBus {
                     self.continue_discover(ctx, lane_idx);
                 }
             }
-            Activity::Job(mut job) => {
-                let Some(rx) = rx else {
-                    self.fail_job(ctx, lane_idx, job, "bus transaction retries exhausted");
-                    self.schedule_lane(ctx, lane_idx);
-                    return;
-                };
-                let mut flip_src = None;
-                match frame.cmd {
-                    Command::ReadData => {
-                        job.buffer.push_back(rx.data);
-                        job.read_done += 1;
-                        job.chunk_left = job.chunk_left.saturating_sub(1);
-                        flip_src = job.src_pos();
-                    }
-                    Command::WriteData => {
-                        job.written += 1;
-                    }
-                    _ => {}
-                }
-                if let Some(pos) = flip_src {
-                    self.read_toggles[lane_idx][pos] = !self.read_toggles[lane_idx][pos];
-                }
-                self.lanes[lane_idx].activity = Some(Activity::Job(job));
-                self.continue_job(ctx, lane_idx);
+            Activity::Job(job) => {
+                // A delivered frame advanced the job in place above; only a
+                // permanently failed one gets here.
+                self.fail_job(ctx, lane_idx, job, "bus transaction retries exhausted");
+                self.schedule_lane(ctx, lane_idx);
             }
         }
     }
@@ -1922,8 +1929,10 @@ impl TpWireBus {
     /// `SelectNode` round-trip is the cheapest transaction the bus has.
     fn next_poll_target(&mut self, now: SimTime, lane_idx: usize) -> Option<usize> {
         let n = self.chain.len();
-        for step in 0..n {
-            let pos = (self.poll_cursor + step) % n;
+        let mut next = self.poll_cursor;
+        for _ in 0..n {
+            let pos = next;
+            next = if pos + 1 == n { 0 } else { pos + 1 };
             if self.owners[pos].is_some() && self.owners[pos] != Some(lane_idx) {
                 continue;
             }
@@ -1940,7 +1949,7 @@ impl TpWireBus {
                     continue;
                 }
             }
-            self.poll_cursor = (pos + 1) % n;
+            self.poll_cursor = next;
             return Some(pos);
         }
         None

@@ -18,8 +18,6 @@ use crate::wiring::BusParams;
 pub(crate) struct FrameTiming {
     /// [`BusParams::frame_time`].
     pub(crate) frame: SimDuration,
-    /// One daisy-chain hop: `bits_to_time(hop_delay_bits)`.
-    pub(crate) hop: SimDuration,
     /// [`BusParams::response_timeout`].
     pub(crate) response_timeout: SimDuration,
     /// What an unanswered frame costs the master: frame, response timeout
@@ -35,6 +33,9 @@ pub(crate) struct FrameTiming {
     /// [`BusParams::transaction_time`]`(pos + 1)`, indexed by chain
     /// position `pos`.
     transaction: Vec<SimDuration>,
+    /// When a TX frame reaches chain position `pos`, after it starts: the
+    /// frame plus `pos + 1` hops of `bits_to_time(hop_delay_bits)`.
+    arrival: Vec<SimDuration>,
 }
 
 impl FrameTiming {
@@ -44,16 +45,23 @@ impl FrameTiming {
         let frame = params.frame_time();
         let response_timeout = params.response_timeout();
         let hops = u32::try_from(chain_len).expect("chain length fits the 7-bit id space");
+        let hop = params.bits_to_time(params.hop_delay_bits);
         FrameTiming {
             frame,
-            hop: params.bits_to_time(params.hop_delay_bits),
             response_timeout,
             timeout_cost: frame + response_timeout + params.bits_to_time(params.gap_bits),
             idle_poll: params.bits_to_time(params.idle_poll_bits),
             broadcast: params.broadcast_time(hops),
             watchdog: Watchdog::new(params),
             transaction: (1..=hops).map(|h| params.transaction_time(h)).collect(),
+            arrival: (1..=u64::from(hops)).map(|h| frame + hop * h).collect(),
         }
+    }
+
+    /// How long after a TX frame starts the slave at chain position `pos`
+    /// (0-based) sees it.
+    pub(crate) fn arrivals(&self) -> &[SimDuration] {
+        &self.arrival
     }
 
     /// Duration of a complete transaction with the slave at chain position
@@ -98,7 +106,10 @@ mod tests {
         for p in configurations() {
             let t = FrameTiming::new(&p, 127);
             assert_eq!(t.frame, p.frame_time(), "{p:?}");
-            assert_eq!(t.hop, p.bits_to_time(p.hop_delay_bits), "{p:?}");
+            let hop = p.bits_to_time(p.hop_delay_bits);
+            for (pos, &arrival) in t.arrivals().iter().enumerate() {
+                assert_eq!(arrival, p.frame_time() + hop * (pos as u64 + 1), "{p:?}");
+            }
             assert_eq!(t.response_timeout, p.response_timeout(), "{p:?}");
             assert_eq!(
                 t.timeout_cost,
