@@ -11,9 +11,7 @@ use tsbus_tpwire::{
     crc, BusParams, Command, NodeId, SendStream, StreamEndpoint, TpWireBus, TxFrame,
 };
 use tsbus_tuplespace::{template, tuple, Lease, Space, Template, ValueType};
-use tsbus_xmlwire::{
-    request_from_wire, request_from_xml, request_to_wire, request_to_xml, Request, WireFormat,
-};
+use tsbus_xmlwire::{request_envelope_from_wire, EncodeScratch, Request, WireFormat};
 
 /// A component that bounces an event back to itself `n` times.
 struct Bouncer {
@@ -81,19 +79,24 @@ fn bench_xml(c: &mut Criterion) {
         tuple: tuple!["entry", 42, vec![7u8; 64]],
         lease_ns: Some(160_000_000_000),
     };
-    let text = request_to_xml(&request);
+    let mut scratch = EncodeScratch::new();
+    let text = scratch.request(&request, WireFormat::Xml).to_vec();
     group.bench_function("encode_write_request", |b| {
-        b.iter(|| request_to_xml(black_box(&request)));
+        b.iter(|| scratch.request(black_box(&request), WireFormat::Xml).len());
     });
     group.bench_function("parse_write_request", |b| {
-        b.iter(|| request_from_xml(black_box(&text)).expect("valid"));
+        b.iter(|| request_envelope_from_wire(black_box(&text)).expect("valid"));
     });
-    let binary = request_to_wire(&request, WireFormat::Binary);
+    let binary = scratch.request(&request, WireFormat::Binary).to_vec();
     group.bench_function("encode_binary", |b| {
-        b.iter(|| request_to_wire(black_box(&request), WireFormat::Binary));
+        b.iter(|| {
+            scratch
+                .request(black_box(&request), WireFormat::Binary)
+                .len()
+        });
     });
     group.bench_function("decode_binary", |b| {
-        b.iter(|| request_from_wire(black_box(&binary)).expect("valid"));
+        b.iter(|| request_envelope_from_wire(black_box(&binary)).expect("valid"));
     });
     group.finish();
 }

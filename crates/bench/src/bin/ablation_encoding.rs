@@ -9,7 +9,7 @@
 use tsbus_bench::{fmt_secs, render_table};
 use tsbus_core::{run_case_study, CaseStudyConfig};
 use tsbus_tuplespace::{Pattern, Template, Tuple, Value, ValueType};
-use tsbus_xmlwire::{request_to_wire, Request, WireFormat};
+use tsbus_xmlwire::{EncodeScratch, Request, WireFormat};
 
 fn entry_request(payload: usize) -> Request {
     Request::Write {
@@ -32,13 +32,14 @@ fn main() {
             Pattern::AnyOfType(ValueType::Bytes),
         ]),
     };
+    let mut scratch = EncodeScratch::new();
     for (label, request) in [
         ("write, 48 B entry", entry_request(48)),
         ("write, 1 KiB entry", entry_request(1024)),
         ("take template", take),
     ] {
-        let xml = request_to_wire(&request, WireFormat::Xml).len();
-        let binary = request_to_wire(&request, WireFormat::Binary).len();
+        let xml = scratch.request(&request, WireFormat::Xml).len();
+        let binary = scratch.request(&request, WireFormat::Binary).len();
         rows.push(vec![
             label.to_owned(),
             format!("{xml} B"),

@@ -12,8 +12,9 @@
 //! Both binaries accept `--dedup on|off|both` (default `both`) ahead of
 //! the usual lab flags; the filter restricts which modes are swept.
 
-use tsbus_core::{run_case_study_seeded, CaseStudyConfig, RecoveryPolicy};
+use tsbus_core::{run_case_study_observed, CaseStudyConfig, RecoveryPolicy};
 use tsbus_des::SimDuration;
+use tsbus_faults::FaultSchedule;
 use tsbus_lab::{
     run_campaign, Campaign, CampaignReport, ExecOpts, Grid, GridPoint, LabArgs, Metrics,
 };
@@ -98,7 +99,7 @@ pub fn run_dedup_cost_sweep(
     .with_seed(seed);
     let report = run_campaign(&campaign, opts, GridPoint::key, |point, ctx| {
         let cfg = cost_config(point.f64("gap"), point.str("dedup") == "on");
-        let r = run_case_study_seeded(&cfg, ctx.seed);
+        let (r, _) = run_case_study_observed(&cfg, &FaultSchedule::new(), ctx.seed);
         let mut m = Metrics::new()
             .bool("out_of_time", r.out_of_time)
             .u64("bytes_relayed", r.bus_bytes_relayed)

@@ -14,7 +14,7 @@
 //! | `campaign_standing` | full-stack chaos trial over a large standing space | scans + per-event boxes → indexed space + pooled boxes |
 //! | `micro_space_index` | keyed read/take against a standing [`Space`] | full scan → per-field value index |
 //! | `micro_pool` | kernel self-rearming timers | fresh box per event → recycled boxes |
-//! | `micro_codec` | request-envelope + event encoding | fresh buffers → [`EncodeScratch`] |
+//! | `micro_codec` | request-envelope encoding | a fresh [`EncodeScratch`] per message → one reused scratch |
 //!
 //! Absolute events/sec is hardware-bound, so the regression gate
 //! ([`check_against`]) compares *speedups* (optimized over baseline,
@@ -30,9 +30,7 @@ use tsbus_des::{
 };
 use tsbus_tpwire::NodeId;
 use tsbus_tuplespace::{tuple, Lease, Pattern, Space, Template, Value};
-use tsbus_xmlwire::{
-    request_envelope_to_wire, EncodeScratch, Request, RequestEnvelope, RequestId, WireFormat,
-};
+use tsbus_xmlwire::{EncodeScratch, Request, RequestEnvelope, RequestId, WireFormat};
 
 /// One arm's measurement: the same workload with an optimization off
 /// (`baseline_s`) and on (`optimized_s`).
@@ -427,8 +425,9 @@ fn ticker_storm(pooling: bool, tickers: u64, events_each: u64) -> u64 {
     sim.events_processed()
 }
 
-/// Steady-state encode loop: one request envelope and one notify event
-/// per iteration, in both wire formats.
+/// Steady-state encode loop: one request envelope per iteration, in both
+/// wire formats, through a fresh scratch per message (baseline) or one
+/// reused scratch (optimized).
 fn codec_loop(optimized: bool, iterations: u64) -> u64 {
     let envelope = RequestEnvelope::identified(
         RequestId { client: 1, seq: 42 },
@@ -445,7 +444,8 @@ fn codec_loop(optimized: bool, iterations: u64) -> u64 {
             if optimized {
                 bytes += black_box(scratch.request_envelope(&envelope, format)).len() as u64;
             } else {
-                bytes += black_box(request_envelope_to_wire(&envelope, format)).len() as u64;
+                let mut fresh = EncodeScratch::new();
+                bytes += black_box(fresh.request_envelope(&envelope, format)).len() as u64;
             }
         }
     }

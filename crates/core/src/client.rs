@@ -808,7 +808,7 @@ mod tests {
     use super::*;
     use tsbus_des::Simulator;
     use tsbus_tuplespace::{template, tuple, ValueType};
-    use tsbus_xmlwire::{correlated_response_to_xml, request_envelope_from_wire};
+    use tsbus_xmlwire::request_envelope_from_wire;
 
     /// A zero-latency endpoint+server stub: echoes canned responses,
     /// correlated when the request carried an identity. `drop_first`
@@ -837,7 +837,11 @@ mod tests {
                     client,
                     NetDeliver {
                         from: NodeId::new(3).expect("valid"),
-                        payload: Bytes::from(correlated_response_to_xml(re, &response)),
+                        payload: Bytes::copy_from_slice(EncodeScratch::new().correlated_response(
+                            re,
+                            &response,
+                            WireFormat::Xml,
+                        )),
                     },
                 );
             }

@@ -11,7 +11,8 @@
 //!   protocol messages.
 //! * [`TpwireEndpoint`] — the TpWIRE transport binding (the SystemC +
 //!   gdb/socket glue of the paper, modeled as endpoint costs).
-//! * [`TcpEndpoint`] / [`Switch`] — the §4.3 TCP-over-Ethernet baseline.
+//! * [`TcpEndpoint`] / [`Switch`] — the §4.3 TCP-over-Ethernet baseline,
+//!   over NS-2-style duplex [`Link`]s carrying [`Packet`]s.
 //! * [`BusCbrSource`] / [`BusCbrSink`] — background traffic over the bus.
 //! * [`scenario`] — the Fig. 6 validation setup and the Fig. 7 case study
 //!   as one-call experiments ([`run_validation`], [`run_case_study`],
@@ -36,7 +37,9 @@ mod client;
 mod dedup;
 mod endpoint;
 mod farm;
+mod link;
 mod net;
+mod packet;
 pub mod scenario;
 mod server;
 mod tcp;
@@ -47,11 +50,13 @@ pub use client::{ClientStep, OpRecord, RecoveryOutcome, RecoveryPolicy, Scripted
 pub use dedup::{Admission, DedupCache};
 pub use endpoint::{EndpointCosts, TpwireEndpoint};
 pub use farm::{run_farm, FarmConfig, FarmResult};
+pub use link::{Link, LinkSpec, LinkStats};
 pub use net::{MessageAssembler, NetDeliver, NetError, NetSend};
+pub use packet::{Deliver, Packet, PacketSeq, Transmit};
 pub use scenario::{
     case_study_entry, case_study_script, case_study_template, run_case_study,
-    run_case_study_observed, run_case_study_seeded, run_case_study_tcp, run_validation,
-    CaseStudyConfig, CaseStudyResult, ValidationConfig, ValidationResult,
+    run_case_study_observed, run_case_study_tcp, run_validation, CaseStudyConfig, CaseStudyResult,
+    ValidationConfig, ValidationResult,
 };
 pub use server::{ServerStats, SpaceServerAgent};
 pub use tcp::{build_tcp_star, Switch, TcpEndpoint, TcpParams, ACK_BYTES, SEGMENT_OVERHEAD};

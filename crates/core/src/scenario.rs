@@ -335,50 +335,26 @@ pub fn case_study_script(
     ]
 }
 
-/// Runs the Fig. 7 case study over TpWIRE.
+/// Runs the Fig. 7 case study over TpWIRE with no faults and simulator
+/// seed 7: [`run_case_study_observed`] without the snapshot.
 #[must_use]
 pub fn run_case_study(cfg: &CaseStudyConfig) -> CaseStudyResult {
-    run_case_study_with_faults(cfg, &FaultSchedule::new())
+    run_case_study_observed(cfg, &FaultSchedule::new(), 7).0
 }
 
-/// Runs the Fig. 7 case study with an explicit simulator seed — the
-/// entry point for seed-replicated campaigns (`tsbus-lab`). Seed 7
-/// reproduces [`run_case_study`] exactly; configurations without
-/// stochastic elements (no burst channel, no link faults) are
-/// seed-invariant by construction.
-#[must_use]
-pub fn run_case_study_seeded(cfg: &CaseStudyConfig, seed: u64) -> CaseStudyResult {
-    run_case_study_with_faults_seeded(cfg, &FaultSchedule::new(), seed)
-}
-
-/// Runs the Fig. 7 case study over TpWIRE with a timed fault schedule
-/// aimed at the bus (crashes, resets, chain breaks — see
-/// [`tsbus_faults::FaultKind`]). An empty schedule reproduces
-/// [`run_case_study`] exactly.
-#[must_use]
-pub fn run_case_study_with_faults(
-    cfg: &CaseStudyConfig,
-    faults: &FaultSchedule,
-) -> CaseStudyResult {
-    run_case_study_with_faults_seeded(cfg, faults, 7)
-}
-
-/// [`run_case_study_with_faults`] with an explicit simulator seed.
-#[must_use]
-pub fn run_case_study_with_faults_seeded(
-    cfg: &CaseStudyConfig,
-    faults: &FaultSchedule,
-    seed: u64,
-) -> CaseStudyResult {
-    run_case_study_observed(cfg, faults, seed).0
-}
-
-/// Runs the case study and also returns the unified registry snapshot of
-/// the whole stack at the instant the run stopped: every layer's metrics
-/// merged under component prefixes (`bus/0/…`, `server/…`, `space/…`,
-/// `client/…`). The snapshot is a pure function of `(cfg, faults, seed)`
-/// — byte-identical across processes and thread counts — which is what
-/// the CI determinism smoke test locks in.
+/// Runs the case study under a timed fault schedule aimed at the bus
+/// (crashes, resets, chain breaks — see [`tsbus_faults::FaultKind`]) with
+/// an explicit simulator seed, the entry point for seed-replicated
+/// campaigns (`tsbus-lab`). An empty schedule with seed 7 reproduces
+/// [`run_case_study`] exactly; configurations without stochastic elements
+/// (no burst channel, no link faults) are seed-invariant by construction.
+///
+/// It also returns the unified registry snapshot of the whole stack at the
+/// instant the run stopped: every layer's metrics merged under component
+/// prefixes (`bus/0/…`, `server/…`, `space/…`, `client/…`). The snapshot
+/// is a pure function of `(cfg, faults, seed)` — byte-identical across
+/// processes and thread counts — which is what the CI determinism smoke
+/// test locks in.
 #[must_use]
 pub fn run_case_study_observed(
     cfg: &CaseStudyConfig,
@@ -824,7 +800,7 @@ mod tests {
         let faults = FaultSchedule::new()
             .at(SimTime::from_secs(4), FaultKind::SlaveCrash(3))
             .at(SimTime::from_secs(8), FaultKind::SlaveRevive(3));
-        let result = run_case_study_with_faults(&cfg, &faults);
+        let result = run_case_study_observed(&cfg, &faults, 7).0;
         assert!(result.finished, "the retried take completes");
         assert!(!result.out_of_time, "the 160 s lease survives the outage");
         match result.take_recovery {
@@ -850,13 +826,14 @@ mod tests {
         );
 
         // Without recovery the same outage is a bare failure.
-        let bare = run_case_study_with_faults(
+        let (bare, _) = run_case_study_observed(
             &CaseStudyConfig {
                 recovery: None,
                 exactly_once: false,
                 ..cfg
             },
             &faults,
+            7,
         );
         assert!(bare.out_of_time, "no recovery: the take is lost");
         assert_eq!(bare.take_recovery, RecoveryOutcome::FirstTry);
@@ -887,7 +864,7 @@ mod tests {
             "a 1% frame error rate forces retries"
         );
         // An empty fault schedule must reproduce the plain runner exactly.
-        let replay = run_case_study_with_faults(&cfg, &FaultSchedule::new());
+        let (replay, _) = run_case_study_observed(&cfg, &FaultSchedule::new(), 7);
         assert_eq!(result.bus_retries, replay.bus_retries);
         assert_eq!(result.bus_transactions, replay.bus_transactions);
         assert_eq!(result.total_time, replay.total_time);

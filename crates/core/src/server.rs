@@ -612,7 +612,21 @@ mod tests {
     use super::*;
     use tsbus_des::{SimTime, Simulator};
     use tsbus_tuplespace::{template, tuple, ValueType};
-    use tsbus_xmlwire::request_to_xml;
+    use tsbus_xmlwire::{server_message_from_wire, RequestEnvelope, ServerMessage};
+
+    /// A request's XML wire form.
+    fn request_to_xml(request: &Request) -> Vec<u8> {
+        EncodeScratch::new()
+            .request(request, WireFormat::Xml)
+            .to_vec()
+    }
+
+    /// A request envelope's XML wire form.
+    fn request_envelope_to_xml(envelope: &RequestEnvelope) -> Vec<u8> {
+        EncodeScratch::new()
+            .request_envelope(envelope, WireFormat::Xml)
+            .to_vec()
+    }
 
     /// Captures NetSend replies the server pushes toward its endpoint.
     #[derive(Default)]
@@ -623,9 +637,10 @@ mod tests {
     impl Component for FakeEndpoint {
         fn handle(&mut self, ctx: &mut Context<'_>, msg: Box<dyn Message>) {
             if let Ok(send) = msg.downcast::<NetSend>() {
-                let text = String::from_utf8_lossy(&send.payload).into_owned();
-                let response =
-                    tsbus_xmlwire::response_from_xml(&text).expect("server output decodes");
+                let response = match server_message_from_wire(&send.payload) {
+                    Ok(ServerMessage::Response { response, .. }) => response,
+                    other => panic!("server output must decode as a response: {other:?}"),
+                };
                 self.replies.push((ctx.now(), send.to, response));
             }
         }
@@ -826,7 +841,7 @@ mod tests {
 
     #[test]
     fn duplicate_identified_requests_replay_instead_of_reapplying() {
-        use tsbus_xmlwire::{request_envelope_to_xml, RequestEnvelope, RequestId};
+        use tsbus_xmlwire::RequestId;
         let (mut sim, endpoint, server) = setup(SimDuration::ZERO);
         let write = RequestEnvelope::identified(
             RequestId { client: 1, seq: 1 },
@@ -863,7 +878,7 @@ mod tests {
 
     #[test]
     fn acked_requests_are_evicted_and_dropped() {
-        use tsbus_xmlwire::{request_envelope_to_xml, RequestEnvelope, RequestId};
+        use tsbus_xmlwire::RequestId;
         let (mut sim, endpoint, server) = setup(SimDuration::ZERO);
         let send = |sim: &mut Simulator, seq: u64, ack: u64, tuple_n: i64| {
             let env = RequestEnvelope::identified(
@@ -952,7 +967,7 @@ mod tests {
     #[test]
     fn registry_snapshot_mirrors_stats_and_tracer_sees_dedup() {
         use tsbus_obs::{DedupDecision, TraceEvent, Tracer};
-        use tsbus_xmlwire::{request_envelope_to_xml, RequestEnvelope, RequestId};
+        use tsbus_xmlwire::RequestId;
         let (mut sim, _endpoint, server) = setup(SimDuration::ZERO);
         sim.component_mut::<SpaceServerAgent>(server)
             .expect("registered")

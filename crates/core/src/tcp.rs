@@ -22,11 +22,12 @@ use std::collections::HashMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use tsbus_des::{Component, ComponentId, Context, Message, MessageExt, SimDuration, Simulator};
-use tsbus_netsim::{Deliver, Link, LinkSpec, Packet, Transmit};
 use tsbus_tpwire::NodeId;
 
 use crate::endpoint::EndpointCosts;
+use crate::link::{Link, LinkSpec};
 use crate::net::{NetDeliver, NetSend};
+use crate::packet::{Deliver, Packet, Transmit};
 
 /// Ethernet + IPv4 + TCP header bytes charged per segment.
 pub const SEGMENT_OVERHEAD: u32 = 18 + 20 + 20;

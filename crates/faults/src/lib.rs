@@ -17,7 +17,8 @@
 //!   events (slave crash/revive/reset, daisy-chain break/heal) delivered to
 //!   a target component by a small driver [`Component`](tsbus_des::Component).
 //! * [`LinkFaults`] — the packet-link fault matrix (loss, jitter,
-//!   duplication, bounded reordering) used by `tsbus-netsim`.
+//!   duplication, bounded reordering) carried by `tsbus-core`'s duplex
+//!   `Link` under the TCP/Ethernet baseline.
 //! * [`SupervisionConfig`] / [`CircuitBreaker`] / [`SlaveHealth`] — the
 //!   supervision layer's per-slave health tracking and the
 //!   Closed → Open → Half-Open circuit breaker the master consults before

@@ -1,6 +1,6 @@
 //! The packet-link fault matrix: loss, jitter, duplication, reordering.
 //!
-//! This is configuration only — `tsbus-netsim`'s `Link` consumes it at the
+//! This is configuration only — `tsbus-core`'s `Link` consumes it at the
 //! moment it schedules a delivery. The knobs mirror the relay-transport
 //! fault matrix pattern: every effect is seeded, so a trace replays
 //! identically from the same master seed.

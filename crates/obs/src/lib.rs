@@ -1,6 +1,6 @@
 //! # tsbus-obs — the observability spine
 //!
-//! Every layer of the simulation (TpWIRE bus, netsim links, tuplespace,
+//! Every layer of the simulation (TpWIRE bus, packet links, tuplespace,
 //! middleware client/server, fault injection) used to keep its own
 //! hand-rolled stats struct and copy it field-by-field into the scenario
 //! harvest. This crate replaces that with one spine:

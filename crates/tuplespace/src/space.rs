@@ -552,7 +552,7 @@ impl Space {
         let seq = self.next_entry;
         self.next_entry += 1;
         let id = EntryId(seq);
-        self.notify_all(EventKind::Written, id, &tuple, now);
+        self.notify_all_at(EventKind::Written, id, &tuple, now);
         let entry = Entry {
             id,
             tuple,
@@ -597,7 +597,7 @@ impl Space {
             Some(seq) => {
                 let entry = self.remove_entry(seq);
                 self.obs.registry.inc(self.obs.takes);
-                self.notify_all(EventKind::Taken, entry.id, &entry.tuple, now);
+                self.notify_all_at(EventKind::Taken, entry.id, &entry.tuple, now);
                 Some(entry.tuple)
             }
             None => {
@@ -781,7 +781,7 @@ impl Space {
                 Lease::Forever => now,
             };
             let id = EntryId(held.seq);
-            self.notify_all_at(EventKind::Expired, id, &held.tuple.clone(), at);
+            self.notify_all_at(EventKind::Expired, id, &held.tuple, at);
         }
     }
 
@@ -797,17 +797,17 @@ impl Space {
         self.notify_all_at(kind, entry, tuple, at);
     }
 
-    fn notify_all(&mut self, kind: EventKind, entry: EntryId, tuple: &Tuple, now: SimTime) {
-        self.notify_all_at(kind, entry, tuple, now);
-    }
-
     fn notify_all_at(&mut self, kind: EventKind, entry: EntryId, tuple: &Tuple, at: SimTime) {
-        self.audit.emit(AuditRecord {
-            kind,
-            entry,
-            tuple: tuple.clone(),
-            at,
-        });
+        // Build the record only when it is kept: `emit` takes it by value,
+        // so an unguarded call would clone every tuple for nothing.
+        if self.audit.is_enabled() {
+            self.audit.emit(AuditRecord {
+                kind,
+                entry,
+                tuple: tuple.clone(),
+                at,
+            });
+        }
         for sub in &self.subscriptions {
             if sub.kinds.contains(&kind) && sub.template.matches(tuple) {
                 self.pending.push(Notification {

@@ -26,6 +26,9 @@ const TAG_REQUEST_ENVELOPE: u8 = 0x10;
 /// then the inner response body).
 const TAG_RESPONSE_ENVELOPE: u8 = 0x90;
 
+/// Message tag of a pushed event (`subscription`, kind, then the tuple).
+const TAG_EVENT: u8 = 0xC0;
+
 fn shape(message: impl Into<String>) -> DecodeWireError {
     DecodeWireError::Shape(message.into())
 }
@@ -349,61 +352,27 @@ fn get_request_body(r: &mut Reader<'_>) -> Result<Request, DecodeWireError> {
     })
 }
 
-/// Encodes a request to the compact binary wire form.
-#[must_use]
-pub fn request_to_binary(request: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    request_to_binary_into(request, &mut out);
-    out
-}
-
-/// [`request_to_binary`] into a reusable buffer (cleared first);
-/// byte-identical output.
-pub fn request_to_binary_into(request: &Request, out: &mut Vec<u8>) {
-    out.clear();
+/// Writes a request in the compact binary wire form: the magic byte, the
+/// envelope's identity and ack watermark when present (without one, the
+/// bare legacy form), then the request body.
+pub(crate) fn put_request(
+    out: &mut Vec<u8>,
+    request: &Request,
+    identity: Option<(RequestId, u64)>,
+) {
     out.push(BINARY_MAGIC);
-    put_request_body(out, request);
-}
-
-/// Encodes a request envelope to the compact binary wire form. Like the
-/// XML side, an id-less envelope is byte-identical to its bare request.
-#[must_use]
-pub fn request_envelope_to_binary(envelope: &RequestEnvelope) -> Vec<u8> {
-    let mut out = Vec::new();
-    request_envelope_to_binary_into(envelope, &mut out);
-    out
-}
-
-/// [`request_envelope_to_binary`] into a reusable buffer (cleared first);
-/// byte-identical output.
-pub fn request_envelope_to_binary_into(envelope: &RequestEnvelope, out: &mut Vec<u8>) {
-    out.clear();
-    out.push(BINARY_MAGIC);
-    if let Some(id) = envelope.id {
+    if let Some((id, ack)) = identity {
         out.push(TAG_REQUEST_ENVELOPE);
         out.extend_from_slice(&id.client.to_le_bytes());
         out.extend_from_slice(&id.seq.to_le_bytes());
-        out.extend_from_slice(&envelope.ack.to_le_bytes());
+        out.extend_from_slice(&ack.to_le_bytes());
     }
-    put_request_body(out, &envelope.request);
-}
-
-/// Decodes a binary request (envelope identity, if present, is dropped).
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on bad magic, tags or truncation.
-pub fn request_from_binary(bytes: &[u8]) -> Result<Request, DecodeWireError> {
-    request_envelope_from_binary(bytes).map(|envelope| envelope.request)
+    put_request_body(out, request);
 }
 
 /// Decodes a binary request envelope; a bare (legacy) request decodes with
 /// `id: None`.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on bad magic, tags or truncation.
-pub fn request_envelope_from_binary(bytes: &[u8]) -> Result<RequestEnvelope, DecodeWireError> {
+pub(crate) fn request_envelope(bytes: &[u8]) -> Result<RequestEnvelope, DecodeWireError> {
     let mut r = Reader { bytes, pos: 0 };
     if r.u8()? != BINARY_MAGIC {
         return Err(shape("missing binary protocol magic"));
@@ -472,39 +441,9 @@ fn get_response_body(r: &mut Reader<'_>) -> Result<Response, DecodeWireError> {
     })
 }
 
-/// Encodes a response to the compact binary wire form.
-#[must_use]
-pub fn response_to_binary(response: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    response_to_binary_into(response, &mut out);
-    out
-}
-
-/// [`response_to_binary`] into a reusable buffer (cleared first);
-/// byte-identical output.
-pub fn response_to_binary_into(response: &Response, out: &mut Vec<u8>) {
-    out.clear();
-    out.push(BINARY_MAGIC);
-    put_response_body(out, response);
-}
-
-/// Encodes a response with its echoed request identity. An uncorrelated
-/// response is byte-identical to the plain form.
-#[must_use]
-pub fn correlated_response_to_binary(re: Option<RequestId>, response: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    correlated_response_to_binary_into(re, response, &mut out);
-    out
-}
-
-/// [`correlated_response_to_binary`] into a reusable buffer (cleared
-/// first); byte-identical output.
-pub fn correlated_response_to_binary_into(
-    re: Option<RequestId>,
-    response: &Response,
-    out: &mut Vec<u8>,
-) {
-    out.clear();
+/// Writes a response in the compact binary wire form, with the echoed
+/// identity `re` when present.
+pub(crate) fn put_response(out: &mut Vec<u8>, response: &Response, re: Option<RequestId>) {
     out.push(BINARY_MAGIC);
     if let Some(id) = re {
         out.push(TAG_RESPONSE_ENVELOPE);
@@ -514,31 +453,17 @@ pub fn correlated_response_to_binary_into(
     put_response_body(out, response);
 }
 
-/// Encodes a pushed event to the compact binary wire form.
-#[must_use]
-pub fn event_to_binary(event: &WireEvent) -> Vec<u8> {
-    let mut out = Vec::new();
-    event_to_binary_into(event, &mut out);
-    out
-}
-
-/// [`event_to_binary`] into a reusable buffer (cleared first);
-/// byte-identical output.
-pub fn event_to_binary_into(event: &WireEvent, out: &mut Vec<u8>) {
-    out.clear();
+/// Writes a pushed event in the compact binary wire form.
+pub(crate) fn put_event(out: &mut Vec<u8>, event: &WireEvent) {
     out.push(BINARY_MAGIC);
-    out.push(0xC0);
+    out.push(TAG_EVENT);
     out.extend_from_slice(&event.subscription.to_le_bytes());
     out.push(kind_tag(event.kind));
     put_tuple(out, &event.tuple);
 }
 
 /// Decodes a binary server message (response or pushed event).
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on bad magic, tags or truncation.
-pub fn server_message_from_binary(bytes: &[u8]) -> Result<ServerMessage, DecodeWireError> {
+pub(crate) fn server_message(bytes: &[u8]) -> Result<ServerMessage, DecodeWireError> {
     let mut r = Reader { bytes, pos: 0 };
     if r.u8()? != BINARY_MAGIC {
         return Err(shape("missing binary protocol magic"));
@@ -553,7 +478,7 @@ pub fn server_message_from_binary(bytes: &[u8]) -> Result<ServerMessage, DecodeW
                 response: get_response_body(&mut r)?,
             }
         }
-        Some(&0xC0) => {
+        Some(&TAG_EVENT) => {
             let _ = r.u8()?;
             let subscription = r.u64()?;
             let kind = kind_from_tag(r.u8()?)?;
@@ -572,201 +497,10 @@ pub fn server_message_from_binary(bytes: &[u8]) -> Result<ServerMessage, DecodeW
     Ok(message)
 }
 
-// ---------------------------------------------------------------------
-// Format-sniffing entry points
-// ---------------------------------------------------------------------
-
-/// The two wire encodings the protocol supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireFormat {
-    /// The paper's XML representation.
-    #[default]
-    Xml,
-    /// The compact binary ablation format.
-    Binary,
-}
-
-/// Decodes a request in either format, dispatching on the first byte.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError`] if neither format decodes.
-pub fn request_from_wire(bytes: &[u8]) -> Result<(Request, WireFormat), DecodeWireError> {
-    request_envelope_from_wire(bytes).map(|(envelope, format)| (envelope.request, format))
-}
-
-/// Decodes a request envelope in either format, dispatching on the first
-/// byte; bare (legacy) requests decode with `id: None`.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError`] if neither format decodes.
-pub fn request_envelope_from_wire(
-    bytes: &[u8],
-) -> Result<(RequestEnvelope, WireFormat), DecodeWireError> {
-    if bytes.first() == Some(&BINARY_MAGIC) {
-        Ok((request_envelope_from_binary(bytes)?, WireFormat::Binary))
-    } else {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| shape("request is neither binary nor UTF-8 XML"))?;
-        Ok((
-            crate::codec::request_envelope_from_xml(text)?,
-            WireFormat::Xml,
-        ))
-    }
-}
-
-/// Decodes a server message in either format.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError`] if neither format decodes.
-pub fn server_message_from_wire(bytes: &[u8]) -> Result<ServerMessage, DecodeWireError> {
-    if bytes.first() == Some(&BINARY_MAGIC) {
-        server_message_from_binary(bytes)
-    } else {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| shape("message is neither binary nor UTF-8 XML"))?;
-        crate::codec::server_message_from_xml(text)
-    }
-}
-
-/// Encodes a request in the chosen format.
-#[must_use]
-pub fn request_to_wire(request: &Request, format: WireFormat) -> Vec<u8> {
-    match format {
-        WireFormat::Xml => crate::codec::request_to_xml(request).into_bytes(),
-        WireFormat::Binary => request_to_binary(request),
-    }
-}
-
-/// Encodes a request envelope in the chosen format.
-#[must_use]
-pub fn request_envelope_to_wire(envelope: &RequestEnvelope, format: WireFormat) -> Vec<u8> {
-    match format {
-        WireFormat::Xml => crate::codec::request_envelope_to_xml(envelope).into_bytes(),
-        WireFormat::Binary => request_envelope_to_binary(envelope),
-    }
-}
-
-/// Encodes a response in the chosen format.
-#[must_use]
-pub fn response_to_wire(response: &Response, format: WireFormat) -> Vec<u8> {
-    match format {
-        WireFormat::Xml => crate::codec::response_to_xml(response).into_bytes(),
-        WireFormat::Binary => response_to_binary(response),
-    }
-}
-
-/// Encodes a response with its echoed request identity in the chosen
-/// format.
-#[must_use]
-pub fn correlated_response_to_wire(
-    re: Option<RequestId>,
-    response: &Response,
-    format: WireFormat,
-) -> Vec<u8> {
-    match format {
-        WireFormat::Xml => crate::codec::correlated_response_to_xml(re, response).into_bytes(),
-        WireFormat::Binary => correlated_response_to_binary(re, response),
-    }
-}
-
-/// Encodes a pushed event in the chosen format.
-#[must_use]
-pub fn event_to_wire(event: &WireEvent, format: WireFormat) -> Vec<u8> {
-    match format {
-        WireFormat::Xml => crate::codec::event_to_xml(event).into_bytes(),
-        WireFormat::Binary => event_to_binary(event),
-    }
-}
-
-/// Reusable encode buffers for steady-state wire traffic.
-///
-/// Each `encode_*` method fills the buffer for the chosen format and
-/// returns the encoded bytes, byte-identical to the allocating `*_to_wire`
-/// functions. Endpoints hold one scratch per agent, so after warm-up the
-/// per-message `String`/`Vec` allocations of the encode path disappear —
-/// only the final copy into the transport's `Bytes` remains.
-#[derive(Debug, Clone, Default)]
-pub struct EncodeScratch {
-    xml: String,
-    buf: Vec<u8>,
-}
-
-impl EncodeScratch {
-    /// Creates an empty scratch (buffers grow to steady-state size on first
-    /// use).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Encodes a request, reusing this scratch's buffer.
-    pub fn request(&mut self, request: &Request, format: WireFormat) -> &[u8] {
-        match format {
-            WireFormat::Xml => {
-                crate::codec::request_to_xml_into(request, &mut self.xml);
-                self.xml.as_bytes()
-            }
-            WireFormat::Binary => {
-                request_to_binary_into(request, &mut self.buf);
-                &self.buf
-            }
-        }
-    }
-
-    /// Encodes a request envelope, reusing this scratch's buffer.
-    pub fn request_envelope(&mut self, envelope: &RequestEnvelope, format: WireFormat) -> &[u8] {
-        match format {
-            WireFormat::Xml => {
-                crate::codec::request_envelope_to_xml_into(envelope, &mut self.xml);
-                self.xml.as_bytes()
-            }
-            WireFormat::Binary => {
-                request_envelope_to_binary_into(envelope, &mut self.buf);
-                &self.buf
-            }
-        }
-    }
-
-    /// Encodes a correlated response, reusing this scratch's buffer.
-    pub fn correlated_response(
-        &mut self,
-        re: Option<RequestId>,
-        response: &Response,
-        format: WireFormat,
-    ) -> &[u8] {
-        match format {
-            WireFormat::Xml => {
-                crate::codec::correlated_response_to_xml_into(re, response, &mut self.xml);
-                self.xml.as_bytes()
-            }
-            WireFormat::Binary => {
-                correlated_response_to_binary_into(re, response, &mut self.buf);
-                &self.buf
-            }
-        }
-    }
-
-    /// Encodes a pushed event, reusing this scratch's buffer.
-    pub fn event(&mut self, event: &WireEvent, format: WireFormat) -> &[u8] {
-        match format {
-            WireFormat::Xml => {
-                crate::codec::event_to_xml_into(event, &mut self.xml);
-                self.xml.as_bytes()
-            }
-            WireFormat::Binary => {
-                event_to_binary_into(event, &mut self.buf);
-                &self.buf
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{request_envelope_from_wire, server_message_from_wire, EncodeScratch, WireFormat};
     use tsbus_tuplespace::{template, tuple};
 
     fn sample_requests() -> Vec<Request> {
@@ -812,10 +546,20 @@ mod tests {
         ]
     }
 
+    fn to_binary(request: &Request) -> Vec<u8> {
+        EncodeScratch::new()
+            .request(request, WireFormat::Binary)
+            .to_vec()
+    }
+
+    fn request_from_binary(bytes: &[u8]) -> Result<Request, DecodeWireError> {
+        request_envelope(bytes).map(|envelope| envelope.request)
+    }
+
     #[test]
     fn requests_roundtrip_binary() {
         for request in sample_requests() {
-            let bytes = request_to_binary(&request);
+            let bytes = to_binary(&request);
             assert_eq!(
                 request_from_binary(&bytes).expect("own encoding decodes"),
                 request
@@ -846,13 +590,16 @@ mod tests {
                 tuple: tuple!["x"],
             }),
         ];
+        let mut scratch = EncodeScratch::new();
         for message in messages {
             let bytes = match &message {
-                ServerMessage::Response { response, .. } => response_to_binary(response),
-                ServerMessage::Event(e) => event_to_binary(e),
+                ServerMessage::Response { response, .. } => {
+                    scratch.correlated_response(None, response, WireFormat::Binary)
+                }
+                ServerMessage::Event(e) => scratch.event(e, WireFormat::Binary),
             };
             assert_eq!(
-                server_message_from_binary(&bytes).expect("own encoding decodes"),
+                server_message(bytes).expect("own encoding decodes"),
                 message
             );
         }
@@ -864,18 +611,19 @@ mod tests {
             client: 7,
             seq: u64::MAX,
         };
+        let mut scratch = EncodeScratch::new();
         for request in sample_requests() {
             let enveloped = RequestEnvelope::identified(id, 12, request.clone());
-            let bytes = request_envelope_to_binary(&enveloped);
+            let bytes = scratch.request_envelope(&enveloped, WireFormat::Binary);
             assert_eq!(
-                request_envelope_from_binary(&bytes).expect("own encoding decodes"),
+                request_envelope(bytes).expect("own encoding decodes"),
                 enveloped
             );
             // Bare envelopes stay byte-identical to the legacy form.
             let bare = RequestEnvelope::bare(request.clone());
             assert_eq!(
-                request_envelope_to_binary(&bare),
-                request_to_binary(&request)
+                scratch.request_envelope(&bare, WireFormat::Binary),
+                to_binary(&request)
             );
         }
     }
@@ -886,18 +634,19 @@ mod tests {
         let resp = Response::Entry {
             tuple: Some(tuple!["y", 9]),
         };
-        let bytes = correlated_response_to_binary(Some(id), &resp);
+        let mut scratch = EncodeScratch::new();
+        let bytes = scratch.correlated_response(Some(id), &resp, WireFormat::Binary);
         assert_eq!(
-            server_message_from_binary(&bytes).expect("decodes"),
+            server_message(bytes).expect("decodes"),
             ServerMessage::Response {
                 re: Some(id),
                 response: resp.clone()
             }
         );
-        assert_eq!(
-            correlated_response_to_binary(None, &resp),
-            response_to_binary(&resp)
-        );
+        // An uncorrelated response carries no envelope tag: the magic byte
+        // is followed directly by the response body.
+        let bytes = scratch.correlated_response(None, &resp, WireFormat::Binary);
+        assert_eq!(bytes[..2], [BINARY_MAGIC, 0x81]);
     }
 
     #[test]
@@ -905,10 +654,11 @@ mod tests {
         let request = Request::Count {
             template: template!["z"],
         };
+        let mut scratch = EncodeScratch::new();
         for format in [WireFormat::Xml, WireFormat::Binary] {
-            let bytes = request_to_wire(&request, format);
-            let (back, detected) = request_from_wire(&bytes).expect("decodes");
-            assert_eq!(back, request);
+            let bytes = scratch.request(&request, format);
+            let (back, detected) = request_envelope_from_wire(bytes).expect("decodes");
+            assert_eq!(back, RequestEnvelope::bare(request.clone()));
             assert_eq!(detected, format);
         }
     }
@@ -919,8 +669,9 @@ mod tests {
             tuple: tuple!["entry", vec![0u8; 64]],
             lease_ns: Some(160_000_000_000),
         };
-        let xml = request_to_wire(&request, WireFormat::Xml).len();
-        let binary = request_to_wire(&request, WireFormat::Binary).len();
+        let mut scratch = EncodeScratch::new();
+        let xml = scratch.request(&request, WireFormat::Xml).len();
+        let binary = scratch.request(&request, WireFormat::Binary).len();
         assert!(
             binary * 2 < xml,
             "binary ({binary} B) should be under half of XML ({xml} B)"
@@ -936,7 +687,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 33) as u8
         };
-        let seed = request_to_binary(&Request::Write {
+        let seed = to_binary(&Request::Write {
             tuple: tuple!["x", 1, vec![1u8, 2, 3]],
             lease_ns: Some(5),
         });
@@ -947,19 +698,23 @@ mod tests {
                 let pos = usize::from(next()) % bytes.len();
                 bytes[pos] ^= next();
             }
-            let _ = request_from_binary(&bytes);
-            let _ = server_message_from_binary(&bytes);
+            let _ = request_envelope(&bytes);
+            let _ = server_message(&bytes);
         }
         for len in 0..64usize {
             let noise: Vec<u8> = (0..len).map(|_| next()).collect();
-            let _ = request_from_binary(&noise);
-            let _ = server_message_from_binary(&noise);
+            let _ = request_envelope(&noise);
+            let _ = server_message(&noise);
         }
     }
 
     #[test]
     fn scratch_encoding_matches_allocating_encoders_with_dirty_buffers() {
+        // One scratch is reused for every message, so each call starts from
+        // a buffer that still holds the previous (longer or shorter)
+        // message; its output must match a fresh scratch's byte for byte.
         let mut scratch = EncodeScratch::new();
+        let fresh = EncodeScratch::new;
         let id = RequestId { client: 3, seq: 11 };
         let event = WireEvent {
             subscription: 4,
@@ -970,32 +725,25 @@ mod tests {
             tuple: Some(tuple!["y", 9]),
         };
         for format in [WireFormat::Xml, WireFormat::Binary] {
-            // Encode repeatedly through the same scratch: each call must be
-            // byte-identical to the allocating encoder even though the
-            // buffers still hold the previous (longer or shorter) message.
             for request in sample_requests() {
                 assert_eq!(
                     scratch.request(&request, format),
-                    request_to_wire(&request, format).as_slice()
+                    fresh().request(&request, format)
                 );
                 let envelope = RequestEnvelope::identified(id, 2, request.clone());
                 assert_eq!(
                     scratch.request_envelope(&envelope, format),
-                    request_envelope_to_wire(&envelope, format).as_slice()
+                    fresh().request_envelope(&envelope, format)
                 );
             }
             assert_eq!(
                 scratch.correlated_response(Some(id), &response, format),
-                correlated_response_to_wire(Some(id), &response, format).as_slice()
+                fresh().correlated_response(Some(id), &response, format)
             );
-            assert_eq!(
-                scratch.event(&event, format),
-                event_to_wire(&event, format).as_slice()
-            );
+            assert_eq!(scratch.event(&event, format), fresh().event(&event, format));
             // And the scratch output still round-trips through the decoder.
-            let bytes = scratch.event(&event, format).to_vec();
             assert_eq!(
-                server_message_from_wire(&bytes).expect("decodes"),
+                server_message_from_wire(scratch.event(&event, format)).expect("decodes"),
                 ServerMessage::Event(event.clone())
             );
         }
@@ -1003,7 +751,7 @@ mod tests {
 
     #[test]
     fn truncation_and_garbage_are_rejected() {
-        let good = request_to_binary(&Request::Unsubscribe { id: 1 });
+        let good = to_binary(&Request::Unsubscribe { id: 1 });
         for cut in 0..good.len() {
             assert!(request_from_binary(&good[..cut]).is_err(), "cut at {cut}");
         }

@@ -190,27 +190,8 @@ fn kind_from_name(name: &str) -> Option<EventKind> {
     }
 }
 
-/// Serializes a notification to its XML text.
-#[must_use]
-pub fn event_to_xml(event: &WireEvent) -> String {
-    let mut out = String::new();
-    write_event(event, &mut out);
-    out
-}
-
-/// [`event_to_xml`] into a reusable buffer (cleared first); byte-identical
-/// output.
-pub fn event_to_xml_into(event: &WireEvent, out: &mut String) {
-    out.clear();
-    write_event(event, out);
-}
-
 /// Decodes an `<event>` element.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on structural problems.
-pub fn decode_event(el: &XmlElement) -> Result<WireEvent, DecodeWireError> {
+fn decode_event(el: &XmlElement) -> Result<WireEvent, DecodeWireError> {
     if el.name() != "event" {
         return Err(shape(format!("expected <event>, found <{}>", el.name())));
     }
@@ -250,11 +231,7 @@ pub enum ServerMessage {
 }
 
 /// Parses whatever the server sent, dispatching on the root element.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError`] on malformed XML or protocol shape.
-pub fn server_message_from_xml(text: &str) -> Result<ServerMessage, DecodeWireError> {
+pub(crate) fn server_message_from_xml(text: &str) -> Result<ServerMessage, DecodeWireError> {
     let el = parse(text)?;
     match el.name() {
         "event" => Ok(ServerMessage::Event(decode_event(&el)?)),
@@ -325,12 +302,7 @@ fn shape(message: impl Into<String>) -> DecodeWireError {
 // ---------------------------------------------------------------------
 
 /// Decodes a `<field>` element.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on unknown types or unparseable
-/// content.
-pub fn decode_value(el: &XmlElement) -> Result<Value, DecodeWireError> {
+fn decode_value(el: &XmlElement) -> Result<Value, DecodeWireError> {
     if el.name() != "field" {
         return Err(shape(format!("expected <field>, found <{}>", el.name())));
     }
@@ -360,11 +332,7 @@ pub fn decode_value(el: &XmlElement) -> Result<Value, DecodeWireError> {
 }
 
 /// Decodes a `<tuple>` element.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on structural problems.
-pub fn decode_tuple(el: &XmlElement) -> Result<Tuple, DecodeWireError> {
+fn decode_tuple(el: &XmlElement) -> Result<Tuple, DecodeWireError> {
     if el.name() != "tuple" {
         return Err(shape(format!("expected <tuple>, found <{}>", el.name())));
     }
@@ -372,11 +340,7 @@ pub fn decode_tuple(el: &XmlElement) -> Result<Tuple, DecodeWireError> {
 }
 
 /// Decodes a `<template>` element.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on structural problems.
-pub fn decode_template(el: &XmlElement) -> Result<Template, DecodeWireError> {
+fn decode_template(el: &XmlElement) -> Result<Template, DecodeWireError> {
     if el.name() != "template" {
         return Err(shape(format!("expected <template>, found <{}>", el.name())));
     }
@@ -419,39 +383,11 @@ pub fn decode_template(el: &XmlElement) -> Result<Template, DecodeWireError> {
 // Requests / responses
 // ---------------------------------------------------------------------
 
-/// Serializes a request envelope to its XML text: the `<op>` document,
-/// with the identity (`client`/`seq`/`ack` attributes) when present. An
-/// id-less envelope encodes byte-identically to its bare request.
-#[must_use]
-pub fn request_envelope_to_xml(envelope: &RequestEnvelope) -> String {
-    let mut out = String::new();
-    write_request(
-        &envelope.request,
-        envelope.id.map(|id| (id, envelope.ack)),
-        &mut out,
-    );
-    out
-}
-
-/// [`request_envelope_to_xml`] into a reusable buffer (cleared first);
-/// byte-identical output.
-pub fn request_envelope_to_xml_into(envelope: &RequestEnvelope, out: &mut String) {
-    out.clear();
-    write_request(
-        &envelope.request,
-        envelope.id.map(|id| (id, envelope.ack)),
-        out,
-    );
-}
-
-/// Decodes an `<op>` element together with its optional identity
-/// attributes.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on structural problems.
-pub fn decode_request_envelope(el: &XmlElement) -> Result<RequestEnvelope, DecodeWireError> {
-    let id = decode_request_id_attrs(el)?;
+/// Parses a request-envelope document: an `<op>` element together with
+/// its optional identity attributes.
+pub(crate) fn request_envelope_from_xml(text: &str) -> Result<RequestEnvelope, DecodeWireError> {
+    let el = parse(text)?;
+    let id = decode_request_id_attrs(&el)?;
     let ack = match el.attr("ack") {
         Some(raw) => raw
             .parse::<u64>()
@@ -461,72 +397,12 @@ pub fn decode_request_envelope(el: &XmlElement) -> Result<RequestEnvelope, Decod
     Ok(RequestEnvelope {
         id,
         ack,
-        request: decode_request(el)?,
+        request: decode_request(&el)?,
     })
 }
 
-/// Parses a request-envelope document.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError`] on malformed XML or protocol shape.
-pub fn request_envelope_from_xml(text: &str) -> Result<RequestEnvelope, DecodeWireError> {
-    let el = parse(text)?;
-    decode_request_envelope(&el)
-}
-
-/// Serializes a response with its echoed request identity (if any) to its
-/// XML text. An uncorrelated response encodes byte-identically to the
-/// plain form.
-#[must_use]
-pub fn correlated_response_to_xml(re: Option<RequestId>, response: &Response) -> String {
-    let mut out = String::new();
-    write_response(response, re, &mut out);
-    out
-}
-
-/// [`correlated_response_to_xml`] into a reusable buffer (cleared first);
-/// byte-identical output.
-pub fn correlated_response_to_xml_into(
-    re: Option<RequestId>,
-    response: &Response,
-    out: &mut String,
-) {
-    out.clear();
-    write_response(response, re, out);
-}
-
-/// Serializes a request to its XML text.
-#[must_use]
-pub fn request_to_xml(request: &Request) -> String {
-    let mut out = String::new();
-    write_request(request, None, &mut out);
-    out
-}
-
-/// [`request_to_xml`] into a reusable buffer (cleared first); byte-identical
-/// output.
-pub fn request_to_xml_into(request: &Request, out: &mut String) {
-    out.clear();
-    write_request(request, None, out);
-}
-
-/// Parses a request document.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError`] on malformed XML or protocol shape.
-pub fn request_from_xml(text: &str) -> Result<Request, DecodeWireError> {
-    let el = parse(text)?;
-    decode_request(&el)
-}
-
 /// Decodes an `<op>` element.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on structural problems.
-pub fn decode_request(el: &XmlElement) -> Result<Request, DecodeWireError> {
+fn decode_request(el: &XmlElement) -> Result<Request, DecodeWireError> {
     if el.name() != "op" {
         return Err(shape(format!("expected <op>, found <{}>", el.name())));
     }
@@ -607,30 +483,8 @@ pub fn decode_request(el: &XmlElement) -> Result<Request, DecodeWireError> {
     }
 }
 
-/// Serializes a response to its XML text.
-#[must_use]
-pub fn response_to_xml(response: &Response) -> String {
-    let mut out = String::new();
-    write_response(response, None, &mut out);
-    out
-}
-
-/// Parses a response document.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError`] on malformed XML or protocol shape.
-pub fn response_from_xml(text: &str) -> Result<Response, DecodeWireError> {
-    let el = parse(text)?;
-    decode_response(&el)
-}
-
 /// Decodes a `<resp>` element.
-///
-/// # Errors
-///
-/// Returns [`DecodeWireError::Shape`] on structural problems.
-pub fn decode_response(el: &XmlElement) -> Result<Response, DecodeWireError> {
+fn decode_response(el: &XmlElement) -> Result<Response, DecodeWireError> {
     if el.name() != "resp" {
         return Err(shape(format!("expected <resp>, found <{}>", el.name())));
     }
@@ -768,7 +622,11 @@ fn write_template(template: &Template, out: &mut String) {
 
 /// Writes an `<op>` document; `identity` adds the envelope's
 /// `client`/`seq`/`ack` attributes after the request's own.
-fn write_request(request: &Request, identity: Option<(RequestId, u64)>, out: &mut String) {
+pub(crate) fn write_request(
+    request: &Request,
+    identity: Option<(RequestId, u64)>,
+    out: &mut String,
+) {
     enum Body<'a> {
         Tuple(&'a Tuple),
         Template(&'a Template),
@@ -831,7 +689,7 @@ fn write_request(request: &Request, identity: Option<(RequestId, u64)>, out: &mu
 
 /// Writes a `<resp>` document; `re` adds the echoed `client`/`seq`
 /// attributes after the response's own.
-fn write_response(response: &Response, re: Option<RequestId>, out: &mut String) {
+pub(crate) fn write_response(response: &Response, re: Option<RequestId>, out: &mut String) {
     out.push_str("<resp");
     match response {
         Response::WriteAck => push_attr(out, "type", "ack"),
@@ -865,7 +723,8 @@ fn write_response(response: &Response, re: Option<RequestId>, out: &mut String) 
     }
 }
 
-fn write_event(event: &WireEvent, out: &mut String) {
+/// Writes an `<event>` document.
+pub(crate) fn write_event(event: &WireEvent, out: &mut String) {
     out.push_str("<event");
     push_u64_attr(out, "sub", event.subscription);
     push_attr(out, "kind", kind_name(event.kind));
@@ -899,6 +758,46 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use tsbus_tuplespace::{template, tuple};
+
+    fn request_to_xml(request: &Request) -> String {
+        let mut out = String::new();
+        write_request(request, None, &mut out);
+        out
+    }
+
+    fn request_envelope_to_xml(envelope: &RequestEnvelope) -> String {
+        let mut out = String::new();
+        write_request(
+            &envelope.request,
+            envelope.id.map(|id| (id, envelope.ack)),
+            &mut out,
+        );
+        out
+    }
+
+    fn correlated_response_to_xml(re: Option<RequestId>, response: &Response) -> String {
+        let mut out = String::new();
+        write_response(response, re, &mut out);
+        out
+    }
+
+    fn response_to_xml(response: &Response) -> String {
+        correlated_response_to_xml(None, response)
+    }
+
+    fn event_to_xml(event: &WireEvent) -> String {
+        let mut out = String::new();
+        write_event(event, &mut out);
+        out
+    }
+
+    fn request_from_xml(text: &str) -> Result<Request, DecodeWireError> {
+        decode_request(&parse(text)?)
+    }
+
+    fn response_from_xml(text: &str) -> Result<Response, DecodeWireError> {
+        decode_response(&parse(text)?)
+    }
 
     #[test]
     fn value_roundtrips_cover_all_types() {
@@ -1090,7 +989,7 @@ mod tests {
         }
         assert_eq!(
             correlated_response_to_xml(None, &resp),
-            response_to_xml(&resp),
+            r#"<resp type="entry"><tuple><field type="str">x</field><field type="int">1</field></tuple></resp>"#,
             "uncorrelated responses keep the legacy form"
         );
     }

@@ -1,13 +1,14 @@
 //! A small XML document model: elements with attributes, text and child
 //! elements — the subset the wire protocol needs (no namespaces, CDATA or
-//! processing instructions beyond the prolog).
+//! processing instructions beyond the prolog). The parser builds it and the
+//! decoders walk it; the builder and serializer exist for tests only (the
+//! wire writer in [`crate::codec`] writes text directly).
 
-use core::fmt;
 use std::borrow::Cow;
 
 /// A node in an element's child list.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XmlNode {
+pub(crate) enum XmlNode {
     /// A child element.
     Element(XmlElement),
     /// A run of character data (already unescaped).
@@ -15,19 +16,8 @@ pub enum XmlNode {
 }
 
 /// An XML element.
-///
-/// # Examples
-///
-/// ```
-/// use tsbus_xmlwire::XmlElement;
-///
-/// let el = XmlElement::new("field")
-///     .with_attr("type", "int")
-///     .with_text("42");
-/// assert_eq!(el.to_xml(), r#"<field type="int">42</field>"#);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct XmlElement {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct XmlElement {
     name: String,
     attributes: Vec<(String, String)>,
     children: Vec<XmlNode>,
@@ -40,8 +30,8 @@ impl XmlElement {
     ///
     /// Panics if `name` is not a valid XML name (must start with a letter
     /// or `_`, continue with letters, digits, `-`, `_`, `.`).
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         let name = name.into();
         assert!(is_valid_name(&name), "invalid XML element name {name:?}");
         XmlElement {
@@ -51,8 +41,8 @@ impl XmlElement {
         }
     }
 
-    /// The parser's constructor: `name` was lexed with the same grammar
-    /// [`is_valid_name`] checks, so it is not checked again.
+    /// The parser's constructor: `name` was lexed with the name grammar,
+    /// so it is not checked again.
     pub(crate) fn from_lexed_name(name: &str) -> Self {
         XmlElement {
             name: name.to_owned(),
@@ -72,8 +62,7 @@ impl XmlElement {
     }
 
     /// The element name.
-    #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -82,8 +71,8 @@ impl XmlElement {
     /// # Panics
     ///
     /// Panics if `key` is not a valid XML name.
-    #[must_use]
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         let key = key.into();
         assert!(is_valid_name(&key), "invalid XML attribute name {key:?}");
         self.attributes.push((key, value.into()));
@@ -91,71 +80,48 @@ impl XmlElement {
     }
 
     /// Adds a child element (builder style).
-    #[must_use]
-    pub fn with_child(mut self, child: XmlElement) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_child(mut self, child: XmlElement) -> Self {
         self.children.push(XmlNode::Element(child));
         self
     }
 
     /// Adds a text child (builder style).
-    #[must_use]
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_text(mut self, text: impl Into<String>) -> Self {
         self.children.push(XmlNode::Text(text.into()));
         self
     }
 
     /// Appends a child element.
-    pub fn push_child(&mut self, child: XmlElement) {
+    pub(crate) fn push_child(&mut self, child: XmlElement) {
         self.children.push(XmlNode::Element(child));
     }
 
     /// The value of the first attribute named `key`, if present.
-    #[must_use]
-    pub fn attr(&self, key: &str) -> Option<&str> {
+    pub(crate) fn attr(&self, key: &str) -> Option<&str> {
         self.attributes
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
 
-    /// All attributes, in document order.
-    #[must_use]
-    pub fn attrs(&self) -> &[(String, String)] {
-        &self.attributes
-    }
-
-    /// All child nodes, in document order.
-    #[must_use]
-    pub fn children(&self) -> &[XmlNode] {
-        &self.children
-    }
-
     /// Child elements, in document order.
-    pub fn child_elements(&self) -> impl Iterator<Item = &XmlElement> {
+    pub(crate) fn child_elements(&self) -> impl Iterator<Item = &XmlElement> {
         self.children.iter().filter_map(|node| match node {
             XmlNode::Element(el) => Some(el),
             XmlNode::Text(_) => None,
         })
     }
 
-    /// Child elements with the given name.
-    pub fn children_named<'a>(
-        &'a self,
-        name: &'a str,
-    ) -> impl Iterator<Item = &'a XmlElement> + 'a {
-        self.child_elements().filter(move |el| el.name == name)
-    }
-
     /// The first child element with the given name.
-    #[must_use]
-    pub fn child_named(&self, name: &str) -> Option<&XmlElement> {
+    pub(crate) fn child_named(&self, name: &str) -> Option<&XmlElement> {
         self.child_elements().find(|el| el.name == name)
     }
 
     /// The concatenated text content of this element (direct text children
     /// only).
-    #[must_use]
-    pub fn text(&self) -> String {
+    pub(crate) fn text(&self) -> String {
         let mut out = String::new();
         for node in &self.children {
             if let XmlNode::Text(t) = node {
@@ -176,71 +142,14 @@ impl XmlElement {
     }
 
     /// Serializes to a compact XML string (no whitespace between tags).
-    #[must_use]
-    pub fn to_xml(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn to_xml(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out);
         out
     }
 
-    /// Serializes with two-space indentation — for logs and documentation,
-    /// not the wire (the extra whitespace would count as character data).
-    #[must_use]
-    pub fn to_xml_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        out.push_str(&pad);
-        out.push('<');
-        out.push_str(&self.name);
-        for (k, v) in &self.attributes {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            out.push_str(&escape(v));
-            out.push('"');
-        }
-        if self.children.is_empty() {
-            out.push_str("/>\n");
-            return;
-        }
-        // Elements with only text children stay on one line.
-        let only_text = self.children.iter().all(|c| matches!(c, XmlNode::Text(_)));
-        if only_text {
-            out.push('>');
-            for child in &self.children {
-                if let XmlNode::Text(t) = child {
-                    out.push_str(&escape(t));
-                }
-            }
-            out.push_str("</");
-            out.push_str(&self.name);
-            out.push_str(">\n");
-            return;
-        }
-        out.push_str(">\n");
-        for child in &self.children {
-            match child {
-                XmlNode::Element(el) => el.write_pretty(out, depth + 1),
-                XmlNode::Text(t) => {
-                    if !t.trim().is_empty() {
-                        out.push_str(&"  ".repeat(depth + 1));
-                        out.push_str(&escape(t));
-                        out.push('\n');
-                    }
-                }
-            }
-        }
-        out.push_str(&pad);
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push_str(">\n");
-    }
-
+    #[cfg(test)]
     fn write_into(&self, out: &mut String) {
         out.push('<');
         out.push_str(&self.name);
@@ -268,20 +177,6 @@ impl XmlElement {
     }
 }
 
-impl fmt::Display for XmlElement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_xml())
-    }
-}
-
-/// Escapes the five predefined XML entities.
-#[must_use]
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    escape_into(text, &mut out);
-    out
-}
-
 /// Appends `text` to `out` with the five predefined entities escaped —
 /// the serializers' allocation-free workhorse.
 pub(crate) fn escape_into(text: &str, out: &mut String) {
@@ -298,9 +193,9 @@ pub(crate) fn escape_into(text: &str, out: &mut String) {
 }
 
 /// Whether `name` is acceptable as an element or attribute name in this
-/// subset.
-#[must_use]
-pub fn is_valid_name(name: &str) -> bool {
+/// subset (the grammar the parser lexes names with).
+#[cfg(test)]
+fn is_valid_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
@@ -327,7 +222,9 @@ mod tests {
 
     #[test]
     fn escaping_covers_the_five_entities() {
-        assert_eq!(escape(r#"<a & "b'>"#), "&lt;a &amp; &quot;b&apos;&gt;");
+        let mut escaped = String::from("kept:");
+        escape_into(r#"<a & "b'>"#, &mut escaped);
+        assert_eq!(escaped, "kept:&lt;a &amp; &quot;b&apos;&gt;");
         let el = XmlElement::new("t").with_text("<&>");
         assert_eq!(el.to_xml(), "<t>&lt;&amp;&gt;</t>");
         let el = XmlElement::new("t").with_attr("v", "a\"b");
@@ -343,7 +240,6 @@ mod tests {
             .with_child(XmlElement::new("x").with_text("two"));
         assert_eq!(el.attr("a"), Some("1"));
         assert_eq!(el.attr("b"), None);
-        assert_eq!(el.children_named("x").count(), 2);
         assert_eq!(el.child_named("y").map(XmlElement::name), Some("y"));
         assert_eq!(
             el.child_named("x").map(XmlElement::text),
@@ -359,28 +255,6 @@ mod tests {
             .with_child(XmlElement::new("i").with_text("skip"))
             .with_text("b");
         assert_eq!(el.text(), "ab");
-    }
-
-    #[test]
-    fn pretty_printer_indents_and_inlines_text() {
-        let el = XmlElement::new("op").with_attr("type", "write").with_child(
-            XmlElement::new("tuple").with_child(
-                XmlElement::new("field")
-                    .with_attr("type", "int")
-                    .with_text("42"),
-            ),
-        );
-        let pretty = el.to_xml_pretty();
-        let expected = "<op type=\"write\">\n  <tuple>\n    <field type=\"int\">42</field>\n  </tuple>\n</op>\n";
-        assert_eq!(pretty, expected);
-        // Pretty output parses back to the same structure (whitespace-only
-        // text between elements is dropped by our parser? No — it is kept;
-        // so compare via compact serialization of a reparse of the COMPACT
-        // form instead; the pretty form is for humans.)
-        assert_eq!(
-            crate::parser::parse(&el.to_xml()).expect("compact parses"),
-            el
-        );
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The reference encoder for the direct XML writer in [`crate::codec`]:
 //! every message built as an [`XmlElement`] tree and serialized by
-//! [`XmlElement::to_xml`]. The writer must produce the same bytes for
-//! every message, which the property test below checks.
+//! [`XmlElement::to_xml`]. [`EncodeScratch`] must produce the same bytes
+//! for every message, from a fresh scratch and from one still holding an
+//! earlier message, which the property tests below check.
 
 use proptest::prelude::*;
 use tsbus_tuplespace::{EventKind, Pattern, Template, Tuple, Value, ValueType};
 
-use crate::codec::{
-    correlated_response_to_xml, correlated_response_to_xml_into, event_to_xml, event_to_xml_into,
-    request_envelope_to_xml, request_envelope_to_xml_into, request_to_xml, request_to_xml_into,
-    response_to_xml, Request, RequestEnvelope, RequestId, Response, WireEvent,
-};
+use crate::codec::{Request, RequestEnvelope, RequestId, Response, WireEvent};
 use crate::dom::XmlElement;
+use crate::{EncodeScratch, WireFormat};
 
 fn kind_name(kind: EventKind) -> &'static str {
     match kind {
@@ -266,12 +264,25 @@ fn request_id_strategy() -> impl Strategy<Value = Option<RequestId>> {
     )
 }
 
-/// Runs a writer into a buffer holding stale bytes, to check the `_into`
-/// forms clear it first.
-fn into_dirty(write: impl FnOnce(&mut String)) -> String {
-    let mut out = String::from("<stale/>");
-    write(&mut out);
-    out
+const XML: WireFormat = WireFormat::Xml;
+
+/// The encoded bytes as text (the XML writer only emits UTF-8).
+fn text(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("XML output is UTF-8")
+}
+
+/// A scratch whose buffer still holds an earlier (stale) message, to check
+/// each encode clears it first.
+fn dirty() -> EncodeScratch {
+    let mut scratch = EncodeScratch::new();
+    let _ = scratch.correlated_response(
+        Some(RequestId { client: 1, seq: 2 }),
+        &Response::Error {
+            message: "<stale/>".into(),
+        },
+        XML,
+    );
+    scratch
 }
 
 proptest! {
@@ -282,16 +293,17 @@ proptest! {
         id in request_id_strategy(),
         ack in any::<u64>(),
     ) {
+        let (mut fresh, mut stale) = (EncodeScratch::new(), dirty());
         let bare = encode_request(&request).to_xml();
-        prop_assert_eq!(request_to_xml(&request), bare.clone());
-        prop_assert_eq!(into_dirty(|out| request_to_xml_into(&request, out)), bare);
+        prop_assert_eq!(text(fresh.request(&request, XML)), bare.as_str());
+        prop_assert_eq!(text(stale.request(&request, XML)), bare.as_str());
         let envelope = RequestEnvelope { id, ack, request };
         let oracle = encode_request_envelope(&envelope).to_xml();
-        prop_assert_eq!(request_envelope_to_xml(&envelope), oracle.clone());
         prop_assert_eq!(
-            into_dirty(|out| request_envelope_to_xml_into(&envelope, out)),
-            oracle
+            text(fresh.request_envelope(&envelope, XML)),
+            oracle.as_str()
         );
+        prop_assert_eq!(text(stale.request_envelope(&envelope, XML)), oracle.as_str());
     }
 
     /// Every response, with and without an echoed identity, writes the
@@ -301,12 +313,20 @@ proptest! {
         response in response_strategy(),
         re in request_id_strategy(),
     ) {
-        prop_assert_eq!(response_to_xml(&response), encode_response(&response).to_xml());
-        let oracle = encode_correlated_response(re, &response).to_xml();
-        prop_assert_eq!(correlated_response_to_xml(re, &response), oracle.clone());
+        let (mut fresh, mut stale) = (EncodeScratch::new(), dirty());
+        let plain = encode_response(&response).to_xml();
         prop_assert_eq!(
-            into_dirty(|out| correlated_response_to_xml_into(re, &response, out)),
-            oracle
+            text(fresh.correlated_response(None, &response, XML)),
+            plain.as_str()
+        );
+        let oracle = encode_correlated_response(re, &response).to_xml();
+        prop_assert_eq!(
+            text(fresh.correlated_response(re, &response, XML)),
+            oracle.as_str()
+        );
+        prop_assert_eq!(
+            text(stale.correlated_response(re, &response, XML)),
+            oracle.as_str()
         );
     }
 
@@ -317,10 +337,11 @@ proptest! {
         kind in kind_strategy(),
         tuple in tuple_strategy(),
     ) {
+        let (mut fresh, mut stale) = (EncodeScratch::new(), dirty());
         let event = WireEvent { subscription, kind, tuple };
         let oracle = encode_event(&event).to_xml();
-        prop_assert_eq!(event_to_xml(&event), oracle.clone());
-        prop_assert_eq!(into_dirty(|out| event_to_xml_into(&event, out)), oracle);
+        prop_assert_eq!(text(fresh.event(&event, XML)), oracle.as_str());
+        prop_assert_eq!(text(stale.event(&event, XML)), oracle.as_str());
     }
 }
 
@@ -330,11 +351,13 @@ proptest! {
 /// free text; the document model's escaping test pins attribute values.)
 #[test]
 fn writer_layout_corners_are_pinned() {
-    let write = |tuple: Tuple| {
-        request_to_xml(&Request::Write {
+    let mut scratch = EncodeScratch::new();
+    let mut write = |tuple: Tuple| {
+        let request = Request::Write {
             tuple,
             lease_ns: None,
-        })
+        };
+        text(scratch.request(&request, XML)).to_owned()
     };
     assert_eq!(
         write(Tuple::new(vec![Value::Str(String::new())])),
@@ -352,19 +375,15 @@ fn writer_layout_corners_are_pinned() {
         write(Tuple::new(Vec::new())),
         r#"<op type="write"><tuple/></op>"#
     );
+    let mut response = |re: Option<RequestId>, message: &str| {
+        let error = Response::Error {
+            message: message.to_owned(),
+        };
+        text(scratch.correlated_response(re, &error, XML)).to_owned()
+    };
+    assert_eq!(response(None, ""), r#"<resp type="error"></resp>"#);
     assert_eq!(
-        response_to_xml(&Response::Error {
-            message: String::new()
-        }),
-        r#"<resp type="error"></resp>"#
-    );
-    assert_eq!(
-        correlated_response_to_xml(
-            Some(RequestId { client: 1, seq: 2 }),
-            &Response::Error {
-                message: "<busy>".into()
-            }
-        ),
+        response(Some(RequestId { client: 1, seq: 2 }), "<busy>"),
         r#"<resp type="error" client="1" seq="2">&lt;busy&gt;</resp>"#
     );
 }

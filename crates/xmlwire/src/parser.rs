@@ -34,18 +34,7 @@ impl std::error::Error for ParseXmlError {}
 ///
 /// Returns [`ParseXmlError`] on malformed input, including trailing
 /// non-whitespace after the root element.
-///
-/// # Examples
-///
-/// ```
-/// use tsbus_xmlwire::parse;
-///
-/// let root = parse(r#"<op type="take"><t a='1'>hi &amp; bye</t></op>"#)?;
-/// assert_eq!(root.name(), "op");
-/// assert_eq!(root.child_named("t").map(|t| t.text()), Some("hi & bye".into()));
-/// # Ok::<(), tsbus_xmlwire::ParseXmlError>(())
-/// ```
-pub fn parse(input: &str) -> Result<XmlElement, ParseXmlError> {
+pub(crate) fn parse(input: &str) -> Result<XmlElement, ParseXmlError> {
     let mut p = Parser {
         input,
         bytes: input.as_bytes(),
@@ -108,9 +97,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Lexes a name with the grammar of [`is_valid_name`](crate::is_valid_name),
-    /// borrowed from the input (the grammar is ASCII, so both ends of the
-    /// slice fall on character boundaries).
+    /// Lexes an element or attribute name (a letter or `_`, then letters,
+    /// digits, `-`, `_` or `.`), borrowed from the input (the grammar is
+    /// ASCII, so both ends of the slice fall on character boundaries).
     fn parse_name(&mut self) -> Result<&'a str, ParseXmlError> {
         let start = self.pos;
         match self.peek() {

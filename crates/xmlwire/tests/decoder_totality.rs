@@ -11,8 +11,7 @@ use proptest::sample::Index;
 use proptest::TestCaseError;
 use tsbus_tuplespace::{template, tuple, EventKind, Pattern, Template, ValueType};
 use tsbus_xmlwire::{
-    correlated_response_to_wire, event_to_wire, request_envelope_from_wire,
-    request_envelope_to_wire, response_to_wire, server_message_from_wire, Request, RequestEnvelope,
+    request_envelope_from_wire, server_message_from_wire, EncodeScratch, Request, RequestEnvelope,
     RequestId, Response, WireEvent, WireFormat, BINARY_MAGIC,
 };
 
@@ -74,19 +73,24 @@ fn valid_encodings() -> Vec<Vec<u8>> {
         client: 7,
         seq: u64::MAX,
     };
+    let mut scratch = EncodeScratch::new();
     let mut out = Vec::new();
     for format in FORMATS {
         for request in &requests {
             let bare = RequestEnvelope::bare(request.clone());
             let identified = RequestEnvelope::identified(id, 12, request.clone());
-            out.push(request_envelope_to_wire(&bare, format));
-            out.push(request_envelope_to_wire(&identified, format));
+            out.push(scratch.request_envelope(&bare, format).to_vec());
+            out.push(scratch.request_envelope(&identified, format).to_vec());
         }
         for response in &responses {
-            out.push(response_to_wire(response, format));
-            out.push(correlated_response_to_wire(Some(id), response, format));
+            out.push(scratch.correlated_response(None, response, format).to_vec());
+            out.push(
+                scratch
+                    .correlated_response(Some(id), response, format)
+                    .to_vec(),
+            );
         }
-        out.push(event_to_wire(&event, format));
+        out.push(scratch.event(&event, format).to_vec());
     }
     out
 }

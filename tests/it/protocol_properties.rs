@@ -1,13 +1,15 @@
-//! Property tests across the protocol layers: arbitrary tuples survive the
-//! XML wire codec, arbitrary chunkings survive message reassembly, and the
-//! two composed survive each other.
+//! Property tests across the protocol layers: arbitrary tuples and
+//! templates survive both wire formats (XML and binary), arbitrary
+//! chunkings survive message reassembly, and the two composed survive each
+//! other.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use tsbus_core::MessageAssembler;
 use tsbus_tuplespace::{Pattern, Template, Tuple, Value, ValueType};
 use tsbus_xmlwire::{
-    request_from_xml, request_to_xml, response_from_xml, response_to_xml, Request, Response,
+    request_envelope_from_wire, server_message_from_wire, EncodeScratch, Request, RequestEnvelope,
+    Response, ServerMessage, WireFormat,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -47,6 +49,24 @@ fn template_strategy() -> impl Strategy<Value = Template> {
     proptest::collection::vec(pattern_strategy(), 0..6).prop_map(Template::new)
 }
 
+fn format_strategy() -> impl Strategy<Value = WireFormat> {
+    prop_oneof![Just(WireFormat::Xml), Just(WireFormat::Binary)]
+}
+
+/// Decodes a request the way the server does: the result must be a bare
+/// envelope, tagged with the format it was sent in.
+fn request_from_wire(bytes: &[u8], format: WireFormat) -> Request {
+    let (envelope, detected) = request_envelope_from_wire(bytes).expect("own encoding decodes");
+    assert_eq!(detected, format, "the first byte selects the sent format");
+    let RequestEnvelope {
+        id: None, request, ..
+    } = envelope
+    else {
+        panic!("a bare request decodes without identity: {envelope:?}")
+    };
+    request
+}
+
 fn request_strategy() -> impl Strategy<Value = Request> {
     prop_oneof![
         (tuple_strategy(), proptest::option::of(any::<u64>()))
@@ -70,30 +90,33 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 }
 
 proptest! {
-    /// Any request survives the XML wire.
+    /// Any request survives either wire format.
     #[test]
-    fn requests_roundtrip_the_wire(request in request_strategy()) {
-        let xml = request_to_xml(&request);
-        prop_assert_eq!(request_from_xml(&xml).expect("own encoding decodes"), request);
+    fn requests_roundtrip_the_wire(request in request_strategy(), format in format_strategy()) {
+        let mut scratch = EncodeScratch::new();
+        let bytes = scratch.request(&request, format);
+        prop_assert_eq!(request_from_wire(bytes, format), request);
     }
 
-    /// Any entry/count/error response survives the XML wire.
+    /// Any entry/count/error response survives either wire format.
     #[test]
     fn responses_roundtrip_the_wire(
         tuple in proptest::option::of(tuple_strategy()),
         count in any::<u64>(),
         message in "\\PC{0,64}",
+        format in format_strategy(),
     ) {
+        let mut scratch = EncodeScratch::new();
         for response in [
             Response::WriteAck,
             Response::Entry { tuple: tuple.clone() },
             Response::Count { count },
             Response::Error { message: message.clone() },
         ] {
-            let xml = response_to_xml(&response);
+            let bytes = scratch.correlated_response(None, &response, format);
             prop_assert_eq!(
-                response_from_xml(&xml).expect("own encoding decodes"),
-                response
+                server_message_from_wire(bytes).expect("own encoding decodes"),
+                ServerMessage::Response { re: None, response }
             );
         }
     }
@@ -139,9 +162,10 @@ proptest! {
     fn chunked_wire_documents_survive(
         request in request_strategy(),
         chunk_size in 1usize..64,
+        format in format_strategy(),
     ) {
-        let xml = request_to_xml(&request);
-        let bytes = xml.as_bytes();
+        let mut scratch = EncodeScratch::new();
+        let bytes = scratch.request(&request, format);
         let mut asm = MessageAssembler::new();
         let mut whole = None;
         let chunks: Vec<&[u8]> = bytes.chunks(chunk_size).collect();
@@ -158,8 +182,7 @@ proptest! {
             }
         }
         let whole = whole.expect("assembler completes at eom");
-        let text = std::str::from_utf8(&whole).expect("xml is utf-8");
-        prop_assert_eq!(request_from_xml(text).expect("decodes"), request);
+        prop_assert_eq!(request_from_wire(&whole, format), request);
     }
 
     /// Matching is stable across the wire: if a template matches a tuple,
@@ -168,13 +191,15 @@ proptest! {
     fn matching_commutes_with_the_wire(
         tuple in tuple_strategy(),
         template in template_strategy(),
+        format in format_strategy(),
     ) {
-        let t_xml = request_to_xml(&Request::Write { tuple: tuple.clone(), lease_ns: None });
-        let p_xml = request_to_xml(&Request::Count { template: template.clone() });
+        let mut scratch = EncodeScratch::new();
+        let write = Request::Write { tuple: tuple.clone(), lease_ns: None };
         let Request::Write { tuple: tuple2, .. } =
-            request_from_xml(&t_xml).expect("decodes") else { unreachable!() };
+            request_from_wire(scratch.request(&write, format), format) else { unreachable!() };
+        let count = Request::Count { template: template.clone() };
         let Request::Count { template: template2 } =
-            request_from_xml(&p_xml).expect("decodes") else { unreachable!() };
+            request_from_wire(scratch.request(&count, format), format) else { unreachable!() };
         prop_assert_eq!(template.matches(&tuple), template2.matches(&tuple2));
     }
 }
