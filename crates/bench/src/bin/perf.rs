@@ -8,7 +8,9 @@
 //!     [--out BENCH_perf.json] [--check crates/bench/perf_baseline.json]
 //! ```
 //!
-//! `--smoke` shrinks every workload so the CI gate finishes in seconds;
+//! `--smoke` shrinks every workload so the CI gate finishes in seconds,
+//! and writes to `target/BENCH_perf_smoke.json` unless `--out` is given,
+//! so a smoke run never overwrites the committed full-mode report;
 //! `--check FILE` exits non-zero if any arm's speedup fell below 80 % of
 //! the committed baseline's (ratios are compared, not absolute events/sec,
 //! so the gate is insensitive to runner hardware).
@@ -19,14 +21,14 @@ use tsbus_bench::perf::{check_against, run_all};
 
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut out_path = "BENCH_perf.json".to_owned();
+    let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--out" => match args.next() {
-                Some(p) => out_path = p,
+                Some(p) => out_path = Some(p),
                 None => {
                     eprintln!("--out needs a path");
                     return ExitCode::from(2);
@@ -49,8 +51,19 @@ fn main() -> ExitCode {
     let report = run_all(smoke);
     println!("{}", report.to_table());
 
+    let out_path = out_path.unwrap_or_else(|| {
+        if smoke {
+            "target/BENCH_perf_smoke.json".to_owned()
+        } else {
+            "BENCH_perf.json".to_owned()
+        }
+    });
     let json = report.to_json();
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    let written = std::path::Path::new(&out_path)
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&out_path, &json));
+    if let Err(e) = written {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }

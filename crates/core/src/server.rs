@@ -5,10 +5,12 @@
 //! The agent owns a [`Space`], decodes [`Request`]s from [`NetDeliver`]
 //! messages, charges a per-request service time (the RMI hop + JVM work +
 //! socket wrapper of Fig. 4), applies the operation and replies. Blocking
-//! `read`/`take` requests that find no match park as waiters and are woken
-//! by later writes or by their timeout.
+//! `read`/`take` requests that find no match park in the space next to the
+//! notify subscriptions, as one store of continuations; a later write
+//! completes them, or their timeout answers them empty-handed. The agent
+//! only routes what the space hands back to the right client.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use bytes::Bytes;
 use tsbus_des::{
@@ -16,7 +18,7 @@ use tsbus_des::{
 };
 use tsbus_obs::{CounterId, DedupDecision, Registry, Snapshot, TraceEvent, Tracer, TupleOpKind};
 use tsbus_tpwire::NodeId;
-use tsbus_tuplespace::{Lease, Space, SubscriptionId, Template};
+use tsbus_tuplespace::{Lease, Space, SubscriptionId, Template, WaitKind};
 use tsbus_xmlwire::{
     request_envelope_from_wire, EncodeScratch, Request, RequestId, Response, WireEvent, WireFormat,
 };
@@ -34,28 +36,36 @@ struct Serviced {
     request: Request,
 }
 
-/// Internal timer: a parked waiter timed out.
+/// Internal timer: a parked read or take timed out.
 #[derive(Debug)]
-struct WaiterTimeout {
-    waiter: u64,
-}
+struct WaitTimeout(SubscriptionId);
 
 /// Internal timer: a lease deadline passed; sweep expirations so notify
 /// subscribers hear about them promptly.
 #[derive(Debug)]
 struct ExpirySweep;
 
+/// Where the outcome of a continuation in the space goes: the client's
+/// address and wire encoding, and what to send it.
 #[derive(Debug)]
-struct Waiter {
-    id: u64,
-    from: NodeId,
+struct Route {
+    to: NodeId,
     format: WireFormat,
-    /// The exactly-once identity of the parked request, if it carried one
-    /// (its eventual reply is cached for replay like any other).
-    request_id: Option<RequestId>,
-    template: Template,
-    take: bool,
-    timer: Option<EventId>,
+    reply: Reply,
+}
+
+#[derive(Debug)]
+enum Reply {
+    /// A parked read or take, answered once: by the write that completes
+    /// it or by its timeout timer. The reply carries the request's
+    /// exactly-once identity, if any, and is cached for replay.
+    Parked {
+        request_id: Option<RequestId>,
+        timer: Option<EventId>,
+    },
+    /// A wire subscription: each notification is pushed as an `<event>`
+    /// carrying this wire id.
+    Events { wire_id: u64 },
 }
 
 /// Request/response counters of a server agent — a point-in-time view
@@ -158,12 +168,10 @@ pub struct SpaceServerAgent {
     /// Additional cost per payload byte of the request (serialization
     /// work); zero by default.
     per_byte: SimDuration,
-    waiters: VecDeque<Waiter>,
-    next_waiter: u64,
-    /// Remote subscriptions: space subscription → (client address, wire
-    /// id, the client's wire encoding).
-    subscribers: HashMap<SubscriptionId, (NodeId, u64, WireFormat)>,
-    next_wire_sub: u64,
+    /// Reply routing for every parked read/take and wire subscription.
+    routes: HashMap<SubscriptionId, Route>,
+    /// The space subscription behind each wire subscription id (= index).
+    wire_subs: Vec<SubscriptionId>,
     /// The expiry sweep currently scheduled, if any.
     sweep_at: Option<SimTime>,
     /// Exactly-once reply cache for identity-carrying requests.
@@ -184,10 +192,8 @@ impl SpaceServerAgent {
             space: Space::new(),
             service_time,
             per_byte: SimDuration::ZERO,
-            waiters: VecDeque::new(),
-            next_waiter: 0,
-            subscribers: HashMap::new(),
-            next_wire_sub: 0,
+            routes: HashMap::new(),
+            wire_subs: Vec::new(),
             sweep_at: None,
             dedup: DedupCache::new(),
             scratch: EncodeScratch::new(),
@@ -282,14 +288,7 @@ impl SpaceServerAgent {
                 Admission::Replay(cached) => {
                     let id = self.obs.dedup_replays;
                     self.obs.dedup(ctx.now(), id, DedupDecision::Replay);
-                    self.obs.registry.inc(self.obs.responses);
-                    let endpoint = self.endpoint;
-                    let payload = Bytes::copy_from_slice(self.scratch.correlated_response(
-                        Some(request_id),
-                        &cached,
-                        format,
-                    ));
-                    ctx.send(endpoint, NetSend { to: from, payload });
+                    self.reply(ctx, from, format, Some(request_id), &cached);
                     return;
                 }
                 Admission::Acked => {
@@ -300,89 +299,41 @@ impl SpaceServerAgent {
             }
         }
         let now = ctx.now();
-        match request {
+        let lease_of = |ns: Option<u64>| {
+            ns.map_or(Lease::Forever, |ns| {
+                Lease::for_duration(now, SimDuration::from_nanos(ns))
+            })
+        };
+        let route = (from, format, id);
+        let response = match request {
             Request::Write { tuple, lease_ns } => {
-                let lease = match lease_ns {
-                    None => Lease::Forever,
-                    Some(ns) => Lease::for_duration(now, SimDuration::from_nanos(ns)),
-                };
-                self.space.write(tuple, lease, now);
-                self.obs.tracer.emit(TraceEvent::TupleOp {
-                    at: now,
-                    op: TupleOpKind::Write,
-                    hit: true,
-                });
-                self.reply(ctx, from, format, id, &Response::WriteAck);
-                self.wake_waiters(ctx);
+                self.space.write(tuple, lease_of(lease_ns), now);
+                self.trace_op(now, TupleOpKind::Write, true);
+                Some(Response::WriteAck)
             }
             Request::Read {
                 template,
                 timeout_ns,
-            } => match self.space.read(&template, now) {
-                Some(tuple) => {
-                    self.obs.tracer.emit(TraceEvent::TupleOp {
-                        at: now,
-                        op: TupleOpKind::Read,
-                        hit: true,
-                    });
-                    self.reply(
-                        ctx,
-                        from,
-                        format,
-                        id,
-                        &Response::Entry { tuple: Some(tuple) },
-                    );
-                }
-                None => self.park(ctx, from, format, id, template, false, timeout_ns),
-            },
+            } => self.read_or_park(ctx, route, template, WaitKind::Read, timeout_ns),
             Request::Take {
                 template,
                 timeout_ns,
-            } => match self.space.take(&template, now) {
-                Some(tuple) => {
-                    self.obs.tracer.emit(TraceEvent::TupleOp {
-                        at: now,
-                        op: TupleOpKind::Take,
-                        hit: true,
-                    });
-                    self.reply(
-                        ctx,
-                        from,
-                        format,
-                        id,
-                        &Response::Entry { tuple: Some(tuple) },
-                    );
-                }
-                None => self.park(ctx, from, format, id, template, true, timeout_ns),
-            },
+            } => self.read_or_park(ctx, route, template, WaitKind::Take, timeout_ns),
             Request::ReadIfExists { template } => {
                 let tuple = self.space.read(&template, now);
-                self.obs.tracer.emit(TraceEvent::TupleOp {
-                    at: now,
-                    op: TupleOpKind::Read,
-                    hit: tuple.is_some(),
-                });
-                self.reply(ctx, from, format, id, &Response::Entry { tuple });
+                self.trace_op(now, TupleOpKind::Read, tuple.is_some());
+                Some(Response::Entry { tuple })
             }
             Request::TakeIfExists { template } => {
                 let tuple = self.space.take(&template, now);
-                self.obs.tracer.emit(TraceEvent::TupleOp {
-                    at: now,
-                    op: TupleOpKind::Take,
-                    hit: tuple.is_some(),
-                });
-                self.reply(ctx, from, format, id, &Response::Entry { tuple });
+                self.trace_op(now, TupleOpKind::Take, tuple.is_some());
+                Some(Response::Entry { tuple })
             }
-            Request::Count { template } => {
-                let count = self.space.count(&template, now) as u64;
-                self.reply(ctx, from, format, id, &Response::Count { count });
-            }
+            Request::Count { template } => Some(Response::Count {
+                count: self.space.count(&template, now) as u64,
+            }),
             Request::Renew { template, lease_ns } => {
-                let lease = match lease_ns {
-                    None => Lease::Forever,
-                    Some(ns) => Lease::for_duration(now, SimDuration::from_nanos(ns)),
-                };
-                let renewed = self.space.renew(&template, lease, now) as u64;
+                let renewed = self.space.renew(&template, lease_of(lease_ns), now) as u64;
                 self.obs.registry.add(self.obs.renewals, renewed);
                 if renewed == 0 {
                     self.obs.registry.inc(self.obs.renew_misses);
@@ -392,51 +343,73 @@ impl SpaceServerAgent {
                     renewed,
                     missed: u64::from(renewed == 0),
                 });
-                self.reply(ctx, from, format, id, &Response::Count { count: renewed });
+                Some(Response::Count { count: renewed })
             }
             Request::Subscribe { template, kinds } => {
                 let sub = self.space.subscribe(template, kinds);
-                let wire_id = self.next_wire_sub;
-                self.next_wire_sub += 1;
-                self.subscribers.insert(sub, (from, wire_id, format));
-                self.reply(
-                    ctx,
-                    from,
+                let wire_id = self.wire_subs.len() as u64;
+                self.wire_subs.push(sub);
+                let reply = Reply::Events { wire_id };
+                let route = Route {
+                    to: from,
                     format,
-                    id,
-                    &Response::SubscriptionAck { id: wire_id },
-                );
+                    reply,
+                };
+                self.routes.insert(sub, route);
+                Some(Response::SubscriptionAck { id: wire_id })
             }
-            Request::Unsubscribe { id: sub_id } => {
-                let found = self
-                    .subscribers
-                    .iter()
-                    .find(|(_, &(_, wire_id, _))| wire_id == sub_id)
-                    .map(|(&sub, _)| sub);
-                match found {
+            Request::Unsubscribe { id: wire_id } => {
+                let sub = usize::try_from(wire_id)
+                    .ok()
+                    .and_then(|i| self.wire_subs.get(i).copied())
+                    .filter(|sub| self.routes.remove(sub).is_some());
+                Some(match sub {
                     Some(sub) => {
                         self.space.unsubscribe(sub);
-                        self.subscribers.remove(&sub);
-                        self.reply(ctx, from, format, id, &Response::WriteAck);
+                        Response::WriteAck
                     }
-                    None => {
-                        let response = Response::Error {
-                            message: format!("unknown subscription {sub_id}"),
-                        };
-                        self.reply(ctx, from, format, id, &response);
-                    }
-                }
+                    None => Response::Error {
+                        message: format!("unknown subscription {wire_id}"),
+                    },
+                })
             }
+        };
+        if let Some(response) = response {
+            self.reply(ctx, from, format, id, &response);
         }
-        self.pump_notifications(ctx);
+        self.deliver(ctx);
         self.arm_expiry_sweep(ctx);
     }
 
-    /// Pushes pending space notifications to their remote subscribers as
-    /// `<event>` documents.
-    fn pump_notifications(&mut self, ctx: &mut Context<'_>) {
+    fn trace_op(&mut self, at: SimTime, op: TupleOpKind, hit: bool) {
+        self.obs.tracer.emit(TraceEvent::TupleOp { at, op, hit });
+    }
+
+    /// Hands on what the space produced: first the reply to each parked
+    /// read or take a write completed, in wake order, then each
+    /// notification as an `<event>` pushed to its wire subscriber.
+    fn deliver(&mut self, ctx: &mut Context<'_>) {
+        for (wait, tuple) in self.space.drain_woken() {
+            let Some(Route {
+                to,
+                format,
+                reply: Reply::Parked { request_id, timer },
+            }) = self.routes.remove(&wait)
+            else {
+                continue;
+            };
+            if let Some(timer) = timer {
+                ctx.cancel(timer);
+            }
+            let response = Response::Entry { tuple: Some(tuple) };
+            self.reply(ctx, to, format, request_id, &response);
+        }
         for notification in self.space.drain_notifications() {
-            let Some(&(to, wire_id, format)) = self.subscribers.get(&notification.subscription)
+            let Some(&Route {
+                to,
+                format,
+                reply: Reply::Events { wire_id },
+            }) = self.routes.get(&notification.subscription)
             else {
                 continue; // a local (non-wire) subscription, if any
             };
@@ -454,7 +427,11 @@ impl SpaceServerAgent {
     /// Keeps an expiry sweep scheduled at the earliest lease deadline, so
     /// `Expired` notifications fire on time even on an idle server.
     fn arm_expiry_sweep(&mut self, ctx: &mut Context<'_>) {
-        if self.subscribers.is_empty() {
+        let subscribed = self
+            .routes
+            .values()
+            .any(|route| matches!(route.reply, Reply::Events { .. }));
+        if !subscribed {
             return; // nobody to tell; lazy expiry in ops suffices
         }
         let Some(deadline) = self.space.next_deadline() else {
@@ -469,66 +446,32 @@ impl SpaceServerAgent {
         ctx.schedule_at(due, target, ExpirySweep);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn park(
+    /// Answers a blocking read or take from the space, or parks it there
+    /// (with its timeout timer, if any) when nothing matches yet.
+    fn read_or_park(
         &mut self,
         ctx: &mut Context<'_>,
-        from: NodeId,
-        format: WireFormat,
-        request_id: Option<RequestId>,
+        (to, format, request_id): (NodeId, WireFormat, Option<RequestId>),
         template: Template,
-        take: bool,
+        kind: WaitKind,
         timeout_ns: Option<u64>,
-    ) {
-        self.obs.registry.inc(self.obs.parked);
-        let id = self.next_waiter;
-        self.next_waiter += 1;
-        let timer = timeout_ns.map(|ns| {
-            ctx.schedule_self_in(SimDuration::from_nanos(ns), WaiterTimeout { waiter: id })
-        });
-        self.waiters.push_back(Waiter {
-            id,
-            from,
-            format,
-            request_id,
-            template,
-            take,
-            timer,
-        });
-    }
-
-    /// Retries parked waiters in arrival order until none can make
-    /// progress.
-    fn wake_waiters(&mut self, ctx: &mut Context<'_>) {
+    ) -> Option<Response> {
         let now = ctx.now();
-        loop {
-            let mut satisfied: Option<(usize, tsbus_tuplespace::Tuple)> = None;
-            for (i, waiter) in self.waiters.iter().enumerate() {
-                let result = if waiter.take {
-                    self.space.take(&waiter.template, now)
-                } else {
-                    self.space.read(&waiter.template, now)
-                };
-                if let Some(tuple) = result {
-                    satisfied = Some((i, tuple));
-                    break;
-                }
-            }
-            let Some((i, tuple)) = satisfied else {
-                return;
-            };
-            let waiter = self.waiters.remove(i).expect("index from enumerate");
-            if let Some(timer) = waiter.timer {
-                ctx.cancel(timer);
-            }
-            self.reply(
-                ctx,
-                waiter.from,
-                waiter.format,
-                waiter.request_id,
-                &Response::Entry { tuple: Some(tuple) },
-            );
+        let (found, op) = match kind {
+            WaitKind::Read => (self.space.read(&template, now), TupleOpKind::Read),
+            WaitKind::Take => (self.space.take(&template, now), TupleOpKind::Take),
+        };
+        if found.is_some() {
+            self.trace_op(now, op, true);
+            return Some(Response::Entry { tuple: found });
         }
+        self.obs.registry.inc(self.obs.parked);
+        let wait = self.space.park(template, kind);
+        let timer = timeout_ns
+            .map(|ns| ctx.schedule_self_in(SimDuration::from_nanos(ns), WaitTimeout(wait)));
+        let reply = Reply::Parked { request_id, timer };
+        self.routes.insert(wait, Route { to, format, reply });
+        None
     }
 }
 
@@ -579,19 +522,19 @@ impl Component for SpaceServerAgent {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<WaiterTimeout>() {
+        let msg = match msg.downcast::<WaitTimeout>() {
             Ok(timeout) => {
-                let id = timeout.waiter;
-                if let Some(pos) = self.waiters.iter().position(|w| w.id == id) {
-                    let waiter = self.waiters.remove(pos).expect("position just found");
+                let WaitTimeout(wait) = *timeout;
+                if let Some(Route {
+                    to,
+                    format,
+                    reply: Reply::Parked { request_id, .. },
+                }) = self.routes.remove(&wait)
+                {
+                    self.space.unsubscribe(wait);
                     self.obs.registry.inc(self.obs.waiter_timeouts);
-                    self.reply(
-                        ctx,
-                        waiter.from,
-                        waiter.format,
-                        waiter.request_id,
-                        &Response::Entry { tuple: None },
-                    );
+                    let response = Response::Entry { tuple: None };
+                    self.reply(ctx, to, format, request_id, &response);
                 }
                 return;
             }
@@ -601,7 +544,7 @@ impl Component for SpaceServerAgent {
             self.sweep_at = None;
             let now = ctx.now();
             self.space.expire(now);
-            self.pump_notifications(ctx);
+            self.deliver(ctx);
             self.arm_expiry_sweep(ctx);
         }
     }

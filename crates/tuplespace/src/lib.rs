@@ -9,7 +9,8 @@
 //! * [`Value`] / [`Tuple`] / [`Template`] — the data model and the Linda
 //!   matching rule (exact fields, typed wildcards, untyped wildcards).
 //! * [`Space`] — the store: leased entries, timestamp total order (oldest
-//!   match wins), subscribe/notify events. Time-explicit, so it plugs into
+//!   match wins), and one continuation store for subscribe/notify events
+//!   and parked blocking reads and takes. Time-explicit, so it plugs into
 //!   the discrete-event simulation directly.
 //! * [`discovery`] — service discovery built on the space itself.
 //!
@@ -44,6 +45,7 @@ mod value;
 
 pub use space::{
     AuditRecord, EntryId, EventKind, Lease, Notification, Space, SpaceStats, SubscriptionId,
+    WaitKind,
 };
 pub use template::{IntoPattern, Pattern, Template};
 pub use tuple::Tuple;

@@ -1,10 +1,10 @@
 //! The tuplespace itself: a leased, associatively-addressed tuple store
-//! with deterministic (timestamp) ordering and subscribe/notify events.
+//! with deterministic (timestamp) ordering, subscribe/notify events and
+//! parked blocking reads and takes.
 //!
 //! [`Space`] is *passive* with respect to time: every operation takes the
-//! current instant explicitly, so the same type serves the discrete-event
-//! simulation (driven by [`SimTime`]) and the live threaded server (which
-//! maps wall-clock time onto `SimTime` offsets).
+//! current instant explicitly (a [`SimTime`] of the discrete-event
+//! simulation), and it never schedules anything itself.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -33,9 +33,19 @@ impl fmt::Display for EntryId {
     }
 }
 
-/// Identifies a subscription registered with [`Space::subscribe`].
+/// Identifies a continuation waiting in a space: a subscription from
+/// [`Space::subscribe`] or a parked read or take from [`Space::park`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubscriptionId(u64);
+
+/// The one-shot operation a wait parked by [`Space::park`] completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaitKind {
+    /// Gets a clone of the first matching live write.
+    Read,
+    /// Removes the first matching live write.
+    Take,
+}
 
 impl fmt::Display for SubscriptionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -109,10 +119,14 @@ struct Entry {
     written_at: SimTime,
 }
 
+/// A subscription or a parked one-shot read or take.
 #[derive(Debug, Clone)]
-struct Subscription {
+struct Continuation {
     id: SubscriptionId,
     template: Template,
+    /// Set for a parked read or take, which only writes complete.
+    once: Option<WaitKind>,
+    /// The event kinds a subscription hears of (none for a parked wait).
     kinds: Vec<EventKind>,
 }
 
@@ -203,6 +217,12 @@ pub struct AuditRecord {
 /// breaks ties), per the paper's footnote 1; `read`/`take` return the
 /// *oldest* live match, which makes producer/consumer patterns FIFO.
 ///
+/// Whatever waits for future tuples is a continuation in one store, in
+/// arrival order: subscriptions ([`subscribe`](Space::subscribe)) and
+/// parked reads and takes ([`park`](Space::park)). A write matches only
+/// the new tuple against them: a read or take parks only when nothing
+/// matches it, and only writes (and transaction aborts) add entries.
+///
 /// # Examples
 ///
 /// ```
@@ -223,8 +243,11 @@ pub struct AuditRecord {
 pub struct Space {
     /// Live entries, keyed by insertion sequence (= timestamp order).
     entries: BTreeMap<u64, Entry>,
-    subscriptions: Vec<Subscription>,
+    /// Subscriptions and parked reads/takes, in arrival order.
+    continuations: Vec<Continuation>,
     pending: Vec<Notification>,
+    /// Parked waits completed since the last drain, in wake order.
+    woken: Vec<(SubscriptionId, Tuple)>,
     next_entry: u64,
     next_subscription: u64,
     obs: SpaceInstruments,
@@ -284,8 +307,9 @@ impl Space {
     pub fn new() -> Self {
         Space {
             entries: BTreeMap::new(),
-            subscriptions: Vec::new(),
+            continuations: Vec::new(),
             pending: Vec::new(),
+            woken: Vec::new(),
             next_entry: 0,
             next_subscription: 0,
             obs: SpaceInstruments::default(),
@@ -423,40 +447,26 @@ impl Space {
         best.map_or(Candidates::Scan, Candidates::Bucket)
     }
 
-    /// The insertion seq of the oldest entry matching `template`.
-    fn oldest_match(&mut self, template: &Template) -> Option<u64> {
+    /// The entries matching `template` with their insertion seqs, oldest
+    /// first, drawn from [`candidates`](Space::candidates).
+    fn matching<'a>(
+        &'a mut self,
+        template: &'a Template,
+    ) -> impl Iterator<Item = (u64, &'a Entry)> + 'a {
         self.index_exact_positions(template);
-        match self.candidates(template) {
-            Candidates::Scan => self
-                .entries
-                .iter()
-                .find(|(_, entry)| template.matches(&entry.tuple))
-                .map(|(&seq, _)| seq),
-            Candidates::Empty => None,
-            Candidates::Bucket(bucket) => bucket
-                .iter()
-                .copied()
-                .find(|seq| template.matches(&self.entries[seq].tuple)),
-        }
-    }
-
-    /// The insertion seqs of every entry matching `template`, oldest first.
-    fn collect_matches(&mut self, template: &Template) -> Vec<u64> {
-        self.index_exact_positions(template);
-        match self.candidates(template) {
-            Candidates::Scan => self
-                .entries
-                .iter()
-                .filter(|(_, entry)| template.matches(&entry.tuple))
-                .map(|(&seq, _)| seq)
-                .collect(),
-            Candidates::Empty => Vec::new(),
-            Candidates::Bucket(bucket) => bucket
-                .iter()
-                .copied()
-                .filter(|seq| template.matches(&self.entries[seq].tuple))
-                .collect(),
-        }
+        let this: &'a Space = self;
+        let (scan, bucket) = match this.candidates(template) {
+            Candidates::Scan => (Some(this.entries.iter()), None),
+            Candidates::Empty => (None, None),
+            Candidates::Bucket(bucket) => (None, Some(bucket.iter())),
+        };
+        let scan = scan.into_iter().flatten().map(|(&seq, entry)| (seq, entry));
+        let bucket = bucket
+            .into_iter()
+            .flatten()
+            .map(|seq| (*seq, &this.entries[seq]));
+        scan.chain(bucket)
+            .filter(|(_, entry)| template.matches(&entry.tuple))
     }
 
     /// Number of live entries at `now` (expired entries are purged first).
@@ -527,7 +537,7 @@ impl Space {
     /// and its entries expire on their own.
     pub fn renew(&mut self, template: &Template, lease: Lease, now: SimTime) -> usize {
         self.expire(now);
-        let matching = self.collect_matches(template);
+        let matching: Vec<u64> = self.matching(template).map(|(seq, _)| seq).collect();
         let renewed = matching.len();
         for seq in matching {
             let entry = self.entries.get_mut(&seq).expect("collected above");
@@ -547,12 +557,25 @@ impl Space {
     }
 
     /// Writes a tuple with the given lease; returns its entry id.
+    ///
+    /// A tuple already dead at `now` wakes no parked wait; while any is
+    /// parked it expires at once (the lookup the wait stands for would see
+    /// that), otherwise lazily like any other entry.
     pub fn write(&mut self, tuple: Tuple, lease: Lease, now: SimTime) -> EntryId {
         self.expire(now);
         let seq = self.next_entry;
         self.next_entry += 1;
         let id = EntryId(seq);
-        self.notify_all_at(EventKind::Written, id, &tuple, now);
+        self.obs.registry.inc(self.obs.writes);
+        self.notify(EventKind::Written, id, &tuple, now);
+        let parked = self.continuations.iter().any(|c| c.once.is_some());
+        if parked && !lease.is_alive(now) {
+            self.note_expired(id, &tuple, lease, now);
+            return id;
+        }
+        if parked && self.wake_parked(id, &tuple, now) {
+            return id;
+        }
         let entry = Entry {
             id,
             tuple,
@@ -561,17 +584,42 @@ impl Space {
         };
         self.index_entry(seq, &entry);
         self.entries.insert(seq, entry);
-        self.obs.registry.inc(self.obs.writes);
         id
+    }
+
+    /// Completes the parked waits a live tuple matches, in arrival order:
+    /// each read gets a clone, and the first take removes the tuple and
+    /// ends the match. Returns whether a take removed it.
+    fn wake_parked(&mut self, entry: EntryId, tuple: &Tuple, now: SimTime) -> bool {
+        let (mut reads, mut taken) = (0, false);
+        let woken = &mut self.woken;
+        self.continuations.retain(|c| {
+            let Some(kind) = c.once else {
+                return true;
+            };
+            if taken || !c.template.matches(tuple) {
+                return true;
+            }
+            woken.push((c.id, tuple.clone()));
+            match kind {
+                WaitKind::Read => reads += 1,
+                WaitKind::Take => taken = true,
+            }
+            false
+        });
+        self.obs.registry.add(self.obs.reads, reads);
+        if taken {
+            self.obs.registry.inc(self.obs.takes);
+            self.notify(EventKind::Taken, entry, tuple, now);
+        }
+        taken
     }
 
     /// Returns (a clone of) the oldest live tuple matching `template`,
     /// without removing it.
     pub fn read(&mut self, template: &Template, now: SimTime) -> Option<Tuple> {
         self.expire(now);
-        let found = self
-            .oldest_match(template)
-            .map(|seq| self.entries[&seq].tuple.clone());
+        let found = self.matching(template).next().map(|(_, e)| e.tuple.clone());
         if found.is_some() {
             self.obs.registry.inc(self.obs.reads);
         } else {
@@ -584,27 +632,22 @@ impl Space {
     /// first, without removing any.
     pub fn read_all(&mut self, template: &Template, now: SimTime) -> Vec<Tuple> {
         self.expire(now);
-        self.collect_matches(template)
-            .into_iter()
-            .map(|seq| self.entries[&seq].tuple.clone())
+        self.matching(template)
+            .map(|(_, entry)| entry.tuple.clone())
             .collect()
     }
 
     /// Removes and returns the oldest live tuple matching `template`.
     pub fn take(&mut self, template: &Template, now: SimTime) -> Option<Tuple> {
         self.expire(now);
-        match self.oldest_match(template) {
-            Some(seq) => {
-                let entry = self.remove_entry(seq);
-                self.obs.registry.inc(self.obs.takes);
-                self.notify_all_at(EventKind::Taken, entry.id, &entry.tuple, now);
-                Some(entry.tuple)
-            }
-            None => {
-                self.obs.registry.inc(self.obs.misses);
-                None
-            }
-        }
+        let Some((seq, _)) = self.matching(template).next() else {
+            self.obs.registry.inc(self.obs.misses);
+            return None;
+        };
+        let entry = self.remove_entry(seq);
+        self.obs.registry.inc(self.obs.takes);
+        self.notify(EventKind::Taken, entry.id, &entry.tuple, now);
+        Some(entry.tuple)
     }
 
     /// Removes and returns up to `limit` live tuples matching `template`,
@@ -623,19 +666,7 @@ impl Space {
     /// Counts live entries matching `template`.
     pub fn count(&mut self, template: &Template, now: SimTime) -> usize {
         self.expire(now);
-        self.index_exact_positions(template);
-        match self.candidates(template) {
-            Candidates::Scan => self
-                .entries
-                .values()
-                .filter(|entry| template.matches(&entry.tuple))
-                .count(),
-            Candidates::Empty => 0,
-            Candidates::Bucket(bucket) => bucket
-                .iter()
-                .filter(|seq| template.matches(&self.entries[seq].tuple))
-                .count(),
-        }
+        self.matching(template).count()
     }
 
     /// The write instant of a live entry, if it is still present.
@@ -671,16 +702,20 @@ impl Space {
         }
         for seq in dead {
             let entry = self.remove_entry(seq);
-            self.obs.registry.inc(self.obs.expirations);
-            // The notification carries the lease deadline, not `now`: the
-            // entry ceased to exist at its deadline even if we only noticed
-            // later.
-            let at = match entry.lease {
-                Lease::Until(deadline) => deadline,
-                Lease::Forever => now,
-            };
-            self.notify_all_at(EventKind::Expired, entry.id, &entry.tuple, at);
+            self.note_expired(entry.id, &entry.tuple, entry.lease, now);
         }
+    }
+
+    /// Counts an expiry and fires its `Expired` event, stamped with the
+    /// lease deadline rather than `now`: the entry ceased to exist at its
+    /// deadline even if the space only noticed later.
+    fn note_expired(&mut self, entry: EntryId, tuple: &Tuple, lease: Lease, now: SimTime) {
+        self.obs.registry.inc(self.obs.expirations);
+        let at = match lease {
+            Lease::Until(deadline) => deadline,
+            Lease::Forever => now,
+        };
+        self.notify(EventKind::Expired, entry, tuple, at);
     }
 
     /// The earliest lease deadline among live entries — when the next
@@ -707,25 +742,51 @@ impl Space {
         template: Template,
         kinds: impl IntoIterator<Item = EventKind>,
     ) -> SubscriptionId {
+        self.add_continuation(template, None, kinds.into_iter().collect())
+    }
+
+    /// Parks a blocking read or take that found no match. A later live
+    /// write completes, in arrival order, every parked read it matches up
+    /// to the first parked take it matches, which removes the tuple.
+    /// Completed waits queue for [`drain_woken`](Space::drain_woken);
+    /// cancel one with [`unsubscribe`](Space::unsubscribe).
+    pub fn park(&mut self, template: Template, kind: WaitKind) -> SubscriptionId {
+        self.add_continuation(template, Some(kind), Vec::new())
+    }
+
+    fn add_continuation(
+        &mut self,
+        template: Template,
+        once: Option<WaitKind>,
+        kinds: Vec<EventKind>,
+    ) -> SubscriptionId {
         let id = SubscriptionId(self.next_subscription);
         self.next_subscription += 1;
-        self.subscriptions.push(Subscription {
+        self.continuations.push(Continuation {
             id,
             template,
-            kinds: kinds.into_iter().collect(),
+            once,
+            kinds,
         });
         id
     }
 
-    /// Removes a subscription. Unknown ids are ignored.
+    /// Removes a subscription or a parked wait that has not completed.
+    /// Unknown ids are ignored.
     pub fn unsubscribe(&mut self, id: SubscriptionId) {
-        self.subscriptions.retain(|s| s.id != id);
+        self.continuations.retain(|c| c.id != id);
     }
 
     /// Drains the notifications produced since the last drain, in event
     /// order.
     pub fn drain_notifications(&mut self) -> Vec<Notification> {
         std::mem::take(&mut self.pending)
+    }
+
+    /// Drains the parked waits completed since the last drain, in wake
+    /// order, each with the tuple it read or took.
+    pub fn drain_woken(&mut self) -> Vec<(SubscriptionId, Tuple)> {
+        std::mem::take(&mut self.woken)
     }
 
     pub(crate) fn txns(&self) -> &TxnRegistry {
@@ -745,7 +806,7 @@ impl Space {
         now: SimTime,
     ) -> Option<HeldEntry> {
         self.expire(now);
-        let seq = self.oldest_match(template)?;
+        let (seq, _) = self.matching(template).next()?;
         let entry = self.remove_entry(seq);
         self.obs.registry.inc(self.obs.takes);
         Some(HeldEntry {
@@ -757,11 +818,17 @@ impl Space {
     }
 
     /// Puts an aborted transaction's held entry back, original timestamp
-    /// order preserved. If its lease ran out while held, it expires
-    /// instead (with the usual notification stamped at the deadline).
+    /// order preserved, where parked waits see it like a write. If its
+    /// lease ran out while held, it expires instead (with the usual
+    /// notification stamped at the deadline).
     pub(crate) fn reinstate_entry(&mut self, held: HeldEntry, now: SimTime) {
-        if held.lease.is_alive(now) {
-            let id = EntryId(held.seq);
+        // The provisional take never officially happened, so takes must not
+        // count it; undo the counter bump from the txn take.
+        self.obs.registry.sub(self.obs.takes, 1);
+        let id = EntryId(held.seq);
+        if !held.lease.is_alive(now) {
+            self.note_expired(id, &held.tuple, held.lease, now);
+        } else if !self.wake_parked(id, &held.tuple, now) {
             let entry = Entry {
                 id,
                 tuple: held.tuple,
@@ -770,34 +837,12 @@ impl Space {
             };
             self.index_entry(held.seq, &entry);
             self.entries.insert(held.seq, entry);
-            // The provisional take never officially happened, so takes must
-            // not count it; undo the counter bump from the txn take.
-            self.obs.registry.sub(self.obs.takes, 1);
-        } else {
-            self.obs.registry.sub(self.obs.takes, 1);
-            self.obs.registry.inc(self.obs.expirations);
-            let at = match held.lease {
-                Lease::Until(deadline) => deadline,
-                Lease::Forever => now,
-            };
-            let id = EntryId(held.seq);
-            self.notify_all_at(EventKind::Expired, id, &held.tuple, at);
         }
     }
 
-    /// Fires a notification for an effect applied outside the normal
-    /// write/take/expire paths (transaction commits).
-    pub(crate) fn notify_external(
-        &mut self,
-        kind: EventKind,
-        entry: EntryId,
-        tuple: &Tuple,
-        at: SimTime,
-    ) {
-        self.notify_all_at(kind, entry, tuple, at);
-    }
-
-    fn notify_all_at(&mut self, kind: EventKind, entry: EntryId, tuple: &Tuple, at: SimTime) {
+    /// Records `kind` in the audit trail and notifies the subscriptions
+    /// it matches; transaction commits call it for their deferred takes.
+    pub(crate) fn notify(&mut self, kind: EventKind, entry: EntryId, tuple: &Tuple, at: SimTime) {
         // Build the record only when it is kept: `emit` takes it by value,
         // so an unguarded call would clone every tuple for nothing.
         if self.audit.is_enabled() {
@@ -808,10 +853,10 @@ impl Space {
                 at,
             });
         }
-        for sub in &self.subscriptions {
-            if sub.kinds.contains(&kind) && sub.template.matches(tuple) {
+        for c in &self.continuations {
+            if c.kinds.contains(&kind) && c.template.matches(tuple) {
                 self.pending.push(Notification {
-                    subscription: sub.id,
+                    subscription: c.id,
                     kind,
                     entry,
                     tuple: tuple.clone(),

@@ -12,9 +12,9 @@
 //! * notifications fire only for effects that actually commit.
 //!
 //! Simplification relative to full JavaSpaces (documented per DESIGN.md):
-//! transactions themselves are not leased — the simulation and the live
-//! server both control transaction lifetimes directly, so distributed
-//! transaction-manager crash recovery is out of scope.
+//! transactions themselves are not leased — their callers control
+//! transaction lifetimes directly, so distributed transaction-manager
+//! crash recovery is out of scope.
 
 use std::collections::HashMap;
 
@@ -214,7 +214,9 @@ impl Space {
             let _: EntryId = self.write(tuple, lease, now);
         }
         for held in state.taken {
-            self.notify_taken_at_commit(EntryId::from_seq(held.seq), &held.tuple, now);
+            // The `Taken` notification deferred to commit time.
+            let id = EntryId::from_seq(held.seq);
+            self.notify(EventKind::Taken, id, &held.tuple, now);
         }
         Ok(())
     }
@@ -232,11 +234,6 @@ impl Space {
             self.reinstate_entry(held, now);
         }
         Ok(())
-    }
-
-    /// Fires the `Taken` notifications deferred to commit time.
-    fn notify_taken_at_commit(&mut self, id: EntryId, tuple: &Tuple, now: SimTime) {
-        self.notify_external(EventKind::Taken, id, tuple, now);
     }
 }
 

@@ -457,9 +457,6 @@ fn decode_request(el: &XmlElement) -> Result<Request, DecodeWireError> {
                         .ok_or_else(|| shape(format!("unknown event kind {name:?}")))?,
                 );
             }
-            if kinds.is_empty() {
-                return Err(shape("subscribe op without event kinds"));
-            }
             Ok(Request::Subscribe {
                 template: template()?,
                 kinds,
@@ -901,6 +898,15 @@ mod tests {
         };
         let xml = request_to_xml(&req);
         assert_eq!(request_from_xml(&xml).expect("decodes"), req);
+        // No kinds: a subscription that never fires still round-trips.
+        let silent = Request::Subscribe {
+            template: template!["alert"],
+            kinds: Vec::new(),
+        };
+        assert_eq!(
+            request_from_xml(&request_to_xml(&silent)).expect("decodes"),
+            silent
+        );
 
         let unsub = Request::Unsubscribe { id: 7 };
         assert_eq!(

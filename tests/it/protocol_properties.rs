@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use tsbus_core::MessageAssembler;
-use tsbus_tuplespace::{Pattern, Template, Tuple, Value, ValueType};
+use tsbus_tuplespace::{EventKind, Pattern, Template, Tuple, Value, ValueType};
 use tsbus_xmlwire::{
     request_envelope_from_wire, server_message_from_wire, EncodeScratch, Request, RequestEnvelope,
     Response, ServerMessage, WireFormat,
@@ -49,6 +49,14 @@ fn template_strategy() -> impl Strategy<Value = Template> {
     proptest::collection::vec(pattern_strategy(), 0..6).prop_map(Template::new)
 }
 
+fn kind_strategy() -> impl Strategy<Value = EventKind> {
+    prop_oneof![
+        Just(EventKind::Written),
+        Just(EventKind::Taken),
+        Just(EventKind::Expired),
+    ]
+}
+
 fn format_strategy() -> impl Strategy<Value = WireFormat> {
     prop_oneof![Just(WireFormat::Xml), Just(WireFormat::Binary)]
 }
@@ -86,6 +94,14 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         template_strategy().prop_map(|template| Request::ReadIfExists { template }),
         template_strategy().prop_map(|template| Request::TakeIfExists { template }),
         template_strategy().prop_map(|template| Request::Count { template }),
+        (
+            template_strategy(),
+            proptest::collection::vec(kind_strategy(), 0..4)
+        )
+            .prop_map(|(template, kinds)| Request::Subscribe { template, kinds }),
+        any::<u64>().prop_map(|id| Request::Unsubscribe { id }),
+        (template_strategy(), proptest::option::of(any::<u64>()))
+            .prop_map(|(template, lease_ns)| Request::Renew { template, lease_ns }),
     ]
 }
 
