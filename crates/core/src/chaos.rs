@@ -566,6 +566,77 @@ pub fn run_chaos_trial(cfg: &ChaosConfig, seed: u64) -> ChaosTrial {
 mod tests {
     use super::*;
 
+    /// A fault environment spelled out: the burst channel's mean good and
+    /// bad sojourns (in frames), then `(ms, fault)` schedule events.
+    fn faults(
+        burst: Option<(u64, u64)>,
+        events: &[(u64, FaultKind)],
+    ) -> (Option<BurstParams>, FaultSchedule) {
+        let burst = burst
+            .map(|(good, bad)| BurstParams::with_mean_lengths(good as f64, bad as f64, 0.0, 1.0));
+        let schedule = events.iter().fold(FaultSchedule::new(), |s, &(ms, kind)| {
+            s.at(SimTime::from_millis(ms), kind)
+        });
+        (burst, schedule)
+    }
+
+    #[test]
+    fn fault_derivation_is_pinned() {
+        use FaultKind::{SlaveCrash as Crash, SlaveRevive as Revive};
+        // Literal environments of five seeds: saved chaos seeds (and the
+        // benchmark's restatement of this derivation) name these storms.
+        let pinned = [
+            (
+                0,
+                faults(Some((1238, 22)), &[(973, Crash(1)), (1155, Revive(1))]),
+            ),
+            (
+                3,
+                faults(
+                    None,
+                    &[
+                        (10562, Crash(3)),
+                        (10872, Revive(3)),
+                        (9100, Crash(3)),
+                        (9226, Revive(3)),
+                        (3597, Crash(3)),
+                        (3706, Revive(3)),
+                    ],
+                ),
+            ),
+            (11, faults(None, &[(10100, Crash(1)), (10164, Revive(1))])),
+            (
+                41,
+                faults(
+                    Some((1320, 15)),
+                    &[
+                        (1162, Crash(1)),
+                        (1352, Revive(1)),
+                        (10244, Crash(1)),
+                        (10621, Revive(1)),
+                        (667, Crash(3)),
+                        (778, Revive(3)),
+                    ],
+                ),
+            ),
+            (
+                2003,
+                faults(
+                    Some((1569, 16)),
+                    &[
+                        (5730, Crash(3)),
+                        (6133, Revive(3)),
+                        (724, Crash(1)),
+                        (976, Revive(1)),
+                    ],
+                ),
+            ),
+        ];
+        for (seed, expected) in pinned {
+            assert_eq!(derive_faults(seed), expected, "seed {seed}");
+        }
+    }
+
     #[test]
     fn a_quiet_seed_runs_clean_and_reproducibly() {
         let cfg = ChaosConfig::default();

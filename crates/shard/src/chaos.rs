@@ -387,6 +387,132 @@ mod tests {
         }
     }
 
+    /// One segment spelled out: the burst channel as mean good/bad
+    /// sojourns (frames), good-state error rate in units of 1e-5 and
+    /// bad-state error rate in percent; then `(ms, fault)` events.
+    type Segment = (Option<(u64, u64, u64, u64)>, &'static [(u64, FaultKind)]);
+
+    fn segments(spec: &[Segment]) -> (Vec<Option<BurstParams>>, Vec<FaultSchedule>) {
+        spec.iter()
+            .map(|&(burst, events)| {
+                let burst = burst.map(|(good, bad, p_good, p_bad)| {
+                    BurstParams::with_mean_lengths(
+                        good as f64,
+                        bad as f64,
+                        p_good as f64 * 1e-5,
+                        p_bad as f64 / 100.0,
+                    )
+                });
+                let schedule = events.iter().fold(FaultSchedule::new(), |s, &(ms, kind)| {
+                    s.at(tsbus_des::SimTime::from_millis(ms), kind)
+                });
+                (burst, schedule)
+            })
+            .unzip()
+    }
+
+    #[test]
+    fn fault_derivation_is_pinned() {
+        use FaultKind::{SlaveCrash as Crash, SlaveRevive as Revive};
+        // Literal four-shard environments of five seeds: saved sharded
+        // chaos seeds name these storms.
+        let pinned: [(u64, [Segment; 4]); 5] = [
+            (
+                0,
+                [
+                    (
+                        Some((3933, 330, 3, 21)),
+                        &[(14620, Crash(2)), (16654, Revive(2))],
+                    ),
+                    (None, &[]),
+                    (None, &[(14136, Crash(4)), (14866, Revive(4))]),
+                    (None, &[]),
+                ],
+            ),
+            (
+                3,
+                [
+                    (None, &[(7864, Crash(2)), (9136, Revive(2))]),
+                    (None, &[(17565, Crash(3)), (19945, Revive(3))]),
+                    (
+                        Some((19188, 142, 7, 19)),
+                        &[(8057, Crash(4)), (9247, Revive(4))],
+                    ),
+                    (
+                        None,
+                        &[
+                            (10582, Crash(5)),
+                            (10945, Revive(5)),
+                            (3381, Crash(5)),
+                            (5056, Revive(5)),
+                        ],
+                    ),
+                ],
+            ),
+            (
+                11,
+                [
+                    (None, &[(16816, Crash(2)), (18132, Revive(2))]),
+                    (
+                        Some((19066, 293, 6, 25)),
+                        &[(1053, Crash(3)), (2955, Revive(3))],
+                    ),
+                    (Some((16758, 239, 1, 29)), &[]),
+                    (None, &[(11522, Crash(5)), (13764, Revive(5))]),
+                ],
+            ),
+            (
+                41,
+                [
+                    (
+                        None,
+                        &[
+                            (13832, Crash(2)),
+                            (14340, Revive(2)),
+                            (10609, Crash(2)),
+                            (11036, Revive(2)),
+                        ],
+                    ),
+                    (
+                        Some((10173, 232, 5, 26)),
+                        &[(3274, Crash(3)), (3876, Revive(3))],
+                    ),
+                    (None, &[(11684, Crash(4)), (14158, Revive(4))]),
+                    (Some((15562, 125, 2, 23)), &[]),
+                ],
+            ),
+            (
+                2003,
+                [
+                    (
+                        Some((3601, 103, 3, 6)),
+                        &[(11218, Crash(2)), (13633, Revive(2))],
+                    ),
+                    (
+                        Some((15873, 142, 2, 7)),
+                        &[(5642, Crash(3)), (6275, Revive(3))],
+                    ),
+                    (
+                        Some((2903, 346, 1, 22)),
+                        &[(15449, Crash(4)), (17065, Revive(4))],
+                    ),
+                    (
+                        None,
+                        &[
+                            (9004, Crash(5)),
+                            (10383, Revive(5)),
+                            (19376, Crash(5)),
+                            (20487, Revive(5)),
+                        ],
+                    ),
+                ],
+            ),
+        ];
+        for (seed, spec) in pinned {
+            assert_eq!(derive_shard_faults(seed, 4), segments(&spec), "seed {seed}");
+        }
+    }
+
     #[test]
     fn quiet_cluster_trial_is_clean_and_replicated() {
         let cfg = ShardChaosConfig {
