@@ -18,13 +18,11 @@
 //! `--cache-dir` reuses finished trials as usual.
 
 use tsbus_bench::render_table;
+use tsbus_bench::storm::{run_batch, seed_batch, Batch};
 use tsbus_bench::supervision::supervision_axis_from_args;
 use tsbus_core::{run_chaos_trial, ChaosConfig, ChaosTrial};
 use tsbus_faults::SupervisionConfig;
-use tsbus_lab::{run_campaign, Campaign, LabArgs, Metrics, PointResult};
-
-/// Seeds in the default batch; the ISSUE floor is 50.
-const DEFAULT_SEEDS: u32 = 50;
+use tsbus_lab::{LabArgs, Metrics};
 
 fn to_metrics(t: &ChaosTrial) -> Metrics {
     let detail = t
@@ -54,108 +52,60 @@ fn to_metrics(t: &ChaosTrial) -> Metrics {
         .str("detail", &detail)
 }
 
-/// Everything a batch reports: per-seed violation lines plus the totals
-/// that go into the summary table.
-struct BatchOutcome {
-    seeds: usize,
-    violated_seeds: usize,
-    violations: u64,
-    finished: usize,
-    replays: u64,
-    timeouts: u64,
-    retries: u64,
-    hard_failures: u64,
-    trace_dropped: u64,
-    wasted_bits: u64,
-    open_issues: u64,
-    fast_fails: u64,
-    probes: u64,
-    rebalances: u64,
-}
-
-fn run_batch(
+fn chaos_batch(
     name: &str,
     dedup: bool,
     supervision: Option<SupervisionConfig>,
     seeds: &[u64],
     args: &LabArgs,
-) -> BatchOutcome {
+) -> Batch {
     let cfg = ChaosConfig {
         dedup,
         supervision,
         ..ChaosConfig::default()
     };
-    let campaign = Campaign::new(name, seeds.to_vec());
-    let report = run_campaign(
-        &campaign,
-        &args.exec_opts(),
-        |seed| format!("seed={seed}"),
-        |seed, _ctx| to_metrics(&run_chaos_trial(&cfg, *seed)),
-    )
-    .expect("result store I/O");
-
-    let mut out = BatchOutcome {
-        seeds: report.points.len(),
-        violated_seeds: 0,
-        violations: 0,
-        finished: 0,
-        replays: 0,
-        timeouts: 0,
-        retries: 0,
-        hard_failures: 0,
-        trace_dropped: 0,
-        wasted_bits: 0,
-        open_issues: 0,
-        fast_fails: 0,
-        probes: 0,
-        rebalances: 0,
-    };
-    for PointResult { point, reps, .. } in &report.points {
-        let m = &reps[0];
-        let violations = m.get_i64("violations") as u64;
-        if violations > 0 {
-            out.violated_seeds += 1;
-            println!("  seed {point}: {}", m.get_str("detail"));
-        }
-        out.violations += violations;
-        out.finished += usize::from(m.get_bool("finished"));
-        out.replays += m.get_i64("dedup_replays") as u64;
-        out.timeouts += m.get_i64("reply_timeouts") as u64;
-        out.retries += m.get_i64("bus_retries") as u64;
-        out.hard_failures += m.get_i64("bus_hard_failures") as u64;
-        out.trace_dropped += m.get_i64("trace_dropped") as u64;
-        out.wasted_bits += m.get_i64("wasted_bits") as u64;
-        out.open_issues += m.get_i64("open_issues") as u64;
-        out.fast_fails += m.get_i64("fast_fails") as u64;
-        out.probes += m.get_i64("probes") as u64;
-        out.rebalances += m.get_i64("rebalances") as u64;
-    }
-    if out.violated_seeds == 0 {
-        println!("  all {} seeds clean", out.seeds);
-    }
+    let batch = run_batch(name, seeds, args, &["violations"], |seed| {
+        to_metrics(&run_chaos_trial(&cfg, seed))
+    });
     // The harness arms only unbounded tracers; a drop would mean the audit
     // trail the invariant checks read was incomplete. Silent in the normal
     // case so batch output stays byte-identical across thread counts.
-    if out.trace_dropped > 0 {
-        println!(
-            "  warning: {} trace events dropped — audit evidence incomplete",
-            out.trace_dropped
-        );
+    let dropped = batch.total("trace_dropped");
+    if dropped > 0 {
+        println!("  warning: {dropped} trace events dropped — audit evidence incomplete");
     }
-    out
+    batch
 }
 
-fn row(label: &str, o: &BatchOutcome) -> Vec<String> {
+fn row(label: &str, o: &Batch) -> Vec<String> {
     vec![
         label.to_owned(),
         format!("{}/{}", o.violated_seeds, o.seeds),
-        o.violations.to_string(),
-        format!("{}/{}", o.finished, o.seeds),
-        o.replays.to_string(),
-        o.timeouts.to_string(),
-        o.retries.to_string(),
-        o.hard_failures.to_string(),
+        o.total("violations").to_string(),
+        o.of_seeds("finished"),
+        o.total("dedup_replays").to_string(),
+        o.total("reply_timeouts").to_string(),
+        o.total("bus_retries").to_string(),
+        o.total("bus_hard_failures").to_string(),
     ]
+}
+
+/// The supervision comparison row of one batch.
+fn supervision_row(label: &str, o: &Batch) -> Vec<String> {
+    let mut row = vec![label.to_owned()];
+    row.extend(
+        [
+            "violations",
+            "open_issues",
+            "bus_retries",
+            "wasted_bits",
+            "fast_fails",
+            "probes",
+            "rebalances",
+        ]
+        .map(|m| o.total(m).to_string()),
+    );
+    row
 }
 
 fn main() {
@@ -167,18 +117,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // `--seeds` sets the batch size here (each seed is its own point, one
-    // replication each) and `--seed` its base; a pinned `--seed` without
-    // an explicit batch size replays that one seed.
-    let n = if args.seeds > 1 {
-        u64::from(args.seeds)
-    } else if args.seed.is_some() {
-        1
-    } else {
-        u64::from(DEFAULT_SEEDS)
-    };
-    let base = args.seed.unwrap_or(0);
-    let seeds: Vec<u64> = (0..n).map(|i| base + i).collect();
+    let seeds = seed_batch(&args);
+    let base = seeds[0];
 
     println!(
         "Chaos campaign — {} randomized fault-schedule seeds (base {base})\n",
@@ -186,9 +126,9 @@ fn main() {
     );
 
     println!("dedup ON (request ids + duplicate cache + reply timeouts):");
-    let on = run_batch("chaos_dedup_on", true, None, &seeds, &args);
+    let on = chaos_batch("chaos_dedup_on", true, None, &seeds, &args);
     println!("\ndedup OFF (same workload and faults, raw end-to-end retries):");
-    let off = run_batch("chaos_dedup_off", false, None, &seeds, &args);
+    let off = chaos_batch("chaos_dedup_off", false, None, &seeds, &args);
 
     println!(
         "\n{}",
@@ -208,14 +148,15 @@ fn main() {
     );
 
     assert_eq!(
-        on.violations, 0,
+        on.total("violations"),
+        0,
         "exactly-once must hold under every fault storm ({} seeds violated)",
         on.violated_seeds
     );
     // A single-seed replay may legitimately be clean either way; only a
     // real batch must catch the ablation red-handed.
     assert!(
-        off.seeds < 10 || off.violations > 0,
+        off.seeds < 10 || off.total("violations") > 0,
         "the ablation must expose duplicate applies somewhere in {} seeds — \
          if it cannot, the harness is not testing anything",
         off.seeds
@@ -224,14 +165,15 @@ fn main() {
         "\nExactly-once holds: {} storms, zero invariant violations with the\n\
          protocol on; the same storms break conservation {} time(s) with it\n\
          off. Replay any seed above with `--seed <n>`.",
-        on.seeds, off.violations
+        on.seeds,
+        off.total("violations")
     );
 
     // ---- supervised batch (--supervision on|both; skipped under off so
     // the default-off output stays byte-identical) ----
     if sup_modes.contains(&"on") {
         println!("\ndedup ON + bus supervision (circuit breakers, quarantine, rebalancing):");
-        let sup = run_batch(
+        let sup = chaos_batch(
             "chaos_supervised",
             true,
             Some(SupervisionConfig::conservative()),
@@ -252,51 +194,40 @@ fn main() {
                     "rebalances",
                 ],
                 &[
-                    vec![
-                        "supervision off".to_owned(),
-                        on.violations.to_string(),
-                        on.open_issues.to_string(),
-                        on.retries.to_string(),
-                        on.wasted_bits.to_string(),
-                        on.fast_fails.to_string(),
-                        on.probes.to_string(),
-                        on.rebalances.to_string(),
-                    ],
-                    vec![
-                        "supervision on".to_owned(),
-                        sup.violations.to_string(),
-                        sup.open_issues.to_string(),
-                        sup.retries.to_string(),
-                        sup.wasted_bits.to_string(),
-                        sup.fast_fails.to_string(),
-                        sup.probes.to_string(),
-                        sup.rebalances.to_string(),
-                    ],
+                    supervision_row("supervision off", &on),
+                    supervision_row("supervision on", &sup),
                 ],
             )
         );
         assert_eq!(
-            sup.violations, 0,
+            sup.total("violations"),
+            0,
             "supervised storms must stay clean, including the open-issue \
              and rebalance-conservation invariants ({} seeds violated)",
             sup.violated_seeds
         );
         assert_eq!(
-            sup.open_issues, 0,
+            sup.total("open_issues"),
+            0,
             "no request may ever be issued to a slave whose breaker is Open"
         );
         assert!(
-            sup.wasted_bits < on.wasted_bits,
+            sup.total("wasted_bits") < on.total("wasted_bits"),
             "supervision must strictly reduce wasted bus time over the batch \
              ({} supervised vs {} unsupervised bit periods)",
-            sup.wasted_bits,
-            on.wasted_bits,
+            sup.total("wasted_bits"),
+            on.total("wasted_bits"),
         );
         println!(
             "\nSupervision holds on the same {} storms: zero violations, zero\n\
              requests to Open slaves, and {} vs {} bit periods wasted on\n\
              failure handling ({} fast-fails, {} probes, {} rebalances).",
-            sup.seeds, sup.wasted_bits, on.wasted_bits, sup.fast_fails, sup.probes, sup.rebalances,
+            sup.seeds,
+            sup.total("wasted_bits"),
+            on.total("wasted_bits"),
+            sup.total("fast_fails"),
+            sup.total("probes"),
+            sup.total("rebalances"),
         );
     }
 }

@@ -23,11 +23,9 @@
 //! Output is byte-identical regardless of `--threads`.
 
 use tsbus_bench::render_table;
-use tsbus_lab::{run_campaign, Campaign, LabArgs, Metrics, PointResult};
+use tsbus_bench::storm::{run_batch, seed_batch, Batch};
+use tsbus_lab::{LabArgs, Metrics};
 use tsbus_shard::{run_shard_chaos_trial, ShardChaosConfig, ShardChaosTrial, ShardViolationKind};
-
-/// Seeds in the default batch; the acceptance floor is 50.
-const DEFAULT_SEEDS: u32 = 50;
 
 fn to_metrics(t: &ShardChaosTrial) -> Metrics {
     let split = t
@@ -73,105 +71,31 @@ fn to_metrics(t: &ShardChaosTrial) -> Metrics {
         .str("detail", &detail)
 }
 
-/// Batch totals for the summary table and the gate assertions.
-struct BatchOutcome {
-    seeds: usize,
-    violated_seeds: usize,
-    split_ownership: u64,
-    quorum_loss: u64,
-    finished: usize,
-    degraded_ops: u64,
-    quorum_acks: u64,
-    quorum_failures: u64,
-    retries: u64,
-    fast_fails: u64,
-    parked_subops: u64,
-    dedup_replays: u64,
-    breaker_trips: u64,
+fn shard_batch(name: &str, cfg: &ShardChaosConfig, seeds: &[u64], args: &LabArgs) -> Batch {
+    let violations = ["split_ownership", "quorum_loss"];
+    run_batch(name, seeds, args, &violations, |seed| {
+        to_metrics(&run_shard_chaos_trial(cfg, seed))
+    })
 }
 
-fn run_batch(name: &str, cfg: &ShardChaosConfig, seeds: &[u64], args: &LabArgs) -> BatchOutcome {
-    let campaign = Campaign::new(name, seeds.to_vec());
-    let cfg = *cfg;
-    let report = run_campaign(
-        &campaign,
-        &args.exec_opts(),
-        |seed| format!("seed={seed}"),
-        |seed, _ctx| to_metrics(&run_shard_chaos_trial(&cfg, *seed)),
-    )
-    .expect("result store I/O");
-
-    let mut out = BatchOutcome {
-        seeds: report.points.len(),
-        violated_seeds: 0,
-        split_ownership: 0,
-        quorum_loss: 0,
-        finished: 0,
-        degraded_ops: 0,
-        quorum_acks: 0,
-        quorum_failures: 0,
-        retries: 0,
-        fast_fails: 0,
-        parked_subops: 0,
-        dedup_replays: 0,
-        breaker_trips: 0,
-    };
-    for PointResult { point, reps, .. } in &report.points {
-        let m = &reps[0];
-        let split = m.get_i64("split_ownership") as u64;
-        let quorum = m.get_i64("quorum_loss") as u64;
-        if split + quorum > 0 {
-            out.violated_seeds += 1;
-            println!("  seed {point}: {}", m.get_str("detail"));
-        }
-        out.split_ownership += split;
-        out.quorum_loss += quorum;
-        out.finished += usize::from(m.get_bool("finished"));
-        out.degraded_ops += m.get_i64("degraded_ops") as u64;
-        out.quorum_acks += m.get_i64("quorum_acks") as u64;
-        out.quorum_failures += m.get_i64("quorum_failures") as u64;
-        out.retries += m.get_i64("retries") as u64;
-        out.fast_fails += m.get_i64("fast_fails") as u64;
-        out.parked_subops += m.get_i64("parked_subops") as u64;
-        out.dedup_replays += m.get_i64("dedup_replays") as u64;
-        out.breaker_trips += m.get_i64("breaker_trips") as u64;
-    }
-    println!("  split-ownership violations: {}", out.split_ownership);
-    println!("  quorum-loss violations: {}", out.quorum_loss);
-    if out.violated_seeds == 0 {
-        println!("  all {} seeds clean", out.seeds);
-    }
-    out
-}
-
-fn row(label: &str, o: &BatchOutcome) -> Vec<String> {
+fn row(label: &str, o: &Batch) -> Vec<String> {
     vec![
         label.to_owned(),
         format!("{}/{}", o.violated_seeds, o.seeds),
-        o.split_ownership.to_string(),
-        o.quorum_loss.to_string(),
-        format!("{}/{}", o.finished, o.seeds),
-        o.quorum_acks.to_string(),
-        o.retries.to_string(),
-        o.dedup_replays.to_string(),
-        o.breaker_trips.to_string(),
+        o.total("split_ownership").to_string(),
+        o.total("quorum_loss").to_string(),
+        o.of_seeds("finished"),
+        o.total("quorum_acks").to_string(),
+        o.total("retries").to_string(),
+        o.total("dedup_replays").to_string(),
+        o.total("breaker_trips").to_string(),
     ]
 }
 
 fn main() {
     let args = LabArgs::from_env();
-    // `--seeds` sets the batch size (each seed is one point, one
-    // replication) and `--seed` its base; a pinned `--seed` without an
-    // explicit batch size replays that one seed.
-    let n = if args.seeds > 1 {
-        u64::from(args.seeds)
-    } else if args.seed.is_some() {
-        1
-    } else {
-        u64::from(DEFAULT_SEEDS)
-    };
-    let base = args.seed.unwrap_or(0);
-    let seeds: Vec<u64> = (0..n).map(|i| base + i).collect();
+    let seeds = seed_batch(&args);
+    let base = seeds[0];
 
     let supervised = ShardChaosConfig::default();
     println!(
@@ -184,7 +108,7 @@ fn main() {
     );
 
     println!("replicated + exactly-once + supervision (the shipping configuration):");
-    let on = run_batch("shard_chaos_on", &supervised, &seeds, &args);
+    let on = shard_batch("shard_chaos_on", &supervised, &seeds, &args);
 
     println!("\nablation: retries under fresh identities, unsupervised segments:");
     let ablated = ShardChaosConfig {
@@ -192,7 +116,7 @@ fn main() {
         supervision: None,
         ..ShardChaosConfig::default()
     };
-    let off = run_batch("shard_chaos_ablated", &ablated, &seeds, &args);
+    let off = shard_batch("shard_chaos_ablated", &ablated, &seeds, &args);
 
     println!(
         "\n{}",
@@ -213,13 +137,15 @@ fn main() {
     );
 
     assert_eq!(
-        on.split_ownership, 0,
+        on.total("split_ownership"),
+        0,
         "split-ownership must hold under every outage storm \
          ({} seeds violated)",
         on.violated_seeds
     );
     assert_eq!(
-        on.quorum_loss, 0,
+        on.total("quorum_loss"),
+        0,
         "quorum durability must hold under every outage storm \
          ({} seeds violated)",
         on.violated_seeds
@@ -227,7 +153,7 @@ fn main() {
     // A single-seed replay may legitimately be clean either way; only a
     // real batch must catch the ablation red-handed.
     assert!(
-        off.seeds < 10 || off.split_ownership + off.quorum_loss > 0,
+        off.seeds < 10 || off.total("split_ownership") + off.total("quorum_loss") > 0,
         "the ablation must break an invariant somewhere in {} seeds — \
          if it cannot, the harness is not testing anything",
         off.seeds
@@ -239,9 +165,9 @@ fn main() {
          invariants {} time(s) with fresh-identity retries and no supervision.\n\
          Replay any seed above with `--seed <n>`.",
         on.seeds,
-        on.degraded_ops,
-        on.parked_subops,
-        on.fast_fails,
-        off.split_ownership + off.quorum_loss,
+        on.total("degraded_ops"),
+        on.total("parked_subops"),
+        on.total("fast_fails"),
+        off.total("split_ownership") + off.total("quorum_loss"),
     );
 }

@@ -34,6 +34,7 @@
 
 pub mod dedup_cost;
 pub mod perf;
+pub mod storm;
 pub mod supervision;
 pub mod workload;
 

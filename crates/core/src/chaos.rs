@@ -19,20 +19,19 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tsbus_des::{ComponentId, SimDuration, SimTime, Simulator};
-use tsbus_faults::{BurstParams, FaultDriver, FaultKind, FaultSchedule, SupervisionConfig};
-use tsbus_tpwire::{BusParams, NodeId, TpWireBus, FRAME_BITS};
-use tsbus_tuplespace::{EventKind, Pattern, Template, Tuple, Value};
+use tsbus_des::{SimDuration, SimTime, Simulator, SplitMix64};
+use tsbus_faults::{BurstParams, FaultKind, FaultSchedule, SupervisionConfig};
+use tsbus_tpwire::{BusParams, TpWireBus, FRAME_BITS};
+use tsbus_tuplespace::{EventKind, Pattern, Template, Tuple, Value, ValueType};
 use tsbus_xmlwire::{Request, WireFormat};
 
-use crate::buscbr::{BusCbrSink, BusCbrSource};
 use crate::client::{ClientStep, RecoveryPolicy, ScriptedClient};
-use crate::endpoint::{EndpointCosts, TpwireEndpoint};
+use crate::endpoint::EndpointCosts;
+use crate::scenario::{
+    case_study_client, case_study_server, run_until_client_finishes, CaseStudyStack, BUS,
+    CLIENT_APP, SERVER_APP,
+};
 use crate::server::SpaceServerAgent;
-
-fn node(id: u8) -> NodeId {
-    NodeId::new(id).expect("static chaos node ids are in range")
-}
 
 /// Parameters of one chaos trial (everything except the seed).
 #[derive(Debug, Clone, Copy)]
@@ -188,47 +187,58 @@ pub struct ChaosTrial {
     pub events_processed: u64,
 }
 
-/// splitmix64 — the fault/channel derivation stream. Self-contained so a
-/// seed alone pins the whole trial.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform draw in `[lo, hi)` from the derivation stream.
-fn draw(state: &mut u64, lo: u64, hi: u64) -> u64 {
-    lo + splitmix64(state) % (hi - lo)
-}
-
-/// The workload's exact item tuple: `("item", i)`.
-fn item_tuple(i: u64) -> Tuple {
+/// The canonical workload tuple: `("item", i)`. Both storm harnesses
+/// write it (this module's trial and `tsbus_shard`'s cluster, where field
+/// 1 is the shard key), so the item vocabulary lives here once.
+#[must_use]
+pub fn item_tuple(i: u64) -> Tuple {
     Tuple::new(vec![Value::from("item"), Value::Int(i as i64)])
 }
 
-/// Which item an audit/event tuple concerns, if it is a workload item.
-fn item_of(tuple: &Tuple) -> Option<u64> {
+/// Recovers the item index from a workload tuple, if it is one.
+#[must_use]
+pub fn item_of(tuple: &Tuple) -> Option<u64> {
+    if tuple.arity() != 2 {
+        return None;
+    }
     match (tuple.field(0), tuple.field(1)) {
-        (Some(Value::Str(tag)), Some(&Value::Int(i))) if tag == "item" && i >= 0 => Some(i as u64),
+        (Some(Value::Str(tag)), Some(Value::Int(i))) if tag == "item" && *i >= 0 => Some(*i as u64),
         _ => None,
     }
+}
+
+/// The exact template addressing one item (keyed: a shard router sends
+/// it to the owner).
+#[must_use]
+pub fn item_template(i: u64) -> Template {
+    Template::new(vec![
+        Pattern::Exact(Value::from("item")),
+        Pattern::Exact(Value::Int(i as i64)),
+    ])
+}
+
+/// The template matching any item (a shard router scatter-gathers it).
+#[must_use]
+pub fn any_item_template() -> Template {
+    Template::new(vec![
+        Pattern::Exact(Value::from("item")),
+        Pattern::AnyOfType(ValueType::Int),
+    ])
 }
 
 /// Derives the randomized fault environment of a trial: a burst error
 /// channel (most trials) and a schedule of NIC crash/revive windows and
 /// chain break/heal windows placed inside the workload's active phase.
 fn derive_faults(seed: u64) -> (Option<BurstParams>, FaultSchedule) {
-    let mut s = seed ^ 0x000C_4A05_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut s = SplitMix64::new(seed ^ 0x000C_4A05_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // Warm the stream so small seeds diverge.
-    let _ = splitmix64(&mut s);
+    let _ = s.next_u64();
 
-    let burst = if draw(&mut s, 0, 3) < 2 {
+    let burst = if s.range(0, 3) < 2 {
         // Dense error bursts: short good sojourns, total loss inside a
         // burst. Severity varies per seed.
-        let mean_good = draw(&mut s, 300, 3_000) as f64;
-        let mean_bad = draw(&mut s, 4, 40) as f64;
+        let mean_good = s.range(300, 3_000) as f64;
+        let mean_bad = s.range(4, 40) as f64;
         Some(BurstParams::with_mean_lengths(
             mean_good, mean_bad, 0.0, 1.0,
         ))
@@ -237,18 +247,17 @@ fn derive_faults(seed: u64) -> (Option<BurstParams>, FaultSchedule) {
     };
 
     let mut schedule = FaultSchedule::new();
-    let mut events = 0usize;
     // 1–3 outage windows, each a crash/revive (client NIC or server NIC)
     // or a chain break/heal, placed in the first ~12 s where the workload
     // is active. Crashing the *client's* NIC while a reply is in flight
     // is the canonical lost-reply generator.
-    let n_windows = draw(&mut s, 1, 4);
+    let n_windows = s.range(1, 4);
     for _ in 0..n_windows {
-        let start_ms = draw(&mut s, 100, 12_000);
-        let len_ms = draw(&mut s, 40, 600);
+        let start_ms = s.range(100, 12_000);
+        let len_ms = s.range(40, 600);
         let start = SimTime::from_millis(start_ms);
         let end = SimTime::from_millis(start_ms + len_ms);
-        match draw(&mut s, 0, 3) {
+        match s.range(0, 3) {
             0 => {
                 schedule = schedule
                     .at(start, FaultKind::SlaveCrash(1))
@@ -260,27 +269,21 @@ fn derive_faults(seed: u64) -> (Option<BurstParams>, FaultSchedule) {
                     .at(end, FaultKind::SlaveRevive(3));
             }
             _ => {
-                let after = draw(&mut s, 1, 3) as usize;
+                let after = s.range(1, 3) as usize;
                 schedule = schedule
                     .at(start, FaultKind::ChainBreak { after })
                     .at(end, FaultKind::ChainHeal);
             }
         }
-        events += 2;
     }
-    debug_assert_eq!(schedule.events().len(), events);
     (burst, schedule)
 }
 
 /// The chaos workload script: subscribe to item events, write the K
 /// items, then take each back with an exact template.
 fn chaos_script(n_items: u64) -> Vec<ClientStep> {
-    let any_item = Template::new(vec![
-        Pattern::Exact(Value::from("item")),
-        Pattern::AnyOfType(tsbus_tuplespace::ValueType::Int),
-    ]);
     let mut script = vec![ClientStep::Request(Request::Subscribe {
-        template: any_item,
+        template: any_item_template(),
         kinds: vec![EventKind::Written, EventKind::Taken],
     })];
     for i in 0..n_items {
@@ -291,10 +294,7 @@ fn chaos_script(n_items: u64) -> Vec<ClientStep> {
     }
     for i in 0..n_items {
         script.push(ClientStep::Request(Request::TakeIfExists {
-            template: Template::new(vec![
-                Pattern::Exact(Value::from("item")),
-                Pattern::Exact(Value::Int(i as i64)),
-            ]),
+            template: item_template(i),
         }));
     }
     script
@@ -319,81 +319,35 @@ pub fn run_chaos_trial(cfg: &ChaosConfig, seed: u64) -> ChaosTrial {
 
     let mut sim = Simulator::with_seed(seed);
     sim.set_pooling(cfg.pooling);
-    let client_app = ComponentId::from_raw(0);
-    let server_app = ComponentId::from_raw(1);
-    let ep_client = ComponentId::from_raw(2);
-    let ep_server = ComponentId::from_raw(3);
-    let cbr_src = ComponentId::from_raw(4);
-    let cbr_sink = ComponentId::from_raw(5);
-    let bus_id = ComponentId::from_raw(6);
-
     let recovery = RecoveryPolicy::new(6, SimDuration::from_millis(150))
         .with_reply_timeout(SimDuration::from_millis(1_200));
-    let mut client = ScriptedClient::new(
-        ep_client,
-        node(3),
-        SimDuration::from_millis(5),
-        chaos_script(cfg.n_items),
-    )
-    .with_format(cfg.wire_format)
-    .with_recovery(recovery);
-    if cfg.dedup {
-        client = client.with_exactly_once(1);
-    }
-    let c = sim.add_component("client", client);
-    debug_assert_eq!(c, client_app);
-
-    let mut server = SpaceServerAgent::new(ep_server, SimDuration::from_millis(30));
+    let mut server = case_study_server(SimDuration::from_millis(30));
     server.space_mut().set_indexed(cfg.indexed_space);
     // The audit trail is the trial's ground truth.
     server.space_mut().enable_audit();
-    sim.add_component("server", server);
-
-    sim.add_component(
-        "ep_client",
-        TpwireEndpoint::new(
-            node(1),
-            client_app,
-            bus_id,
-            EndpointCosts::symmetric(SimDuration::from_millis(5)),
-        ),
-    );
-    sim.add_component(
-        "ep_server",
-        TpwireEndpoint::new(
-            node(3),
-            server_app,
-            bus_id,
-            EndpointCosts::symmetric(SimDuration::from_millis(5)),
-        ),
-    );
-    // Light background traffic keeps the bus arbitrating between flows.
-    sim.add_component("cbr", BusCbrSource::new(bus_id, node(2), node(4), 20.0, 2));
-    sim.add_component("cbr_sink", BusCbrSink::new());
-    let mut bus = TpWireBus::new(bus_params, vec![node(1), node(2), node(3), node(4)]);
-    bus.attach(node(1), ep_client);
-    bus.attach(node(2), cbr_src);
-    bus.attach(node(3), ep_server);
-    bus.attach(node(4), cbr_sink);
-    let b = sim.add_component("bus", bus);
-    debug_assert_eq!(b, bus_id);
     let fault_events = schedule.events().len();
-    sim.add_component("faults", FaultDriver::new(bus_id, schedule));
-
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let slice = SimDuration::from_secs(1);
-    while sim.now() < horizon {
-        let until = (sim.now() + slice).min(horizon);
-        sim.run_until(until);
-        let client: &ScriptedClient = sim.component(client_app).expect("registered");
-        if client.is_finished() {
-            break;
-        }
+    CaseStudyStack {
+        client: case_study_client(
+            SimDuration::from_millis(5),
+            chaos_script(cfg.n_items),
+            cfg.wire_format,
+            Some(recovery),
+            cfg.dedup,
+        ),
+        server,
+        client_endpoint: EndpointCosts::symmetric(SimDuration::from_millis(5)),
+        server_endpoint: EndpointCosts::symmetric(SimDuration::from_millis(5)),
+        // Light background traffic keeps the bus arbitrating between flows.
+        cbr: (20.0, 2),
+        bus: bus_params,
+        faults: schedule,
     }
+    .build(&mut sim);
+    run_until_client_finishes(&mut sim, cfg.horizon, SimDuration::from_secs(1));
 
-    let client: &ScriptedClient = sim.component(client_app).expect("registered");
-    let server: &SpaceServerAgent = sim.component(server_app).expect("registered");
-    let bus_ref: &TpWireBus = sim.component(bus_id).expect("registered");
+    let client: &ScriptedClient = sim.component(CLIENT_APP).expect("registered");
+    let server: &SpaceServerAgent = sim.component(SERVER_APP).expect("registered");
+    let bus_ref: &TpWireBus = sim.component(BUS).expect("registered");
 
     // ---- ground truth: the audit trail and the final space content ----
     let mut written: BTreeMap<u64, u64> = BTreeMap::new();

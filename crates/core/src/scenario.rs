@@ -362,70 +362,28 @@ pub fn run_case_study_observed(
     seed: u64,
 ) -> (CaseStudyResult, Snapshot) {
     let mut sim = Simulator::with_seed(seed);
-    // Id layout (registration order below must match):
-    //   0 client app, 1 server app, 2 client endpoint, 3 server endpoint,
-    //   4 CBR source, 5 CBR sink, 6 bus (7 fault driver, when scheduled).
-    let client_app = ComponentId::from_raw(0);
-    let server_app = ComponentId::from_raw(1);
-    let ep_client = ComponentId::from_raw(2);
-    let ep_server = ComponentId::from_raw(3);
-    let cbr_src = ComponentId::from_raw(4);
-    let cbr_sink = ComponentId::from_raw(5);
-    let bus_id = ComponentId::from_raw(6);
-
-    let script = case_study_script(cfg.entry_bytes, cfg.lease, cfg.take_delay);
-    let mut client = ScriptedClient::new(ep_client, node(3), cfg.client_think, script)
-        .with_format(cfg.wire_format);
-    if let Some(policy) = cfg.recovery {
-        client = client.with_recovery(policy);
+    CaseStudyStack {
+        client: case_study_client(
+            cfg.client_think,
+            case_study_script(cfg.entry_bytes, cfg.lease, cfg.take_delay),
+            cfg.wire_format,
+            cfg.recovery,
+            cfg.exactly_once,
+        ),
+        server: case_study_server(cfg.server_service),
+        client_endpoint: cfg.client_endpoint,
+        server_endpoint: cfg.server_endpoint,
+        cbr: (cfg.cbr_rate, cfg.cbr_packet),
+        bus: cfg.bus,
+        faults: faults.clone(),
     }
-    if cfg.exactly_once {
-        client = client.with_exactly_once(1);
-    }
-    let c = sim.add_component("client", client);
-    debug_assert_eq!(c, client_app);
-    sim.add_component(
-        "server",
-        SpaceServerAgent::new(ep_server, cfg.server_service),
-    );
-    sim.add_component(
-        "ep_client",
-        TpwireEndpoint::new(node(1), client_app, bus_id, cfg.client_endpoint),
-    );
-    sim.add_component(
-        "ep_server",
-        TpwireEndpoint::new(node(3), server_app, bus_id, cfg.server_endpoint),
-    );
-    sim.add_component(
-        "cbr",
-        BusCbrSource::new(bus_id, node(2), node(4), cfg.cbr_rate, cfg.cbr_packet),
-    );
-    sim.add_component("cbr_sink", BusCbrSink::new());
-    let mut bus = TpWireBus::new(cfg.bus, vec![node(1), node(2), node(3), node(4)]);
-    bus.attach(node(1), ep_client);
-    bus.attach(node(2), cbr_src);
-    bus.attach(node(3), ep_server);
-    bus.attach(node(4), cbr_sink);
-    let b = sim.add_component("bus", bus);
-    debug_assert_eq!(b, bus_id);
-    if !faults.is_empty() {
-        sim.add_component("faults", FaultDriver::new(bus_id, faults.clone()));
-    }
-
-    let horizon = SimTime::ZERO + cfg.horizon;
+    .build(&mut sim);
     // Run in slices so we can stop as soon as the client finishes.
     let slice = SimDuration::from_secs(1).max(cfg.horizon / 3_600);
-    while sim.now() < horizon {
-        let until = (sim.now() + slice).min(horizon);
-        sim.run_until(until);
-        let client: &ScriptedClient = sim.component(client_app).expect("registered");
-        if client.is_finished() {
-            break;
-        }
-    }
+    run_until_client_finishes(&mut sim, cfg.horizon, slice);
 
     let now = sim.now();
-    let client: &ScriptedClient = sim.component(client_app).expect("registered");
+    let client: &ScriptedClient = sim.component(CLIENT_APP).expect("registered");
     let finished = client.is_finished();
     let records = client.records();
     let write_latency = records.first().and_then(super::client::OpRecord::latency);
@@ -448,10 +406,10 @@ pub fn run_case_study_observed(
         .unwrap_or(RecoveryOutcome::FirstTry);
     let reply_timeouts = client.reply_timeouts();
     let stale_replies = client.stale_replies();
-    let sink: &BusCbrSink = sim.component(cbr_sink).expect("registered");
-    let bus_ref: &TpWireBus = sim.component(bus_id).expect("registered");
+    let sink: &BusCbrSink = sim.component(CBR_SINK).expect("registered");
+    let bus_ref: &TpWireBus = sim.component(BUS).expect("registered");
     let stats = bus_ref.stats();
-    let server: &SpaceServerAgent = sim.component(server_app).expect("registered");
+    let server: &SpaceServerAgent = sim.component(SERVER_APP).expect("registered");
     let space_stats = server.space().stats();
     let trace_dropped = bus_ref.obs().trace_dropped()
         + server.trace().dropped()
@@ -493,52 +451,155 @@ pub fn run_case_study_observed(
     (result, snapshot)
 }
 
+/// The case-study client: the scripted app behind the endpoint with id
+/// 2, addressing the server on Slave3, with its wire format, optional
+/// recovery and optional exactly-once identities (client id 1). The one
+/// client setup of the bus case study, its TCP baseline and the chaos
+/// trial, which each built it by hand before.
+pub(crate) fn case_study_client(
+    think: SimDuration,
+    script: Vec<ClientStep>,
+    format: WireFormat,
+    recovery: Option<RecoveryPolicy>,
+    exactly_once: bool,
+) -> ScriptedClient {
+    let mut client = ScriptedClient::new(EP_CLIENT, node(3), think, script).with_format(format);
+    if let Some(policy) = recovery {
+        client = client.with_recovery(policy);
+    }
+    if exactly_once {
+        client = client.with_exactly_once(1);
+    }
+    client
+}
+
+// Component ids of the case-study stack, fixed by registration order:
+// 0 client app, 1 server app, 2 client endpoint, 3 server endpoint,
+// 4 CBR source, 5 CBR sink, 6 bus (7 fault driver, when scheduled).
+pub(crate) const CLIENT_APP: ComponentId = ComponentId::from_raw(0);
+pub(crate) const SERVER_APP: ComponentId = ComponentId::from_raw(1);
+const EP_CLIENT: ComponentId = ComponentId::from_raw(2);
+const EP_SERVER: ComponentId = ComponentId::from_raw(3);
+const CBR_SRC: ComponentId = ComponentId::from_raw(4);
+pub(crate) const CBR_SINK: ComponentId = ComponentId::from_raw(5);
+pub(crate) const BUS: ComponentId = ComponentId::from_raw(6);
+
+/// The Fig. 7 stack over TpWIRE: the client app on Slave1 and the space
+/// server on Slave3 behind TpWIRE endpoints, a CBR source on Slave2
+/// loading the bus toward a sink on Slave4, and a fault driver aimed at
+/// the bus when `faults` is non-empty. The one builder behind
+/// [`run_case_study_observed`] and [`crate::run_chaos_trial`], which each
+/// registered the same seven components by hand before.
+pub(crate) struct CaseStudyStack {
+    /// The client app ([`case_study_client`]).
+    pub client: ScriptedClient,
+    /// The space server ([`case_study_server`]).
+    pub server: SpaceServerAgent,
+    /// Client endpoint per-message costs.
+    pub client_endpoint: EndpointCosts,
+    /// Server endpoint per-message costs.
+    pub server_endpoint: EndpointCosts,
+    /// Background CBR payload rate (bytes/second) and packet size.
+    pub cbr: (f64, u32),
+    /// Bus parameters.
+    pub bus: BusParams,
+    /// Timed faults aimed at the bus.
+    pub faults: FaultSchedule,
+}
+
+/// The case-study space server, answering through the endpoint with id 3.
+pub(crate) fn case_study_server(service: SimDuration) -> SpaceServerAgent {
+    SpaceServerAgent::new(EP_SERVER, service)
+}
+
+impl CaseStudyStack {
+    /// Registers the stack on `sim` in id order.
+    pub(crate) fn build(self, sim: &mut Simulator) {
+        let c = sim.add_component("client", self.client);
+        debug_assert_eq!(c, CLIENT_APP);
+        sim.add_component("server", self.server);
+        sim.add_component(
+            "ep_client",
+            TpwireEndpoint::new(node(1), CLIENT_APP, BUS, self.client_endpoint),
+        );
+        sim.add_component(
+            "ep_server",
+            TpwireEndpoint::new(node(3), SERVER_APP, BUS, self.server_endpoint),
+        );
+        let (rate, packet) = self.cbr;
+        sim.add_component(
+            "cbr",
+            BusCbrSource::new(BUS, node(2), node(4), rate, packet),
+        );
+        sim.add_component("cbr_sink", BusCbrSink::new());
+        let mut bus = TpWireBus::new(self.bus, vec![node(1), node(2), node(3), node(4)]);
+        bus.attach(node(1), EP_CLIENT);
+        bus.attach(node(2), CBR_SRC);
+        bus.attach(node(3), EP_SERVER);
+        bus.attach(node(4), CBR_SINK);
+        let b = sim.add_component("bus", bus);
+        debug_assert_eq!(b, BUS);
+        if !self.faults.is_empty() {
+            sim.add_component("faults", FaultDriver::new(BUS, self.faults));
+        }
+    }
+}
+
+/// Runs `sim` in `slice` steps until the case-study client finishes or
+/// `horizon` passes.
+pub(crate) fn run_until_client_finishes(
+    sim: &mut Simulator,
+    horizon: SimDuration,
+    slice: SimDuration,
+) {
+    let horizon = SimTime::ZERO + horizon;
+    while sim.now() < horizon {
+        let until = (sim.now() + slice).min(horizon);
+        sim.run_until(until);
+        let client: &ScriptedClient = sim.component(CLIENT_APP).expect("registered");
+        if client.is_finished() {
+            break;
+        }
+    }
+}
+
 /// Runs the same client/server exchange over the §4.3 TCP/Ethernet
 /// baseline (no background CBR — the comparison is about transport cost).
 #[must_use]
 pub fn run_case_study_tcp(cfg: &CaseStudyConfig, tcp: TcpParams) -> CaseStudyResult {
     let mut sim = Simulator::with_seed(7);
-    let client_app = ComponentId::from_raw(0);
-    let server_app = ComponentId::from_raw(1);
-    let ep_client = ComponentId::from_raw(2);
     // build_tcp_star registers endpoints first: [2, 3], then links, switch.
     let script = case_study_script(cfg.entry_bytes, cfg.lease, cfg.take_delay);
-    let mut client = ScriptedClient::new(ep_client, node(3), cfg.client_think, script)
-        .with_format(cfg.wire_format);
-    if let Some(policy) = cfg.recovery {
-        client = client.with_recovery(policy);
-    }
-    if cfg.exactly_once {
-        client = client.with_exactly_once(1);
-    }
-    let c = sim.add_component("client", client);
-    debug_assert_eq!(c, client_app);
-    let ep_server_expected = ComponentId::from_raw(3);
-    sim.add_component(
-        "server",
-        SpaceServerAgent::new(ep_server_expected, cfg.server_service),
+    let client = case_study_client(
+        cfg.client_think,
+        script,
+        cfg.wire_format,
+        cfg.recovery,
+        cfg.exactly_once,
     );
+    let c = sim.add_component("client", client);
+    debug_assert_eq!(c, CLIENT_APP);
+    sim.add_component("server", case_study_server(cfg.server_service));
     let endpoints = build_tcp_star(
         &mut sim,
         tcp,
         &[
-            (node(1), client_app, cfg.client_endpoint),
-            (node(3), server_app, cfg.server_endpoint),
+            (node(1), CLIENT_APP, cfg.client_endpoint),
+            (node(3), SERVER_APP, cfg.server_endpoint),
         ],
     );
-    debug_assert_eq!(endpoints[0], ep_client);
-    debug_assert_eq!(endpoints[1], ep_server_expected);
+    debug_assert_eq!(endpoints, [EP_CLIENT, EP_SERVER]);
 
     let horizon = SimTime::ZERO + cfg.horizon;
     sim.run_until(horizon);
 
-    let client: &ScriptedClient = sim.component(client_app).expect("registered");
+    let client: &ScriptedClient = sim.component(CLIENT_APP).expect("registered");
     let finished = client.is_finished();
     let records = client.records();
     let write_latency = records.first().and_then(super::client::OpRecord::latency);
     let take_latency = records.get(1).and_then(super::client::OpRecord::latency);
     let space_stats = {
-        let server: &SpaceServerAgent = sim.component(server_app).expect("registered");
+        let server: &SpaceServerAgent = sim.component(SERVER_APP).expect("registered");
         server.space().stats()
     };
     CaseStudyResult {
@@ -571,7 +632,7 @@ pub fn run_case_study_tcp(cfg: &CaseStudyConfig, tcp: TcpParams) -> CaseStudyRes
             .map(super::client::OpRecord::recovery_outcome)
             .unwrap_or(RecoveryOutcome::FirstTry),
         dedup_replays: {
-            let server: &SpaceServerAgent = sim.component(server_app).expect("registered");
+            let server: &SpaceServerAgent = sim.component(SERVER_APP).expect("registered");
             server.stats().dedup_replays
         },
         reply_timeouts: client.reply_timeouts(),

@@ -74,6 +74,6 @@ mod trace;
 pub use component::{Component, ComponentId, Context};
 pub use event::{EventId, Message, MessageExt};
 pub use kernel::{Simulator, DEFAULT_EVENT_LIMIT};
-pub use rng::{derive_stream, derive_stream_seed, SimRng};
+pub use rng::{derive_stream, derive_stream_seed, splitmix64_finalize, SimRng, SplitMix64};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceLog, TraceRecord};

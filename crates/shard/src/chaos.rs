@@ -18,7 +18,7 @@
 
 use std::fmt;
 
-use tsbus_des::SimDuration;
+use tsbus_des::{SimDuration, SplitMix64};
 use tsbus_faults::{BurstParams, FaultKind, FaultSchedule, SupervisionConfig};
 use tsbus_tpwire::BusParams;
 use tsbus_xmlwire::WireFormat;
@@ -131,18 +131,6 @@ pub struct ShardChaosTrial {
     pub violations: Vec<ShardViolation>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn draw(state: &mut u64, lo: u64, hi: u64) -> u64 {
-    lo + splitmix64(state) % (hi - lo)
-}
-
 /// Derives each segment's faults from the seed: crash/revive windows of
 /// the shard's server during the workload, plus optional burst noise.
 /// At least one segment always crashes — a chaos trial without chaos
@@ -152,16 +140,16 @@ pub fn derive_shard_faults(
     seed: u64,
     shards: u8,
 ) -> (Vec<Option<BurstParams>>, Vec<FaultSchedule>) {
-    let mut s = seed ^ 0xD1F6_4A7C_9B3E_5812;
+    let mut s = SplitMix64::new(seed ^ 0xD1F6_4A7C_9B3E_5812);
     let mut bursts = Vec::with_capacity(usize::from(shards));
     let mut schedules = Vec::with_capacity(usize::from(shards));
     let mut crashes = 0usize;
     for shard in 0..shards {
-        let burst = if draw(&mut s, 0, 3) == 0 {
-            let mean_good = draw(&mut s, 2_000, 20_000) as f64;
-            let mean_bad = draw(&mut s, 50, 400) as f64;
-            let p_good = draw(&mut s, 1, 10) as f64 * 1e-5;
-            let p_bad = draw(&mut s, 5, 30) as f64 / 100.0;
+        let burst = if s.range(0, 3) == 0 {
+            let mean_good = s.range(2_000, 20_000) as f64;
+            let mean_bad = s.range(50, 400) as f64;
+            let p_good = s.range(1, 10) as f64 * 1e-5;
+            let p_bad = s.range(5, 30) as f64 / 100.0;
             Some(BurstParams::with_mean_lengths(
                 mean_good, mean_bad, p_good, p_bad,
             ))
@@ -169,7 +157,7 @@ pub fn derive_shard_faults(
             None
         };
         bursts.push(burst);
-        let windows = match draw(&mut s, 0, 4) {
+        let windows = match s.range(0, 4) {
             0 => 0,
             1 | 2 => 1,
             _ => 2,
@@ -177,8 +165,8 @@ pub fn derive_shard_faults(
         let mut schedule = FaultSchedule::new();
         let node = crate::cluster::server_node(shard).raw();
         for _ in 0..windows {
-            let start_ms = draw(&mut s, 1_000, 20_000);
-            let len_ms = draw(&mut s, 300, 2_500);
+            let start_ms = s.range(1_000, 20_000);
+            let len_ms = s.range(300, 2_500);
             schedule = schedule
                 .at(
                     tsbus_des::SimTime::ZERO + SimDuration::from_millis(start_ms),
@@ -194,10 +182,10 @@ pub fn derive_shard_faults(
     }
     if crashes == 0 {
         // Force one mid-workload outage on a seed-chosen shard.
-        let shard = (draw(&mut s, 0, u64::from(shards))) as u8;
+        let shard = s.range(0, u64::from(shards)) as u8;
         let node = crate::cluster::server_node(shard).raw();
-        let start_ms = draw(&mut s, 2_000, 10_000);
-        let len_ms = draw(&mut s, 500, 2_000);
+        let start_ms = s.range(2_000, 10_000);
+        let len_ms = s.range(500, 2_000);
         schedules[usize::from(shard)] = FaultSchedule::new()
             .at(
                 tsbus_des::SimTime::ZERO + SimDuration::from_millis(start_ms),

@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+pub use tsbus_core::chaos::{any_item_template, item_of, item_template, item_tuple};
 use tsbus_core::{EndpointCosts, SpaceServerAgent, TpwireEndpoint};
 use tsbus_des::{
     Component, ComponentId, Context, Message, MessageExt, SimDuration, SimTime, Simulator,
@@ -17,49 +18,12 @@ use tsbus_des::{
 use tsbus_faults::{BurstParams, FaultDriver, FaultSchedule};
 use tsbus_obs::{TraceEvent, Tracer};
 use tsbus_tpwire::{BusParams, NodeId, TpWireBus};
-use tsbus_tuplespace::{EventKind, Pattern, Template, Tuple, Value, ValueType};
+use tsbus_tuplespace::EventKind;
 use tsbus_xmlwire::{Request, Response, WireFormat};
 
 use crate::config::ShardConfig;
 use crate::partition::PartitionMap;
 use crate::router::{RouterPolicy, ShardOp, ShardOpDone, ShardRouter};
-
-/// The canonical workload tuple: `("item", i)` — field 1 is the shard
-/// key under the default [`ShardConfig`].
-#[must_use]
-pub fn item_tuple(i: u64) -> Tuple {
-    Tuple::new(vec![Value::from("item"), Value::Int(i as i64)])
-}
-
-/// Recovers the item index from a workload tuple, if it is one.
-#[must_use]
-pub fn item_of(tuple: &Tuple) -> Option<u64> {
-    if tuple.arity() != 2 {
-        return None;
-    }
-    match (tuple.field(0), tuple.field(1)) {
-        (Some(Value::Str(tag)), Some(Value::Int(i))) if tag == "item" && *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-/// The exact template addressing one item (keyed: routes to the owner).
-#[must_use]
-pub fn item_template(i: u64) -> Template {
-    Template::new(vec![
-        Pattern::Exact(Value::from("item")),
-        Pattern::Exact(Value::Int(i as i64)),
-    ])
-}
-
-/// The keyless template matching any item (scatter-gathers).
-#[must_use]
-pub fn any_item_template() -> Template {
-    Template::new(vec![
-        Pattern::Exact(Value::from("item")),
-        Pattern::AnyOfType(ValueType::Int),
-    ])
-}
 
 /// The driver's phased workload: pipelined writes, then (optionally)
 /// reads, then (optionally) takes, each phase draining before the next.

@@ -9,6 +9,7 @@
 //! [`ShardConfig::canonical_key`] stay valid for as long as the map's
 //! [`assignment_hash`](PartitionMap::assignment_hash) golden holds.
 
+use tsbus_des::splitmix64_finalize;
 use tsbus_tuplespace::{Pattern, Template, Tuple, Value};
 
 use crate::config::{KeylessPolicy, ShardConfig, ShardConfigError};
@@ -21,17 +22,6 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
         *hash ^= u64::from(b);
         *hash = hash.wrapping_mul(FNV_PRIME);
     }
-}
-
-/// Finalizing mix (splitmix64's): raw FNV-1a diffuses trailing-byte
-/// differences poorly, so consecutive integer keys would land in one
-/// narrow band of the ring — and thus on one shard. The finalizer
-/// avalanches every input bit across the output.
-fn finalize(hash: u64) -> u64 {
-    let mut z = hash;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Stable 64-bit hash of one tuplespace value: a type tag byte followed
@@ -61,7 +51,7 @@ pub fn hash_value(value: &Value) -> u64 {
             fnv1a(&mut hash, bytes);
         }
     }
-    finalize(hash)
+    splitmix64_finalize(hash)
 }
 
 /// Stable 64-bit hash of a whole tuple (the keyless fallback input):
@@ -73,7 +63,7 @@ pub fn hash_tuple(tuple: &Tuple) -> u64 {
     for field in tuple.iter() {
         fnv1a(&mut hash, &hash_value(field).to_be_bytes());
     }
-    finalize(hash)
+    splitmix64_finalize(hash)
 }
 
 /// Where a routed operation goes: one owner shard, or everywhere.
@@ -109,7 +99,7 @@ impl PartitionMap {
                 fnv1a(&mut hash, b"vnode");
                 fnv1a(&mut hash, &[shard]);
                 fnv1a(&mut hash, &vnode.to_be_bytes());
-                ring.push((finalize(hash), shard));
+                ring.push((splitmix64_finalize(hash), shard));
             }
         }
         // Ties (hash collisions) break on the shard index so the ring

@@ -15,7 +15,8 @@
 
 use proptest::prelude::*;
 use tsbus_des::{
-    Component, ComponentId, Context, EventId, Message, MessageExt, SimDuration, SimTime, Simulator,
+    splitmix64_finalize, Component, ComponentId, Context, EventId, Message, MessageExt,
+    SimDuration, SimTime, Simulator,
 };
 
 const RECORDERS: usize = 3;
@@ -227,16 +228,9 @@ struct Plan {
     children: Vec<Child>,
 }
 
-/// SplitMix64's finalizer: spreads a plan's inputs over all 64 bits.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl Plan {
     fn of(salt: u64, tag: u64, depth: u32) -> Plan {
-        let mut h = mix(salt ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut h = splitmix64_finalize(salt ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let horizons: &[Horizon] = if depth >= MAX_DEPTH {
             &[]
         } else {
@@ -251,7 +245,7 @@ impl Plan {
         let children = horizons
             .iter()
             .map(|&horizon| {
-                h = mix(h);
+                h = splitmix64_finalize(h);
                 let delay_ns = match horizon {
                     Horizon::Now => 0,
                     Horizon::Near => 1 + (h >> 16) % 20,
