@@ -55,8 +55,13 @@ pub struct ChaosConfig {
     /// key-field/deadline indexes. Off is the perf-ablation arm: identical
     /// results through full scans.
     pub indexed_space: bool,
-    /// Whether the simulator recycles event message boxes. Off is the
-    /// perf-ablation arm: identical results, one allocation per event.
+    /// Passed to [`Simulator::set_pooling`]. It changes nothing measurable:
+    /// no library component hands event boxes back to the pool, so a trial
+    /// makes the same heap allocations and the same results either way
+    /// (four default trials, seeds 3, 11, 2003 and 7741: 412,589
+    /// allocations with it on and with it off). The
+    /// benchmark reads the field, so deleting it waits for benchmark
+    /// contract v2 (ROADMAP item 1).
     pub pooling: bool,
 }
 

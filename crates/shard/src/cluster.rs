@@ -326,8 +326,11 @@ pub struct ShardTrialConfig {
     /// Whether each shard's [`Space`](tsbus_tuplespace::Space) keeps its
     /// key-field/deadline indexes. Off is the perf-ablation arm.
     pub indexed_space: bool,
-    /// Whether the simulator recycles event message boxes. Off is the
-    /// perf-ablation arm.
+    /// Passed to [`Simulator::set_pooling`]. It changes nothing measurable:
+    /// no library component hands event boxes back to the pool, so a trial
+    /// makes the same heap allocations and the same results either way.
+    /// The benchmark reads the field, so deleting it waits for benchmark
+    /// contract v2 (ROADMAP item 1).
     pub pooling: bool,
 }
 

@@ -297,6 +297,13 @@ struct Lane {
     busy_since: Option<SimTime>,
 }
 
+impl Lane {
+    /// Neither running an activity nor holding a transaction.
+    fn is_idle(&self) -> bool {
+        self.activity.is_none() && self.in_flight.is_none()
+    }
+}
+
 /// One bus transaction.
 #[derive(Debug)]
 enum Txn {
@@ -1639,8 +1646,7 @@ impl TpWireBus {
 
     /// Picks the next activity for an idle lane, or arms the poll timer.
     fn schedule_lane(&mut self, ctx: &mut Context<'_>, lane_idx: usize) {
-        debug_assert!(self.lanes[lane_idx].activity.is_none());
-        debug_assert!(self.lanes[lane_idx].in_flight.is_none());
+        debug_assert!(self.lanes[lane_idx].is_idle());
 
         // Chain-wide broadcasts first: control actions preempt data.
         if let Some(command) = self.broadcasts.pop_front() {
@@ -1715,9 +1721,15 @@ impl TpWireBus {
         }
         if !self.poll_timer_armed {
             self.poll_timer_armed = true;
-            // The earliest pending poll deadline across lanes.
-            let earliest = self.lane_poll_due.iter().copied().min();
-            let due = earliest.expect("at least one lane").max(ctx.now());
+            // The earliest poll deadline among idle lanes. A busy lane
+            // re-enters `schedule_lane` when its own transaction completes;
+            // arming at its overdue deadline would fire the timer at `now`
+            // again and again while it works (a zero-time livelock).
+            let earliest = (0..self.lanes.len())
+                .filter(|&l| self.lanes[l].is_idle())
+                .map(|l| self.lane_poll_due[l])
+                .min();
+            let due = earliest.expect("this lane is idle").max(ctx.now());
             let self_id = ctx.self_id();
             ctx.schedule_at(due, self_id, PollTimer);
         }
@@ -1785,7 +1797,7 @@ impl TpWireBus {
 
     fn kick_idle_lanes(&mut self, ctx: &mut Context<'_>) {
         for lane_idx in 0..self.lanes.len() {
-            if self.lanes[lane_idx].activity.is_none() && self.lanes[lane_idx].in_flight.is_none() {
+            if self.lanes[lane_idx].is_idle() {
                 self.schedule_lane(ctx, lane_idx);
             }
         }

@@ -42,8 +42,8 @@ const CHAIN: u8 = 5;
 /// Simulated horizon of every run.
 const HORIZON_MICROS: u64 = 30_000;
 
-/// Kernel events after which a run counts as stalled (a clean run takes
-/// well under a tenth of this).
+/// Kernel events after which a run counts as stalled and fails (a clean
+/// run takes well under a tenth of this).
 const EVENT_CAP: u64 = 100_000;
 
 /// One shared, time-ordered log of everything the bus tells attachments.
@@ -251,18 +251,21 @@ fn run(out: &mut String, wiring: Wiring, dma_block: u16, faults: Faults, supervi
         );
     });
     // Stepped rather than `run_until`, so a run that livelocks at one
-    // simulated instant stops at the event cap and shows up in the golden
-    // instead of hanging the test.
+    // simulated instant fails at the event cap instead of hanging the test.
     let horizon = SimTime::from_micros(HORIZON_MICROS);
     while sim.now() < horizon && sim.events_processed() < EVENT_CAP {
         sim.step();
     }
     let end = sim.now();
+    assert!(
+        sim.events_processed() < EVENT_CAP,
+        "wiring={wiring:?} dma={dma_block} faults={} supervision={supervised} \
+         stalled: {EVENT_CAP} events by {} ns",
+        faults.name(),
+        end.as_nanos()
+    );
 
     out.push_str(&log.borrow());
-    if sim.events_processed() == EVENT_CAP {
-        writeln!(out, "event cap hit at {}", end.as_nanos()).expect("write to string");
-    }
     let bus: &TpWireBus = sim.component(bus_id).expect("registered");
     writeln!(out, "events_processed {}", sim.events_processed()).expect("write to string");
     for &n in &chain {
