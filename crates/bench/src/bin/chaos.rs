@@ -19,7 +19,7 @@
 
 use tsbus_bench::render_table;
 use tsbus_bench::storm::{run_batch, seed_batch, Batch};
-use tsbus_bench::supervision::supervision_axis_from_args;
+use tsbus_bench::supervision::{supervision_axis_from_args, supervision_row};
 use tsbus_core::{run_chaos_trial, ChaosConfig, ChaosTrial};
 use tsbus_faults::SupervisionConfig;
 use tsbus_lab::{LabArgs, Metrics};
@@ -82,30 +82,12 @@ fn row(label: &str, o: &Batch) -> Vec<String> {
         label.to_owned(),
         format!("{}/{}", o.violated_seeds, o.seeds),
         o.total("violations").to_string(),
-        o.of_seeds("finished"),
+        format!("{}/{}", o.total("finished"), o.seeds),
         o.total("dedup_replays").to_string(),
         o.total("reply_timeouts").to_string(),
         o.total("bus_retries").to_string(),
         o.total("bus_hard_failures").to_string(),
     ]
-}
-
-/// The supervision comparison row of one batch.
-fn supervision_row(label: &str, o: &Batch) -> Vec<String> {
-    let mut row = vec![label.to_owned()];
-    row.extend(
-        [
-            "violations",
-            "open_issues",
-            "bus_retries",
-            "wasted_bits",
-            "fast_fails",
-            "probes",
-            "rebalances",
-        ]
-        .map(|m| o.total(m).to_string()),
-    );
-    row
 }
 
 fn main() {

@@ -84,7 +84,7 @@ fn row(label: &str, o: &Batch) -> Vec<String> {
         format!("{}/{}", o.violated_seeds, o.seeds),
         o.total("split_ownership").to_string(),
         o.total("quorum_loss").to_string(),
-        o.of_seeds("finished"),
+        format!("{}/{}", o.total("finished"), o.seeds),
         o.total("quorum_acks").to_string(),
         o.total("retries").to_string(),
         o.total("dedup_replays").to_string(),

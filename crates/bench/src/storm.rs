@@ -36,35 +36,43 @@ pub fn seed_batch(args: &LabArgs) -> Vec<u64> {
     (0..n).map(|i| base + i).collect()
 }
 
-/// One finished seed batch.
-#[derive(Debug)]
+/// Per-metric totals over a batch of trial records.
+#[derive(Debug, Default)]
 pub struct Batch {
-    /// Seeds in the batch.
+    /// Records added (one per seed).
     pub seeds: usize,
-    /// Seeds with at least one violation.
+    /// Seeds with at least one violation ([`run_batch`] only).
     pub violated_seeds: usize,
     totals: BTreeMap<String, u64>,
 }
 
 impl Batch {
+    /// Adds one trial's record: each integer metric to its total, each
+    /// boolean metric as 0 or 1.
+    pub fn add(&mut self, record: &Metrics) {
+        self.seeds += 1;
+        for (metric, value) in record.entries() {
+            let n = match value {
+                Json::I64(n) => *n as u64,
+                Json::Bool(b) => u64::from(*b),
+                _ => continue,
+            };
+            *self.totals.entry(metric.clone()).or_default() += n;
+        }
+    }
+
     /// The batch total of an integer metric, or the number of seeds on
     /// which a boolean metric held.
     ///
     /// # Panics
     ///
-    /// Panics if the trials recorded no such metric.
+    /// Panics if no added record had such a metric.
     #[must_use]
     pub fn total(&self, metric: &str) -> u64 {
         *self
             .totals
             .get(metric)
             .unwrap_or_else(|| panic!("no storm metric '{metric}'"))
-    }
-
-    /// `total(metric)` out of the batch size, as a table cell.
-    #[must_use]
-    pub fn of_seeds(&self, metric: &str) -> String {
-        format!("{}/{}", self.total(metric), self.seeds)
     }
 }
 
@@ -104,25 +112,14 @@ where
         report.simulated, report.cached
     );
 
-    let mut batch = Batch {
-        seeds: report.points.len(),
-        violated_seeds: 0,
-        totals: BTreeMap::new(),
-    };
+    let mut batch = Batch::default();
     for PointResult { point, reps, .. } in &report.points {
         let m = &reps[0];
         if violations.iter().any(|v| m.get_i64(v) > 0) {
             batch.violated_seeds += 1;
             println!("  seed {point}: {}", m.get_str("detail"));
         }
-        for (metric, value) in m.entries() {
-            let n = match value {
-                Json::I64(n) => *n as u64,
-                Json::Bool(b) => u64::from(*b),
-                _ => continue,
-            };
-            *batch.totals.entry(metric.clone()).or_default() += n;
-        }
+        batch.add(m);
     }
     if violations.len() > 1 {
         for v in violations {

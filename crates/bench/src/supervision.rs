@@ -26,6 +26,7 @@ use tsbus_faults::SupervisionConfig;
 use tsbus_lab::{run_campaign, Campaign, CampaignReport, ExecOpts, Grid, GridPoint, Metrics};
 
 use crate::render_table;
+use crate::storm::Batch;
 
 /// Strips `--supervision on|off|both` (default `both`) from an argument
 /// list; the remaining arguments go to the next parser in the chain.
@@ -34,28 +35,25 @@ pub fn supervision_axis_from_args(args: Vec<String>) -> (Vec<&'static str>, Vec<
     crate::strip_mode_axis("--supervision", args)
 }
 
-/// Per-mode totals over the seed batch.
-#[derive(Debug, Default)]
-pub struct SupervisionTotals {
-    /// Seeds in the batch.
-    pub seeds: usize,
-    /// Invariant violations (all kinds, including the two supervision
-    /// invariants).
-    pub violations: u64,
-    /// Requests issued to an Open slave (must stay zero).
-    pub open_issues: u64,
-    /// Bus-level fast-fails against Open breakers.
-    pub fast_fails: u64,
-    /// Probe frames sent to Half-Open slaves.
-    pub probes: u64,
-    /// Degraded-mode lane rebalances.
-    pub rebalances: u64,
-    /// Bus frame retries.
-    pub retries: u64,
-    /// Bit periods wasted on failure handling (backoff + timeout windows).
-    pub wasted_bits: u64,
-    /// Trials whose client script finished inside the horizon.
-    pub finished: usize,
+/// One supervision comparison row: `label`, then the batch's violations,
+/// open issues, bus retries, wasted bits, fast fails, probes and
+/// rebalances.
+#[must_use]
+pub fn supervision_row(label: &str, t: &Batch) -> Vec<String> {
+    let mut row = vec![label.to_owned()];
+    row.extend(
+        [
+            "violations",
+            "open_issues",
+            "bus_retries",
+            "wasted_bits",
+            "fast_fails",
+            "probes",
+            "rebalances",
+        ]
+        .map(|m| t.total(m).to_string()),
+    );
+    row
 }
 
 fn to_metrics(t: &ChaosTrial) -> Metrics {
@@ -110,42 +108,21 @@ pub fn run_supervision_sweep(
     })
     .expect("result store I/O");
 
-    let mut totals: Vec<(&str, SupervisionTotals)> = modes
-        .iter()
-        .map(|m| (*m, SupervisionTotals::default()))
-        .collect();
+    let mut totals: Vec<(&str, Batch)> = modes.iter().map(|m| (*m, Batch::default())).collect();
     for p in &report.points {
-        let m = p.single();
         let slot = totals
             .iter_mut()
             .find(|(mode, _)| *mode == p.point.str("supervision"))
             .expect("every point's mode is in the sweep");
-        let t = &mut slot.1;
-        t.seeds += 1;
-        t.violations += m.get_i64("violations") as u64;
-        t.open_issues += m.get_i64("open_issues") as u64;
-        t.fast_fails += m.get_i64("fast_fails") as u64;
-        t.probes += m.get_i64("probes") as u64;
-        t.rebalances += m.get_i64("rebalances") as u64;
-        t.retries += m.get_i64("bus_retries") as u64;
-        t.wasted_bits += m.get_i64("wasted_bits") as u64;
-        t.finished += usize::from(m.get_bool("finished"));
+        slot.1.add(p.single());
     }
 
     let rows: Vec<Vec<String>> = totals
         .iter()
         .map(|(mode, t)| {
-            vec![
-                (*mode).to_owned(),
-                t.violations.to_string(),
-                t.open_issues.to_string(),
-                t.retries.to_string(),
-                t.wasted_bits.to_string(),
-                t.fast_fails.to_string(),
-                t.probes.to_string(),
-                t.rebalances.to_string(),
-                format!("{}/{}", t.finished, t.seeds),
-            ]
+            let mut row = supervision_row(mode, t);
+            row.push(format!("{}/{}", t.total("finished"), t.seeds));
+            row
         })
         .collect();
     println!(
@@ -172,32 +149,42 @@ pub fn run_supervision_sweep(
         .expect("checked above")
         .1;
     assert_eq!(
-        on.violations, 0,
+        on.total("violations"),
+        0,
         "supervised trials must stay violation-free across the batch"
     );
     assert_eq!(
-        on.open_issues, 0,
+        on.total("open_issues"),
+        0,
         "no request may ever be issued to an Open slave"
     );
     if let Some((_, off)) = totals.iter().find(|(m, _)| *m == "off") {
         assert!(
-            on.wasted_bits < off.wasted_bits,
+            on.total("wasted_bits") < off.total("wasted_bits"),
             "supervision must strictly reduce wasted bit periods over the \
              batch ({} supervised vs {} unsupervised)",
-            on.wasted_bits,
-            off.wasted_bits,
+            on.total("wasted_bits"),
+            off.total("wasted_bits"),
         );
         println!(
             "Supervision pays for itself: {} bit periods wasted on failure\n\
              handling vs {} without it ({} fast-fails, {} probes, {} rebalances\n\
              across {} seeds), with zero open-issue and conservation breaches.\n",
-            on.wasted_bits, off.wasted_bits, on.fast_fails, on.probes, on.rebalances, on.seeds,
+            on.total("wasted_bits"),
+            off.total("wasted_bits"),
+            on.total("fast_fails"),
+            on.total("probes"),
+            on.total("rebalances"),
+            on.seeds,
         );
     } else {
         println!(
             "Supervised batch clean: zero violations and zero open issues\n\
              across {} seeds ({} fast-fails, {} probes, {} rebalances).\n",
-            on.seeds, on.fast_fails, on.probes, on.rebalances,
+            on.seeds,
+            on.total("fast_fails"),
+            on.total("probes"),
+            on.total("rebalances"),
         );
     }
     Some(report)

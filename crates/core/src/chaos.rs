@@ -59,9 +59,9 @@ pub struct ChaosConfig {
     /// no library component hands event boxes back to the pool, so a trial
     /// makes the same heap allocations and the same results either way
     /// (four default trials, seeds 3, 11, 2003 and 7741: 412,589
-    /// allocations with it on and with it off). The
-    /// benchmark reads the field, so deleting it waits for benchmark
-    /// contract v2 (ROADMAP item 1).
+    /// allocations with it on and with it off). The benchmark reads the
+    /// field, so deleting it waits for benchmark contract v2 (ROADMAP
+    /// item 1).
     pub pooling: bool,
 }
 
@@ -235,7 +235,7 @@ pub fn any_item_template() -> Template {
 /// channel (most trials) and a schedule of NIC crash/revive windows and
 /// chain break/heal windows placed inside the workload's active phase.
 fn derive_faults(seed: u64) -> (Option<BurstParams>, FaultSchedule) {
-    let mut s = SplitMix64::new(seed ^ 0x000C_4A05_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut s = SplitMix64(seed ^ 0x000C_4A05_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // Warm the stream so small seeds diverge.
     let _ = s.next_u64();
 
@@ -411,57 +411,54 @@ pub fn run_chaos_trial(cfg: &ChaosConfig, seed: u64) -> ChaosTrial {
     }
 
     // ---- the invariants ----
+    use ViolationKind::{
+        AckedWriteLost, Conservation, DoubleTake, DuplicateApply, LostDelivery, OpenIssue,
+        PhantomNotify, RebalanceLost,
+    };
     let mut violations = Vec::new();
+    let mut flag = |kind, item, detail: String| violations.push(Violation { kind, item, detail });
     for i in 0..cfg.n_items {
         let w = written.get(&i).copied().unwrap_or(0);
         let t = taken.get(&i).copied().unwrap_or(0);
         let left = leftover.get(&i).copied().unwrap_or(0);
         if w > 1 {
-            violations.push(Violation {
-                kind: ViolationKind::DuplicateApply,
-                item: i,
-                detail: format!("written {w} times"),
-            });
+            flag(DuplicateApply, i, format!("written {w} times"));
         }
         if t > 1 {
-            violations.push(Violation {
-                kind: ViolationKind::DoubleTake,
-                item: i,
-                detail: format!("taken {t} times"),
-            });
+            flag(DoubleTake, i, format!("taken {t} times"));
         }
         if w != t + left {
-            violations.push(Violation {
-                kind: ViolationKind::Conservation,
-                item: i,
-                detail: format!("written {w}, taken {t}, leftover {left}"),
-            });
+            flag(
+                Conservation,
+                i,
+                format!("written {w}, taken {t}, leftover {left}"),
+            );
         }
         let idx = i as usize;
         if write_acked[idx] && w == 0 {
-            violations.push(Violation {
-                kind: ViolationKind::AckedWriteLost,
-                item: i,
-                detail: "client holds a write ack, space never saw the write".into(),
-            });
+            flag(
+                AckedWriteLost,
+                i,
+                "client holds a write ack, space never saw the write".into(),
+            );
         }
         if write_acked[idx] && t >= 1 && !take_entry[idx] && take_settled_empty[idx] {
-            violations.push(Violation {
-                kind: ViolationKind::LostDelivery,
-                item: i,
-                detail: "space consumed the tuple but the take settled empty".into(),
-            });
+            flag(
+                LostDelivery,
+                i,
+                "space consumed the tuple but the take settled empty".into(),
+            );
         }
         let ev_w = events_written.get(&i).copied().unwrap_or(0);
         let ev_t = events_taken.get(&i).copied().unwrap_or(0);
         if ev_w > w || ev_t > t {
-            violations.push(Violation {
-                kind: ViolationKind::PhantomNotify,
-                item: i,
-                detail: format!(
+            flag(
+                PhantomNotify,
+                i,
+                format!(
                     "client saw {ev_w} written / {ev_t} taken events, space generated {w} / {t}"
                 ),
-            });
+            );
         }
     }
 
@@ -472,21 +469,21 @@ pub fn run_chaos_trial(cfg: &ChaosConfig, seed: u64) -> ChaosTrial {
     // and the conservation check is vacuous), so they are asserted
     // unconditionally.
     if bus_stats.open_issues > 0 {
-        violations.push(Violation {
-            kind: ViolationKind::OpenIssue,
-            item: 0,
-            detail: format!(
+        flag(
+            OpenIssue,
+            0,
+            format!(
                 "{} request(s) issued to a slave whose breaker was Open",
                 bus_stats.open_issues
             ),
-        });
+        );
     }
     if !bus_ref.supervision_conserved() {
-        violations.push(Violation {
-            kind: ViolationKind::RebalanceLost,
-            item: 0,
-            detail: "rebalancing left the lane assignment non-conserving".into(),
-        });
+        flag(
+            RebalanceLost,
+            0,
+            "rebalancing left the lane assignment non-conserving".into(),
+        );
     }
 
     // One retry costs the frame, the full response-timeout window, and the

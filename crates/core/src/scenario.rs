@@ -9,7 +9,7 @@ use tsbus_tuplespace::{Pattern, Template, Tuple, Value, ValueType};
 use tsbus_xmlwire::{Request, WireFormat};
 
 use crate::buscbr::{BusCbrSink, BusCbrSource};
-use crate::client::{ClientStep, RecoveryOutcome, RecoveryPolicy, ScriptedClient};
+use crate::client::{ClientStep, OpRecord, RecoveryOutcome, RecoveryPolicy, ScriptedClient};
 use crate::endpoint::{EndpointCosts, TpwireEndpoint};
 use crate::server::SpaceServerAgent;
 use crate::tcp::{build_tcp_star, TcpParams};
@@ -383,38 +383,12 @@ pub fn run_case_study_observed(
     run_until_client_finishes(&mut sim, cfg.horizon, slice);
 
     let now = sim.now();
+    let exchange = exchange_result(&sim);
     let client: &ScriptedClient = sim.component(CLIENT_APP).expect("registered");
-    let finished = client.is_finished();
-    let records = client.records();
-    let write_latency = records.first().and_then(super::client::OpRecord::latency);
-    let take_latency = records.get(1).and_then(super::client::OpRecord::latency);
-    let middleware_time = match (write_latency, take_latency) {
-        (Some(w), Some(t)) => Some(w + t),
-        _ => None,
-    };
-    let total_time = client
-        .finished_at()
-        .map(|t| t.duration_since(SimTime::ZERO));
-    let out_of_time = !finished
-        || !records
-            .get(1)
-            .map(super::client::OpRecord::returned_entry)
-            .unwrap_or(false);
-    let take_recovery = records
-        .get(1)
-        .map(super::client::OpRecord::recovery_outcome)
-        .unwrap_or(RecoveryOutcome::FirstTry);
-    let reply_timeouts = client.reply_timeouts();
-    let stale_replies = client.stale_replies();
+    let server: &SpaceServerAgent = sim.component(SERVER_APP).expect("registered");
     let sink: &BusCbrSink = sim.component(CBR_SINK).expect("registered");
     let bus_ref: &TpWireBus = sim.component(BUS).expect("registered");
     let stats = bus_ref.stats();
-    let server: &SpaceServerAgent = sim.component(SERVER_APP).expect("registered");
-    let space_stats = server.space().stats();
-    let trace_dropped = bus_ref.obs().trace_dropped()
-        + server.trace().dropped()
-        + client.trace().dropped()
-        + server.space().audit_trace().dropped();
     let snapshot = bus_ref
         .obs()
         .snapshot(now)
@@ -423,12 +397,6 @@ pub fn run_case_study_observed(
         .merge(server.space().metrics(now).prefixed("space"))
         .merge(client.metrics(now).prefixed("client"));
     let result = CaseStudyResult {
-        finished,
-        total_time,
-        middleware_time,
-        write_latency,
-        take_latency,
-        out_of_time,
         cbr_delivered_bytes: sink.bytes(),
         bus_transactions: stats.transactions,
         bus_utilization: bus_ref.lane_utilization(0, now),
@@ -438,15 +406,8 @@ pub fn run_case_study_observed(
         bus_backoff_bits: stats.backoff_bits,
         bus_fast_fails: stats.fast_fails,
         bus_dropped_deliveries: stats.dropped_deliveries,
-        take_recovery,
-        dedup_replays: server.stats().dedup_replays,
-        reply_timeouts,
-        stale_replies,
-        space_writes: space_stats.writes,
-        space_takes: space_stats.takes,
-        space_misses: space_stats.misses,
-        space_expirations: space_stats.expirations,
-        trace_dropped,
+        trace_dropped: exchange.trace_dropped + bus_ref.obs().trace_dropped(),
+        ..exchange
     };
     (result, snapshot)
 }
@@ -593,31 +554,29 @@ pub fn run_case_study_tcp(cfg: &CaseStudyConfig, tcp: TcpParams) -> CaseStudyRes
     let horizon = SimTime::ZERO + cfg.horizon;
     sim.run_until(horizon);
 
+    exchange_result(&sim)
+}
+
+/// What the client app and the space server of a finished case-study run
+/// report, with every bus field zero: the TCP baseline's whole result, and
+/// the base the TpWIRE run adds its bus counters to.
+fn exchange_result(sim: &Simulator) -> CaseStudyResult {
     let client: &ScriptedClient = sim.component(CLIENT_APP).expect("registered");
+    let server: &SpaceServerAgent = sim.component(SERVER_APP).expect("registered");
     let finished = client.is_finished();
-    let records = client.records();
-    let write_latency = records.first().and_then(super::client::OpRecord::latency);
-    let take_latency = records.get(1).and_then(super::client::OpRecord::latency);
-    let space_stats = {
-        let server: &SpaceServerAgent = sim.component(SERVER_APP).expect("registered");
-        server.space().stats()
-    };
+    let write_latency = client.records().first().and_then(OpRecord::latency);
+    let take = client.records().get(1);
+    let take_latency = take.and_then(OpRecord::latency);
+    let space_stats = server.space().stats();
     CaseStudyResult {
         finished,
         total_time: client
             .finished_at()
             .map(|t| t.duration_since(SimTime::ZERO)),
-        middleware_time: match (write_latency, take_latency) {
-            (Some(w), Some(t)) => Some(w + t),
-            _ => None,
-        },
+        middleware_time: write_latency.zip(take_latency).map(|(w, t)| w + t),
         write_latency,
         take_latency,
-        out_of_time: !finished
-            || !records
-                .get(1)
-                .map(super::client::OpRecord::returned_entry)
-                .unwrap_or(false),
+        out_of_time: !finished || !take.is_some_and(OpRecord::returned_entry),
         cbr_delivered_bytes: 0,
         bus_transactions: 0,
         bus_utilization: 0.0,
@@ -627,21 +586,17 @@ pub fn run_case_study_tcp(cfg: &CaseStudyConfig, tcp: TcpParams) -> CaseStudyRes
         bus_backoff_bits: 0,
         bus_fast_fails: 0,
         bus_dropped_deliveries: 0,
-        take_recovery: records
-            .get(1)
-            .map(super::client::OpRecord::recovery_outcome)
-            .unwrap_or(RecoveryOutcome::FirstTry),
-        dedup_replays: {
-            let server: &SpaceServerAgent = sim.component(SERVER_APP).expect("registered");
-            server.stats().dedup_replays
-        },
+        take_recovery: take.map_or(RecoveryOutcome::FirstTry, OpRecord::recovery_outcome),
+        dedup_replays: server.stats().dedup_replays,
         reply_timeouts: client.reply_timeouts(),
         stale_replies: client.stale_replies(),
         space_writes: space_stats.writes,
         space_takes: space_stats.takes,
         space_misses: space_stats.misses,
         space_expirations: space_stats.expirations,
-        trace_dropped: client.trace().dropped(),
+        trace_dropped: client.trace().dropped()
+            + server.trace().dropped()
+            + server.space().audit_trace().dropped(),
     }
 }
 

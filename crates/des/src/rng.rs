@@ -35,7 +35,7 @@ impl SimRng {
     pub fn seeded(seed: u64) -> Self {
         // Expand the seed through SplitMix64 so near-identical seeds still
         // produce uncorrelated xoshiro states (the reference construction).
-        let mut splitmix = SplitMix64::new(seed);
+        let mut splitmix = SplitMix64(seed);
         let state = [
             splitmix.next_u64(),
             splitmix.next_u64(),
@@ -159,15 +159,9 @@ impl SimRng {
     }
 }
 
-/// SplitMix64's increment: 2^64 divided by the golden ratio, made odd.
-const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
 /// SplitMix64's output finaliser: a bijective mix that avalanches every
-/// input bit across the output.
-///
-/// The workspace's one copy: [`SplitMix64`] finalises each step with it,
-/// and the shard tier's hash ring finalises its FNV-1a value hashes with
-/// it (raw FNV-1a would land consecutive integer keys on one shard).
+/// input bit across the output. The workspace's one copy: it finalises
+/// each [`SplitMix64`] draw and the shard ring's FNV-1a hashes.
 #[inline]
 #[must_use]
 pub fn splitmix64_finalize(mut z: u64) -> u64 {
@@ -176,48 +170,27 @@ pub fn splitmix64_finalize(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The SplitMix64 generator: a 64-bit counter advanced by
-/// [`GOLDEN_GAMMA`] and finalised per draw.
+/// The SplitMix64 stream: a counter (the field; `SplitMix64(seed)` starts
+/// at `seed`) advanced by the golden gamma and finalised per draw.
 ///
-/// The workspace's one SplitMix64 stream. It seeds [`SimRng`], mixes
-/// [`derive_stream_seed`], and derives the chaos harnesses' fault
-/// environments (`tsbus_core::chaos`, `tsbus_shard::chaos`), which
-/// formerly kept private copies of the step and of a range draw. Its
-/// sequence is part of this crate's stability contract: saved seeds name
-/// the storms it derives.
-///
-/// # Examples
-///
-/// ```
-/// use tsbus_des::SplitMix64;
-///
-/// let mut a = SplitMix64::new(7);
-/// let mut b = SplitMix64::new(7);
-/// assert_eq!(a.next_u64(), b.next_u64());
-/// assert!((10..20).contains(&a.range(10, 20)));
-/// ```
+/// The workspace's one SplitMix64 step, replacing the private copies that
+/// seeded [`SimRng`], mixed [`derive_stream_seed`] and derived the chaos
+/// harnesses' fault environments (`tsbus_core::chaos`,
+/// `tsbus_shard::chaos`). Saved seeds name the storms it derives, so its
+/// sequence is pinned like [`derive_stream_seed`]'s.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
+pub struct SplitMix64(pub u64);
 
 impl SplitMix64 {
-    /// A generator whose first draw finalises `seed + GOLDEN_GAMMA`.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
     /// The next draw.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        splitmix64_finalize(self.state)
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        splitmix64_finalize(self.0)
     }
 
-    /// A draw in `[lo, hi)` (requires `lo < hi`) by remainder. The small
-    /// modulo bias is kept: the chaos fault derivations are pinned to this
-    /// exact mapping.
+    /// A draw in `[lo, hi)` (requires `lo < hi`) by remainder; the small
+    /// modulo bias is part of the pinned fault derivations.
     #[inline]
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.next_u64() % (hi - lo)
@@ -240,10 +213,10 @@ pub fn derive_stream_seed(campaign_seed: u64, point_index: u64, replication: u64
     // (b, a) from colliding; the SplitMix64 finalizer then decorrelates
     // neighbouring coordinates.
     let mut z = campaign_seed
-        ^ point_index.wrapping_mul(GOLDEN_GAMMA)
+        ^ point_index.wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ replication.wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
     for _ in 0..2 {
-        z = SplitMix64::new(z).next_u64();
+        z = SplitMix64(z).next_u64();
     }
     z
 }

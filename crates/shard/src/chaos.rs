@@ -140,7 +140,7 @@ pub fn derive_shard_faults(
     seed: u64,
     shards: u8,
 ) -> (Vec<Option<BurstParams>>, Vec<FaultSchedule>) {
-    let mut s = SplitMix64::new(seed ^ 0xD1F6_4A7C_9B3E_5812);
+    let mut s = SplitMix64(seed ^ 0xD1F6_4A7C_9B3E_5812);
     let mut bursts = Vec::with_capacity(usize::from(shards));
     let mut schedules = Vec::with_capacity(usize::from(shards));
     let mut crashes = 0usize;
