@@ -252,6 +252,7 @@ fn derive_faults(seed: u64) -> (Option<BurstParams>, FaultSchedule) {
     };
 
     let mut schedule = FaultSchedule::new();
+    let mut events = 0usize;
     // 1–3 outage windows, each a crash/revive (client NIC or server NIC)
     // or a chain break/heal, placed in the first ~12 s where the workload
     // is active. Crashing the *client's* NIC while a reply is in flight
@@ -280,7 +281,9 @@ fn derive_faults(seed: u64) -> (Option<BurstParams>, FaultSchedule) {
                     .at(end, FaultKind::ChainHeal);
             }
         }
+        events += 2;
     }
+    debug_assert_eq!(schedule.events().len(), events);
     (burst, schedule)
 }
 

@@ -335,6 +335,118 @@ pub fn case_study_script(
     ]
 }
 
+// Component ids of the case-study stack, fixed by registration order:
+// 0 client app, 1 server app, 2 client endpoint, 3 server endpoint,
+// 4 CBR source, 5 CBR sink, 6 bus (7 fault driver, when scheduled).
+pub(crate) const CLIENT_APP: ComponentId = ComponentId::from_raw(0);
+pub(crate) const SERVER_APP: ComponentId = ComponentId::from_raw(1);
+const EP_CLIENT: ComponentId = ComponentId::from_raw(2);
+const EP_SERVER: ComponentId = ComponentId::from_raw(3);
+const CBR_SRC: ComponentId = ComponentId::from_raw(4);
+pub(crate) const CBR_SINK: ComponentId = ComponentId::from_raw(5);
+pub(crate) const BUS: ComponentId = ComponentId::from_raw(6);
+
+/// The case-study client: the scripted app behind the endpoint with id
+/// 2, addressing the server on Slave3, with its wire format, optional
+/// recovery and optional exactly-once identities (client id 1). The one
+/// client setup of [`run_case_study_observed`], [`run_case_study_tcp`] and
+/// [`crate::run_chaos_trial`], replacing a hand-built copy in each.
+pub(crate) fn case_study_client(
+    think: SimDuration,
+    script: Vec<ClientStep>,
+    format: WireFormat,
+    recovery: Option<RecoveryPolicy>,
+    exactly_once: bool,
+) -> ScriptedClient {
+    let mut client = ScriptedClient::new(EP_CLIENT, node(3), think, script).with_format(format);
+    if let Some(policy) = recovery {
+        client = client.with_recovery(policy);
+    }
+    if exactly_once {
+        client = client.with_exactly_once(1);
+    }
+    client
+}
+
+/// The case-study space server, answering through the endpoint with id 3.
+pub(crate) fn case_study_server(service: SimDuration) -> SpaceServerAgent {
+    SpaceServerAgent::new(EP_SERVER, service)
+}
+
+/// The Fig. 7 stack over TpWIRE: the client app on Slave1 and the space
+/// server on Slave3 behind TpWIRE endpoints, a CBR source on Slave2
+/// loading the bus toward a sink on Slave4, and a fault driver aimed at
+/// the bus when `faults` is non-empty. The one builder behind
+/// [`run_case_study_observed`] and [`crate::run_chaos_trial`], replacing
+/// the copy of these seven registrations each kept.
+pub(crate) struct CaseStudyStack {
+    /// The client app ([`case_study_client`]).
+    pub client: ScriptedClient,
+    /// The space server ([`case_study_server`]).
+    pub server: SpaceServerAgent,
+    /// Client endpoint per-message costs.
+    pub client_endpoint: EndpointCosts,
+    /// Server endpoint per-message costs.
+    pub server_endpoint: EndpointCosts,
+    /// Background CBR payload rate (bytes/second) and packet size.
+    pub cbr: (f64, u32),
+    /// Bus parameters.
+    pub bus: BusParams,
+    /// Timed faults aimed at the bus.
+    pub faults: FaultSchedule,
+}
+
+impl CaseStudyStack {
+    /// Registers the stack on `sim` in id order.
+    pub(crate) fn build(self, sim: &mut Simulator) {
+        let c = sim.add_component("client", self.client);
+        debug_assert_eq!(c, CLIENT_APP);
+        sim.add_component("server", self.server);
+        sim.add_component(
+            "ep_client",
+            TpwireEndpoint::new(node(1), CLIENT_APP, BUS, self.client_endpoint),
+        );
+        sim.add_component(
+            "ep_server",
+            TpwireEndpoint::new(node(3), SERVER_APP, BUS, self.server_endpoint),
+        );
+        let (rate, packet) = self.cbr;
+        sim.add_component(
+            "cbr",
+            BusCbrSource::new(BUS, node(2), node(4), rate, packet),
+        );
+        sim.add_component("cbr_sink", BusCbrSink::new());
+        let mut bus = TpWireBus::new(self.bus, vec![node(1), node(2), node(3), node(4)]);
+        bus.attach(node(1), EP_CLIENT);
+        bus.attach(node(2), CBR_SRC);
+        bus.attach(node(3), EP_SERVER);
+        bus.attach(node(4), CBR_SINK);
+        let b = sim.add_component("bus", bus);
+        debug_assert_eq!(b, BUS);
+        if !self.faults.is_empty() {
+            sim.add_component("faults", FaultDriver::new(BUS, self.faults));
+        }
+    }
+}
+
+/// Runs `sim` in `slice` steps until the case-study client finishes or
+/// `horizon` passes.
+pub(crate) fn run_until_client_finishes(
+    sim: &mut Simulator,
+    horizon: SimDuration,
+    slice: SimDuration,
+) {
+    let horizon = SimTime::ZERO + horizon;
+    while sim.now() < horizon {
+        let until = (sim.now() + slice).min(horizon);
+        sim.run_until(until);
+        let client: &ScriptedClient = sim.component(CLIENT_APP).expect("registered");
+        if client.is_finished() {
+            break;
+        }
+    }
+}
+
 /// Runs the Fig. 7 case study over TpWIRE with no faults and simulator
 /// seed 7: [`run_case_study_observed`] without the snapshot.
 #[must_use]
@@ -410,118 +522,6 @@ pub fn run_case_study_observed(
         ..exchange
     };
     (result, snapshot)
-}
-
-/// The case-study client: the scripted app behind the endpoint with id
-/// 2, addressing the server on Slave3, with its wire format, optional
-/// recovery and optional exactly-once identities (client id 1). The one
-/// client setup of the bus case study, its TCP baseline and the chaos
-/// trial, which each built it by hand before.
-pub(crate) fn case_study_client(
-    think: SimDuration,
-    script: Vec<ClientStep>,
-    format: WireFormat,
-    recovery: Option<RecoveryPolicy>,
-    exactly_once: bool,
-) -> ScriptedClient {
-    let mut client = ScriptedClient::new(EP_CLIENT, node(3), think, script).with_format(format);
-    if let Some(policy) = recovery {
-        client = client.with_recovery(policy);
-    }
-    if exactly_once {
-        client = client.with_exactly_once(1);
-    }
-    client
-}
-
-// Component ids of the case-study stack, fixed by registration order:
-// 0 client app, 1 server app, 2 client endpoint, 3 server endpoint,
-// 4 CBR source, 5 CBR sink, 6 bus (7 fault driver, when scheduled).
-pub(crate) const CLIENT_APP: ComponentId = ComponentId::from_raw(0);
-pub(crate) const SERVER_APP: ComponentId = ComponentId::from_raw(1);
-const EP_CLIENT: ComponentId = ComponentId::from_raw(2);
-const EP_SERVER: ComponentId = ComponentId::from_raw(3);
-const CBR_SRC: ComponentId = ComponentId::from_raw(4);
-pub(crate) const CBR_SINK: ComponentId = ComponentId::from_raw(5);
-pub(crate) const BUS: ComponentId = ComponentId::from_raw(6);
-
-/// The Fig. 7 stack over TpWIRE: the client app on Slave1 and the space
-/// server on Slave3 behind TpWIRE endpoints, a CBR source on Slave2
-/// loading the bus toward a sink on Slave4, and a fault driver aimed at
-/// the bus when `faults` is non-empty. The one builder behind
-/// [`run_case_study_observed`] and [`crate::run_chaos_trial`], which each
-/// registered the same seven components by hand before.
-pub(crate) struct CaseStudyStack {
-    /// The client app ([`case_study_client`]).
-    pub client: ScriptedClient,
-    /// The space server ([`case_study_server`]).
-    pub server: SpaceServerAgent,
-    /// Client endpoint per-message costs.
-    pub client_endpoint: EndpointCosts,
-    /// Server endpoint per-message costs.
-    pub server_endpoint: EndpointCosts,
-    /// Background CBR payload rate (bytes/second) and packet size.
-    pub cbr: (f64, u32),
-    /// Bus parameters.
-    pub bus: BusParams,
-    /// Timed faults aimed at the bus.
-    pub faults: FaultSchedule,
-}
-
-/// The case-study space server, answering through the endpoint with id 3.
-pub(crate) fn case_study_server(service: SimDuration) -> SpaceServerAgent {
-    SpaceServerAgent::new(EP_SERVER, service)
-}
-
-impl CaseStudyStack {
-    /// Registers the stack on `sim` in id order.
-    pub(crate) fn build(self, sim: &mut Simulator) {
-        let c = sim.add_component("client", self.client);
-        debug_assert_eq!(c, CLIENT_APP);
-        sim.add_component("server", self.server);
-        sim.add_component(
-            "ep_client",
-            TpwireEndpoint::new(node(1), CLIENT_APP, BUS, self.client_endpoint),
-        );
-        sim.add_component(
-            "ep_server",
-            TpwireEndpoint::new(node(3), SERVER_APP, BUS, self.server_endpoint),
-        );
-        let (rate, packet) = self.cbr;
-        sim.add_component(
-            "cbr",
-            BusCbrSource::new(BUS, node(2), node(4), rate, packet),
-        );
-        sim.add_component("cbr_sink", BusCbrSink::new());
-        let mut bus = TpWireBus::new(self.bus, vec![node(1), node(2), node(3), node(4)]);
-        bus.attach(node(1), EP_CLIENT);
-        bus.attach(node(2), CBR_SRC);
-        bus.attach(node(3), EP_SERVER);
-        bus.attach(node(4), CBR_SINK);
-        let b = sim.add_component("bus", bus);
-        debug_assert_eq!(b, BUS);
-        if !self.faults.is_empty() {
-            sim.add_component("faults", FaultDriver::new(BUS, self.faults));
-        }
-    }
-}
-
-/// Runs `sim` in `slice` steps until the case-study client finishes or
-/// `horizon` passes.
-pub(crate) fn run_until_client_finishes(
-    sim: &mut Simulator,
-    horizon: SimDuration,
-    slice: SimDuration,
-) {
-    let horizon = SimTime::ZERO + horizon;
-    while sim.now() < horizon {
-        let until = (sim.now() + slice).min(horizon);
-        sim.run_until(until);
-        let client: &ScriptedClient = sim.component(CLIENT_APP).expect("registered");
-        if client.is_finished() {
-            break;
-        }
-    }
 }
 
 /// Runs the same client/server exchange over the §4.3 TCP/Ethernet

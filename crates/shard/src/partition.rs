@@ -5,7 +5,10 @@
 //! canonical key always reproduces the same ring, across runs, threads,
 //! and platforms. The hash is a self-contained FNV-1a over canonical
 //! value bytes (no `std::hash`, whose output is not pinned across
-//! releases), so lab campaign caches keyed on
+//! releases), finished with SplitMix64's finaliser: raw FNV-1a diffuses
+//! trailing-byte differences poorly, so consecutive integer keys would
+//! land in one narrow band of the ring, and thus on one shard. Lab
+//! campaign caches keyed on
 //! [`ShardConfig::canonical_key`] stay valid for as long as the map's
 //! [`assignment_hash`](PartitionMap::assignment_hash) golden holds.
 
