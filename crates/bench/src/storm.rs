@@ -18,7 +18,7 @@ use tsbus_lab::json::Json;
 use tsbus_lab::{run_campaign, Campaign, LabArgs, Metrics, PointResult};
 
 /// Seeds in a default batch (no `--seed`, no `--seeds`).
-pub const DEFAULT_SEEDS: u64 = 50;
+const DEFAULT_SEEDS: u64 = 50;
 
 /// The seed batch the flags select: `--seeds` sets its size (each seed is
 /// one point with one replication) and `--seed` its base (default 0); a
