@@ -6,67 +6,9 @@
 //! retries never duplicate or lose stream bytes. This sweep injects frame
 //! errors and measures what the recovery machinery costs.
 
-use bytes::Bytes;
 use tsbus_bench::render_table;
-use tsbus_core::BusCbrSink;
-use tsbus_des::{ComponentId, Simulator};
-use tsbus_tpwire::{BusParams, NodeId, SendStream, StreamEndpoint, TpWireBus};
-
-fn node(id: u8) -> NodeId {
-    NodeId::new(id).expect("valid")
-}
-
-struct ErrorRunOutcome {
-    retries: u64,
-    failures: u64,
-    transactions: u64,
-    delivered: u64,
-    intact: bool,
-    elapsed: f64,
-}
-
-fn run(error_rate: f64, messages: u64, len: usize) -> ErrorRunOutcome {
-    let mut sim = Simulator::with_seed(17);
-    let sink = sim.add_component("sink", BusCbrSink::new());
-    let params = BusParams::theseus_default().with_frame_error_rate(error_rate);
-    let mut bus = TpWireBus::new(params, vec![node(1), node(2)]);
-    bus.attach(node(2), sink);
-    let bus_id: ComponentId = sim.add_component("bus", bus);
-    sim.with_context(|ctx| {
-        for _ in 0..messages {
-            ctx.send(
-                bus_id,
-                SendStream {
-                    from: node(1),
-                    to: StreamEndpoint::Slave(node(2)),
-                    payload: Bytes::from(vec![0xA5u8; len]),
-                },
-            );
-        }
-    });
-    // Slice the run and stop at full delivery so the transaction count
-    // reflects the transfers, not post-completion keep-alive polling.
-    for _ in 0..30_000 {
-        sim.run_for(tsbus_des::SimDuration::from_millis(1));
-        let done: &BusCbrSink = sim.component(sink).expect("registered");
-        if done.messages() == messages {
-            break;
-        }
-    }
-    let sink_ref: &BusCbrSink = sim.component(sink).expect("registered");
-    let bus_ref: &TpWireBus = sim.component(bus_id).expect("registered");
-    ErrorRunOutcome {
-        retries: bus_ref.stats().retries,
-        failures: bus_ref.stats().failures,
-        transactions: bus_ref.stats().transactions,
-        delivered: sink_ref.messages(),
-        intact: sink_ref.bytes() == messages * len as u64,
-        elapsed: sink_ref
-            .last_arrival()
-            .map(|t| t.as_secs_f64())
-            .unwrap_or(f64::NAN),
-    }
-}
+use tsbus_bench::workload::run_stream_workload;
+use tsbus_tpwire::BusParams;
 
 fn main() {
     println!("Ablation — frame-error injection (per-frame corruption probability)\n");
@@ -74,7 +16,8 @@ fn main() {
     let len = 64;
     let mut rows = Vec::new();
     for rate in [0.0, 0.001, 0.005, 0.01, 0.02, 0.05, 0.1] {
-        let o = run(rate, messages, len);
+        let params = BusParams::theseus_default().with_frame_error_rate(rate);
+        let o = run_stream_workload(params, messages, len, 17);
         rows.push(vec![
             format!("{:.1}%", rate * 100.0),
             o.transactions.to_string(),

@@ -7,52 +7,11 @@
 //! time; rare polls risk slave resets on an idle bus. This sweep measures
 //! both effects.
 
-use bytes::Bytes;
+use tsbus_bench::workload::idle_bus_probe;
 use tsbus_bench::{fmt_secs, render_table};
-use tsbus_core::{run_case_study, BusCbrSink, CaseStudyConfig};
-use tsbus_des::{SimTime, Simulator};
-use tsbus_tpwire::{BusParams, NodeId, SendStream, StreamEndpoint, TpWireBus};
-
-fn node(id: u8) -> NodeId {
-    NodeId::new(id).expect("valid")
-}
-
-/// Measures the latency of one small message entering an otherwise idle
-/// bus (dominated by discovery), plus whether any slave reset during a
-/// long idle stretch.
-fn idle_bus_probe(params: BusParams) -> (f64, u64) {
-    let mut sim = Simulator::with_seed(3);
-    let sink = sim.add_component("sink", BusCbrSink::new());
-    let chain: Vec<NodeId> = (1..=4).map(node).collect();
-    let mut bus = TpWireBus::new(params, chain);
-    bus.attach(node(2), sink);
-    let bus_id = sim.add_component("bus", bus);
-    // Long idle stretch first: polls must keep every watchdog fed.
-    sim.run_until(SimTime::from_secs(5));
-    let inject_at = sim.now();
-    sim.with_context(|ctx| {
-        ctx.send(
-            bus_id,
-            SendStream {
-                from: node(1),
-                to: StreamEndpoint::Slave(node(2)),
-                payload: Bytes::from_static(b"x"),
-            },
-        );
-    });
-    sim.run_until(SimTime::from_secs(10));
-    let sink_ref: &BusCbrSink = sim.component(sink).expect("registered");
-    let latency = sink_ref
-        .last_arrival()
-        .expect("message delivered")
-        .duration_since(inject_at)
-        .as_secs_f64();
-    let bus_ref: &TpWireBus = sim.component(bus_id).expect("registered");
-    let resets: u64 = (1..=4)
-        .map(|i| bus_ref.slave(node(i)).expect("on chain").reset_count())
-        .sum();
-    (latency, resets)
-}
+use tsbus_core::{run_case_study, CaseStudyConfig};
+use tsbus_des::SimTime;
+use tsbus_tpwire::BusParams;
 
 fn main() {
     println!("Ablation — master poll cadence (idle_poll_bits)\n");
@@ -65,7 +24,16 @@ fn main() {
         // readable in milliseconds.
         let mut fast = BusParams::theseus_default();
         fast.idle_poll_bits = poll_bits;
-        let (latency, resets) = idle_bus_probe(fast);
+        // One byte into a 4-slave chain after 5 s idle.
+        let (latency, resets) = idle_bus_probe(
+            fast,
+            4,
+            2,
+            1,
+            SimTime::from_secs(5),
+            SimTime::from_secs(10),
+            3,
+        );
         let result = run_case_study(&base.with_bus(bus));
         rows.push(vec![
             poll_bits.to_string(),

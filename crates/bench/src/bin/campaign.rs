@@ -10,7 +10,9 @@
 //! shared thread pool:
 //!
 //! 1. the §5 CBR × wiring scan (`fig_cbr_sweep`),
-//! 2. the §3.2 wire-count case study (`fig_scaling`),
+//! 2. the §3.2 wire-count case study (`fig_scaling`) — both the very
+//!    campaigns those binaries run (`tsbus_bench::figures`), so one cache
+//!    directory serves all three,
 //! 3. the burst-density fault sweep — **seed-replicated**: `--seeds N`
 //!    runs N independent Gilbert-Elliott realizations per point (seed
 //!    streams derived from the campaign master seed) and reports
@@ -29,26 +31,18 @@
 
 use std::time::Instant;
 use tsbus_bench::dedup_cost::{dedup_axis_from_args, run_dedup_cost_sweep};
+use tsbus_bench::figures::{run_cbr_scan, run_wire_scaling};
+use tsbus_bench::render_table;
 use tsbus_bench::supervision::{run_supervision_sweep, supervision_axis_from_args};
-use tsbus_bench::workload::{burst_channel, patient_policy, run_stream_workload};
-use tsbus_bench::{fmt_secs, render_table};
-use tsbus_core::{run_case_study, run_case_study_observed, CaseStudyConfig};
+use tsbus_bench::workload::{burst_bus, burst_channel, patient_policy, run_stream_workload};
+use tsbus_core::{run_case_study_observed, CaseStudyConfig};
 use tsbus_faults::FaultSchedule;
 use tsbus_lab::{
     run_campaign, snapshot_to_metrics, AsciiEmitter, Campaign, CampaignReport, CsvEmitter, Emitter,
     ExecOpts, Grid, GridPoint, JsonlEmitter, Metrics,
 };
-use tsbus_tpwire::Wiring;
 
 const DEFAULT_MASTER_SEED: u64 = 20030415; // the paper's conference date
-
-fn wiring_of(name: &str) -> Wiring {
-    match name {
-        "1-wire" => Wiring::Single,
-        "2-wire" => Wiring::parallel_data(2).expect("valid"),
-        other => unreachable!("unknown wiring '{other}'"),
-    }
-}
 
 fn export<P>(report: &CampaignReport<P>, opts: &ExecOpts) {
     let Some(dir) = &opts.cache_dir else { return };
@@ -108,91 +102,14 @@ fn main() {
     );
 
     // ---- 1. §5 CBR × wiring scan (deterministic; single replication) ----
-    let base = CaseStudyConfig::table4_reference();
-    let cbr_rates = [0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0];
-    let wirings = ["1-wire", "2-wire"];
-    let campaign = Campaign::new(
-        "fig_cbr_sweep",
-        Grid::new()
-            .axis("cbr", cbr_rates)
-            .axis("wiring", wirings)
-            .points(),
-    );
-    let report = run_campaign(&campaign, &opts, GridPoint::key, |point, _ctx| {
-        let bus = base.bus.with_wiring(wiring_of(point.str("wiring")));
-        let result = run_case_study(&base.with_bus(bus).with_cbr_rate(point.f64("cbr")));
-        let mut m = Metrics::new().bool("out_of_time", result.out_of_time);
-        if let Some(t) = result.middleware_time {
-            m = m.f64("middleware_time", t.as_secs_f64());
-        }
-        m.u64("space_writes", result.space_writes)
-            .u64("space_takes", result.space_takes)
-            .u64("space_misses", result.space_misses)
-            .u64("space_expirations", result.space_expirations)
-            .u64("trace_dropped", result.trace_dropped)
-    })
-    .expect("result store I/O");
     println!("(1) CBR load sweep — middleware time vs background traffic (lease = 160 s)");
-    let mut rows = Vec::new();
-    let mut points = report.points.iter();
-    for cbr in cbr_rates {
-        let mut row = vec![format!("{cbr}")];
-        for _ in wirings {
-            let m = points.next().expect("full grid").single();
-            row.push(if m.get_bool("out_of_time") {
-                "OoT".to_owned()
-            } else {
-                fmt_secs(m.get_f64("middleware_time"))
-            });
-        }
-        rows.push(row);
-    }
-    println!(
-        "{}",
-        render_table(&["CBR (B/s)", "1-wire", "2-wire"], &rows)
-    );
+    let report = run_cbr_scan(&opts);
     export(&report, &opts);
     footer(&report);
 
     // ---- 2. §3.2 wire-count case study (deterministic) ----
-    let cfg = CaseStudyConfig::table4_reference().with_cbr_rate(0.3);
-    let campaign = Campaign::new(
-        "fig_scaling_case_study",
-        Grid::new().axis("wires", 1u8..=4).points(),
-    );
-    let report = run_campaign(&campaign, &opts, GridPoint::key, |point, _ctx| {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let lines = point.i64("wires") as u8;
-        let wiring = if lines == 1 {
-            Wiring::Single
-        } else {
-            Wiring::parallel_data(lines).expect("lines >= 2")
-        };
-        let result = run_case_study(&cfg.with_bus(cfg.bus.with_wiring(wiring)));
-        Metrics::new().f64(
-            "middleware_time",
-            result
-                .middleware_time
-                .expect("case study finishes at every wire count")
-                .as_secs_f64(),
-        )
-    })
-    .expect("result store I/O");
     println!("(2) n-wire scaling — case-study middleware time (CBR 0.3 B/s)");
-    let rows: Vec<Vec<String>> = report
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.point.i64("wires").to_string(),
-                fmt_secs(p.single().get_f64("middleware_time")),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["wires (mode A)", "middleware time"], &rows)
-    );
+    let report = run_wire_scaling(&opts);
     export(&report, &opts);
     footer(&report);
 
@@ -206,13 +123,8 @@ fn main() {
     .with_seed(master_seed)
     .with_replications(args.seeds);
     let report = run_campaign(&campaign, &opts, GridPoint::key, |point, ctx| {
-        let o = run_stream_workload(
-            Some(burst_channel(point.f64("gap"))),
-            patient_policy(),
-            30,
-            64,
-            ctx.seed,
-        );
+        let params = burst_bus(Some(burst_channel(point.f64("gap"))), patient_policy());
+        let o = run_stream_workload(params, 30, 64, ctx.seed);
         Metrics::new()
             .u64("delivered", o.delivered)
             .u64("retries", o.retries)

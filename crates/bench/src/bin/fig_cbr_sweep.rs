@@ -6,26 +6,16 @@
 //! sweep measures that threshold for the 1-wire and 2-wire buses: a fine
 //! CBR scan plus a bisection of the exact crossover.
 //!
-//! The CBR × wiring scan runs as a `tsbus-lab` campaign (every grid point
-//! is an independent deterministic simulation), so it accepts the standard
-//! `--threads` / `--cache-dir` flags; the bisection is adaptive (each step
-//! depends on the last) and stays a serial loop.
+//! The CBR × wiring scan runs as the `tsbus-lab` campaign
+//! `tsbus_bench::figures::run_cbr_scan` defines (every grid point is an
+//! independent deterministic simulation; `campaign` runs the same one), so
+//! it accepts the standard `--threads` / `--cache-dir` flags; the bisection
+//! is adaptive (each step depends on the last) and stays a serial loop.
 
-use tsbus_bench::{fmt_secs, render_table};
+use tsbus_bench::figures::{run_cbr_scan, wiring_of, WIRINGS};
 use tsbus_core::{run_case_study, CaseStudyConfig};
-use tsbus_lab::{run_campaign, Campaign, Grid, GridPoint, LabArgs, Metrics};
-use tsbus_tpwire::{BusParams, Wiring};
-
-const CBR_RATES: [f64; 9] = [0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0];
-const WIRINGS: [&str; 2] = ["1-wire", "2-wire"];
-
-fn wiring_of(name: &str) -> Wiring {
-    match name {
-        "1-wire" => Wiring::Single,
-        "2-wire" => Wiring::parallel_data(2).expect("valid"),
-        other => unreachable!("unknown wiring '{other}'"),
-    }
-}
+use tsbus_lab::LabArgs;
+use tsbus_tpwire::BusParams;
 
 fn out_of_time_at(base: &CaseStudyConfig, bus: BusParams, cbr: f64) -> bool {
     run_case_study(&base.with_bus(bus).with_cbr_rate(cbr)).out_of_time
@@ -52,53 +42,9 @@ fn threshold(base: &CaseStudyConfig, bus: BusParams, hi: f64) -> Option<f64> {
 fn main() {
     let args = LabArgs::from_env();
     println!("Figure (§5) — CBR load sweep and the out-of-time threshold (lease = 160 s)\n");
+    run_cbr_scan(&args.exec_opts());
+
     let base = CaseStudyConfig::table4_reference();
-
-    // The scan, as a campaign: cbr × wiring, one deterministic run each.
-    let campaign = Campaign::new(
-        "fig_cbr_sweep",
-        Grid::new()
-            .axis("cbr", CBR_RATES)
-            .axis("wiring", WIRINGS)
-            .points(),
-    );
-    let report = run_campaign(
-        &campaign,
-        &args.exec_opts(),
-        GridPoint::key,
-        |point, _ctx| {
-            let bus = base.bus.with_wiring(wiring_of(point.str("wiring")));
-            let result = run_case_study(&base.with_bus(bus).with_cbr_rate(point.f64("cbr")));
-            let mut m = Metrics::new().bool("out_of_time", result.out_of_time);
-            if let Some(t) = result.middleware_time {
-                m = m.f64("middleware_time", t.as_secs_f64());
-            }
-            m
-        },
-    )
-    .expect("result store I/O");
-
-    // Pivot the long-format report into the figure's wiring columns.
-    let mut rows = Vec::new();
-    let mut by_point = report.points.iter();
-    for cbr in CBR_RATES {
-        let mut row = vec![format!("{cbr}")];
-        for _ in WIRINGS {
-            let point = by_point.next().expect("grid covers cbr x wiring");
-            let m = point.single();
-            row.push(if m.get_bool("out_of_time") {
-                "OoT".to_owned()
-            } else {
-                fmt_secs(m.get_f64("middleware_time"))
-            });
-        }
-        rows.push(row);
-    }
-    println!(
-        "{}",
-        render_table(&["CBR (B/s)", "1-wire", "2-wire"], &rows)
-    );
-
     println!("Bisected out-of-time thresholds:");
     for name in WIRINGS {
         match threshold(&base, base.bus.with_wiring(wiring_of(name)), 8.0) {

@@ -6,59 +6,28 @@
 //! between the two farthest slaves, and the idle discovery latency — as
 //! the chain grows.
 
-use bytes::Bytes;
 use tsbus_bench::render_table;
-use tsbus_core::BusCbrSink;
-use tsbus_des::{ComponentId, SimTime, Simulator};
-use tsbus_tpwire::{analytic, BusParams, NodeId, SendStream, StreamEndpoint, TpWireBus};
-
-fn node(id: u8) -> NodeId {
-    NodeId::new(id).expect("chain ids stay in range")
-}
-
-/// Measures the end-to-end relay time of one 64-byte message between the
-/// two ends of an `n`-slave chain, plus the resets seen during 2 s idle.
-fn measure(n: u8) -> (f64, f64, u64) {
-    let mut sim = Simulator::with_seed(4);
-    let sink = sim.add_component("sink", BusCbrSink::new());
-    let chain: Vec<NodeId> = (1..=n).map(node).collect();
-    let params = BusParams::theseus_default();
-    let mut bus = TpWireBus::new(params, chain);
-    bus.attach(node(n), sink);
-    let bus_id: ComponentId = sim.add_component("bus", bus);
-    // Long idle first (watchdog check), then the measured transfer.
-    sim.run_until(SimTime::from_secs(2));
-    let inject = sim.now();
-    sim.with_context(|ctx| {
-        ctx.send(
-            bus_id,
-            SendStream {
-                from: node(1),
-                to: StreamEndpoint::Slave(node(n)),
-                payload: Bytes::from(vec![0x77u8; 64]),
-            },
-        );
-    });
-    sim.run_until(SimTime::from_secs(4));
-    let sink_ref: &BusCbrSink = sim.component(sink).expect("registered");
-    let measured = sink_ref
-        .last_arrival()
-        .expect("message delivered")
-        .duration_since(inject)
-        .as_secs_f64();
-    let predicted = analytic::message_relay_time(&params, 0, usize::from(n) - 1, 64).as_secs_f64();
-    let bus_ref: &TpWireBus = sim.component(bus_id).expect("registered");
-    let resets: u64 = (1..=n)
-        .map(|i| bus_ref.slave(node(i)).expect("on chain").reset_count())
-        .sum();
-    (measured, predicted, resets)
-}
+use tsbus_bench::workload::idle_bus_probe;
+use tsbus_des::SimTime;
+use tsbus_tpwire::{analytic, BusParams};
 
 fn main() {
     println!("Figure (§3.1) — chain-length scaling at 8 Mbit/s, 64-byte end-to-end relay\n");
     let mut rows = Vec::new();
     for n in [2u8, 4, 8, 16, 32, 64, 126] {
-        let (measured, predicted, resets) = measure(n);
+        // 64 bytes end to end after 2 s idle (the watchdog check).
+        let params = BusParams::theseus_default();
+        let (measured, resets) = idle_bus_probe(
+            params,
+            n,
+            n,
+            64,
+            SimTime::from_secs(2),
+            SimTime::from_secs(4),
+            4,
+        );
+        let predicted =
+            analytic::message_relay_time(&params, 0, usize::from(n) - 1, 64).as_secs_f64();
         rows.push(vec![
             n.to_string(),
             format!("{:.1} µs", predicted * 1e6),

@@ -34,7 +34,7 @@ use tsbus_bench::dedup_cost::{dedup_axis_from_args, run_dedup_cost_sweep};
 use tsbus_bench::render_table;
 use tsbus_bench::supervision::{run_supervision_sweep, supervision_axis_from_args};
 use tsbus_bench::workload::{
-    burst_channel, patient_policy, run_stream_workload, Outcome, REFERENCE_SEED,
+    burst_bus, burst_channel, patient_policy, run_stream_workload, Outcome, REFERENCE_SEED,
 };
 use tsbus_faults::{Backoff, RetryParams, RetryPolicy};
 use tsbus_lab::{run_campaign, Campaign, Metrics, PointResult};
@@ -68,13 +68,8 @@ fn main() {
         &opts,
         |p| p.map_or_else(|| "gap=clean".to_owned(), |g| format!("gap={g:?}")),
         |p, _ctx| {
-            let o = run_stream_workload(
-                p.map(burst_channel),
-                patient_policy(),
-                MESSAGES,
-                LEN,
-                REFERENCE_SEED,
-            );
+            let params = burst_bus(p.map(burst_channel), patient_policy());
+            let o = run_stream_workload(params, MESSAGES, LEN, REFERENCE_SEED);
             to_metrics(&o)
         },
     )
@@ -161,13 +156,8 @@ fn main() {
         &opts,
         |(name, _)| format!("policy={name}"),
         |(_, policy), _ctx| {
-            let o = run_stream_workload(
-                Some(burst_channel(100.0)),
-                *policy,
-                MESSAGES,
-                LEN,
-                REFERENCE_SEED,
-            );
+            let params = burst_bus(Some(burst_channel(100.0)), *policy);
+            let o = run_stream_workload(params, MESSAGES, LEN, REFERENCE_SEED);
             to_metrics(&o)
         },
     )

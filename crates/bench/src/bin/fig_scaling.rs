@@ -8,20 +8,14 @@
 //!
 //! Both parts run as `tsbus-lab` campaigns over the wire-count axis
 //! (accepting `--threads` / `--cache-dir`); part (a) evaluates the
-//! closed-form model at each point, part (b) a full DES case study.
+//! closed-form model at each point, part (b) a full DES case study (the
+//! campaign `tsbus_bench::figures::run_wire_scaling` defines, which
+//! `campaign` runs too).
 
-use tsbus_bench::{fmt_secs, render_table};
-use tsbus_core::{run_case_study, CaseStudyConfig};
+use tsbus_bench::figures::{mode_a_wiring, run_wire_scaling};
+use tsbus_bench::render_table;
 use tsbus_lab::{run_campaign, Campaign, Grid, GridPoint, LabArgs, Metrics};
-use tsbus_tpwire::{analytic, BusParams, Wiring};
-
-fn mode_a_wiring(lines: u8) -> Wiring {
-    if lines == 1 {
-        Wiring::Single
-    } else {
-        Wiring::parallel_data(lines).expect("lines >= 2")
-    }
-}
+use tsbus_tpwire::{analytic, BusParams};
 
 fn main() {
     let args = LabArgs::from_env();
@@ -88,54 +82,7 @@ fn main() {
 
     // End-to-end case-study time under mode A (the Table 4 workload).
     println!("(b) Case-study middleware time (Table 4 workload, CBR 0.3 B/s), measured:");
-    let cfg = CaseStudyConfig::table4_reference().with_cbr_rate(0.3);
-    let case_study = Campaign::new(
-        "fig_scaling_case_study",
-        Grid::new().axis("wires", 1u8..=4).points(),
-    );
-    let report = run_campaign(
-        &case_study,
-        &args.exec_opts(),
-        GridPoint::key,
-        |point, _ctx| {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let lines = point.i64("wires") as u8;
-            let result = run_case_study(&cfg.with_bus(cfg.bus.with_wiring(mode_a_wiring(lines))));
-            let time = result
-                .middleware_time
-                .expect("case study finishes at every wire count");
-            Metrics::new()
-                .f64("middleware_time", time.as_secs_f64())
-                .bool("out_of_time", result.out_of_time)
-        },
-    )
-    .expect("result store I/O");
-    let rows: Vec<Vec<String>> = report
-        .points
-        .iter()
-        .map(|point| {
-            let m = point.single();
-            vec![
-                point.point.i64("wires").to_string(),
-                fmt_secs(m.get_f64("middleware_time")),
-                format!(
-                    "{}",
-                    if m.get_bool("out_of_time") {
-                        "yes"
-                    } else {
-                        "no"
-                    }
-                ),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["wires (mode A)", "middleware time", "out of time?"],
-            &rows
-        )
-    );
+    run_wire_scaling(&args.exec_opts());
     println!(
         "End-to-end gains flatten even faster than raw goodput: the fixed endpoint\n\
          costs (gdb/RMI) do not scale with the wire count."

@@ -26,18 +26,12 @@ use crate::{fmt_secs, render_table};
 /// the density sweep's mean good-run lengths.
 pub const COST_GAPS: [f64; 3] = [0.0, 800.0, 200.0];
 
-/// Strips a leading-or-anywhere `--dedup on|off|both` from the process
-/// arguments, handing everything else to [`LabArgs::parse`]. Returns the
-/// exactly-once modes to sweep alongside the parsed lab flags.
+/// Strips a leading-or-anywhere `--dedup on|off|both` from `args`,
+/// handing everything else to [`LabArgs::parse`]. Returns the
+/// exactly-once modes to sweep alongside the parsed lab flags. Binaries
+/// strip other axes (e.g. `--supervision`) off the command line first.
 ///
 /// Exits with usage on a malformed value, like the lab parser does.
-#[must_use]
-pub fn dedup_axis_from_env() -> (Vec<&'static str>, LabArgs) {
-    dedup_axis_from_args(std::env::args().skip(1).collect())
-}
-
-/// [`dedup_axis_from_env`] over an explicit argument list — lets binaries
-/// strip other axes (e.g. `--supervision`) off the command line first.
 #[must_use]
 pub fn dedup_axis_from_args(args: Vec<String>) -> (Vec<&'static str>, LabArgs) {
     let (modes, rest) = crate::strip_mode_axis("--dedup", args);
@@ -78,7 +72,7 @@ fn cost_config(gap: f64, dedup: bool) -> CaseStudyConfig {
 
 /// Runs the exactly-once cost sweep as a campaign named `name`, prints
 /// the table, and returns the report (for export/footer handling).
-/// `modes` comes from [`dedup_axis_from_env`].
+/// `modes` comes from [`dedup_axis_from_args`].
 ///
 /// # Panics
 ///

@@ -28,6 +28,7 @@ use tsbus_core::{ClientStep, NetDeliver, NetSend, ScriptedClient, SpaceServerAge
 use tsbus_des::{
     Component, ComponentId, Context, Message, MessageExt, SimDuration, SimTime, Simulator,
 };
+use tsbus_lab::json::Json;
 use tsbus_tpwire::NodeId;
 use tsbus_tuplespace::{tuple, Lease, Pattern, Space, Template, Value};
 use tsbus_xmlwire::{EncodeScratch, Request, RequestEnvelope, RequestId, WireFormat};
@@ -130,41 +131,41 @@ impl PerfReport {
     }
 }
 
-/// Extracts `(name, speedup)` pairs from a report JSON — enough of a
-/// parser for the regression gate, matched to [`PerfReport::to_json`]'s
-/// one-arm-per-line layout.
-#[must_use]
-pub fn parse_speedups(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(name) = extract(line, "\"name\": \"", "\"") else {
-            continue;
-        };
-        let Some(speedup) = extract(line, "\"speedup\": ", "}") else {
-            continue;
-        };
-        if let Ok(s) = speedup.trim().parse::<f64>() {
-            out.push((name.to_owned(), s));
-        }
-    }
-    out
-}
-
-fn extract<'a>(line: &'a str, prefix: &str, terminator: &str) -> Option<&'a str> {
-    let start = line.find(prefix)? + prefix.len();
-    let rest = &line[start..];
-    let end = rest.find(terminator)?;
-    Some(&rest[..end])
+/// Reads the `(name, speedup)` pair of every arm of a report JSON (as
+/// [`PerfReport::to_json`] writes it).
+///
+/// # Errors
+///
+/// Returns a message when the text is not JSON or an arm lacks its
+/// `name` or `speedup`.
+pub fn parse_speedups(json: &str) -> Result<Vec<(String, f64)>, String> {
+    let report = Json::parse(json)?;
+    let Some(Json::Arr(arms)) = report.get("arms") else {
+        return Err("no \"arms\" array".to_owned());
+    };
+    arms.iter()
+        .map(|arm| {
+            let name = arm.get("name").and_then(Json::as_str);
+            let speedup = arm.get("speedup").and_then(Json::as_f64);
+            match (name, speedup) {
+                (Some(name), Some(speedup)) => Ok((name.to_owned(), speedup)),
+                _ => Err(format!("arm without name or speedup: {}", arm.encode())),
+            }
+        })
+        .collect()
 }
 
 /// Compares this run's speedups against a committed baseline report.
 /// Returns the failures: arms whose speedup fell below 80 % of the
-/// baseline's (a >20 % throughput-ratio regression). Arms missing on
-/// either side are skipped — adding or retiring an arm is not a
-/// regression.
+/// baseline's (a >20 % throughput-ratio regression), or the one reason
+/// the baseline could not be read. Arms missing on either side are
+/// skipped — adding or retiring an arm is not a regression.
 #[must_use]
 pub fn check_against(current: &PerfReport, baseline_json: &str) -> Vec<String> {
-    let baseline = parse_speedups(baseline_json);
+    let baseline = match parse_speedups(baseline_json) {
+        Ok(baseline) => baseline,
+        Err(e) => return vec![format!("unreadable baseline: {e}")],
+    };
     let mut failures = Vec::new();
     for arm in &current.arms {
         let Some((_, expected)) = baseline.iter().find(|(n, _)| n == arm.name) else {
@@ -504,7 +505,7 @@ mod tests {
                 },
             ],
         };
-        let parsed = parse_speedups(&report.to_json());
+        let parsed = parse_speedups(&report.to_json()).expect("a report parses");
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "a");
         assert!((parsed[0].1 - 2.0).abs() < 1e-9);

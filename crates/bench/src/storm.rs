@@ -107,10 +107,7 @@ where
         |seed, _ctx| trial(*seed),
     )
     .expect("result store I/O");
-    eprintln!(
-        "{name}: {} simulated / {} cached",
-        report.simulated, report.cached
-    );
+    crate::log_cache_use(&report);
 
     let mut batch = Batch::default();
     for PointResult { point, reps, .. } in &report.points {

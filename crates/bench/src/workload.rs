@@ -1,10 +1,15 @@
-//! The burst-error stream workload shared by `fig_fault_sweep` and the
-//! `campaign` binary: a fixed batch of messages node 1 → node 2 over a
-//! Gilbert-Elliott channel, under a configurable master retry policy.
+//! The bare-bus workloads the figure binaries share:
+//!
+//! * [`run_stream_workload`] — a fixed batch of messages node 1 → node 2
+//!   under any bus parameters (a burst channel and retry policy for
+//!   `fig_fault_sweep` and `campaign`, a frame-error rate for
+//!   `ablation_errors`);
+//! * [`idle_bus_probe`] — one message into a long-idle chain, for
+//!   `ablation_polling` and `fig_chain`.
 
 use bytes::Bytes;
 use tsbus_core::BusCbrSink;
-use tsbus_des::{ComponentId, SimDuration, Simulator};
+use tsbus_des::{ComponentId, SimDuration, SimTime, Simulator};
 use tsbus_faults::{Backoff, BurstParams, RetryParams, RetryPolicy};
 use tsbus_tpwire::{BusParams, NodeId, SendStream, StreamEndpoint, TpWireBus};
 
@@ -12,7 +17,16 @@ use tsbus_tpwire::{BusParams, NodeId, SendStream, StreamEndpoint, TpWireBus};
 pub const REFERENCE_SEED: u64 = 23;
 
 fn node(id: u8) -> NodeId {
-    NodeId::new(id).expect("valid")
+    NodeId::new(id).expect("chain ids stay in range")
+}
+
+/// A stream message of `len` bytes from slave `from` to slave `to`.
+fn message(from: u8, to: u8, len: usize) -> SendStream {
+    SendStream {
+        from: node(from),
+        to: StreamEndpoint::Slave(node(to)),
+        payload: Bytes::from(vec![0xC3u8; len]),
+    }
 }
 
 /// What one stream-workload run measured.
@@ -20,6 +34,8 @@ fn node(id: u8) -> NodeId {
 pub struct Outcome {
     /// Messages that arrived intact.
     pub delivered: u64,
+    /// Bus transactions, up to the stop.
+    pub transactions: u64,
     /// Frame retransmissions.
     pub retries: u64,
     /// Transfers abandoned after exhausting the retry budget.
@@ -32,36 +48,30 @@ pub struct Outcome {
     pub elapsed: f64,
 }
 
-/// Runs `messages` stream messages of `len` bytes through a bus with the
-/// given burst channel and retry policy, on a simulator seeded with
-/// `seed` (the burst channel draws its state transitions from it).
+/// The Theseus bus under `policy`, with the burst channel when given.
 #[must_use]
-pub fn run_stream_workload(
-    burst: Option<BurstParams>,
-    policy: RetryPolicy,
-    messages: u64,
-    len: usize,
-    seed: u64,
-) -> Outcome {
+pub fn burst_bus(burst: Option<BurstParams>, policy: RetryPolicy) -> BusParams {
+    let params = BusParams::theseus_default().with_retry_policy(policy);
+    match burst {
+        Some(b) => params.with_burst_error(b),
+        None => params,
+    }
+}
+
+/// Runs `messages` stream messages of `len` bytes through a two-slave bus
+/// with the given parameters, on a simulator seeded with `seed` (error
+/// and burst channels draw from it). The run stops once every message
+/// arrived or was abandoned, or after 30 s of simulated time.
+#[must_use]
+pub fn run_stream_workload(params: BusParams, messages: u64, len: usize, seed: u64) -> Outcome {
     let mut sim = Simulator::with_seed(seed);
     let sink = sim.add_component("sink", BusCbrSink::new());
-    let mut params = BusParams::theseus_default().with_retry_policy(policy);
-    if let Some(b) = burst {
-        params = params.with_burst_error(b);
-    }
     let mut bus = TpWireBus::new(params, vec![node(1), node(2)]);
     bus.attach(node(2), sink);
     let bus_id: ComponentId = sim.add_component("bus", bus);
     sim.with_context(|ctx| {
         for _ in 0..messages {
-            ctx.send(
-                bus_id,
-                SendStream {
-                    from: node(1),
-                    to: StreamEndpoint::Slave(node(2)),
-                    payload: Bytes::from(vec![0xC3u8; len]),
-                },
-            );
+            ctx.send(bus_id, message(1, 2, len));
         }
     });
     // Slice the run; stop once every message either arrived or was
@@ -79,6 +89,7 @@ pub fn run_stream_workload(
     let stats = bus_ref.stats();
     Outcome {
         delivered: sink_ref.messages(),
+        transactions: stats.transactions,
         retries: stats.retries,
         failures: stats.failures,
         backoff_events: stats.backoff_events,
@@ -88,6 +99,48 @@ pub fn run_stream_workload(
             .map(|t| t.as_secs_f64())
             .unwrap_or(f64::NAN),
     }
+}
+
+/// Injects one `len`-byte message from slave 1 to slave `to` of an
+/// `slaves`-long chain after it has idled until `idle_until`, and runs to
+/// `end` on a simulator seeded with `seed`. Returns the message's latency
+/// in seconds (dominated by discovery on an idle bus) and the slave
+/// watchdog resets summed over the chain.
+///
+/// # Panics
+///
+/// Panics if the message is not delivered by `end`.
+#[must_use]
+pub fn idle_bus_probe(
+    params: BusParams,
+    slaves: u8,
+    to: u8,
+    len: usize,
+    idle_until: SimTime,
+    end: SimTime,
+    seed: u64,
+) -> (f64, u64) {
+    let mut sim = Simulator::with_seed(seed);
+    let sink = sim.add_component("sink", BusCbrSink::new());
+    let mut bus = TpWireBus::new(params, (1..=slaves).map(node).collect());
+    bus.attach(node(to), sink);
+    let bus_id: ComponentId = sim.add_component("bus", bus);
+    // Long idle stretch first: polls must keep every watchdog fed.
+    sim.run_until(idle_until);
+    let inject_at = sim.now();
+    sim.with_context(|ctx| ctx.send(bus_id, message(1, to, len)));
+    sim.run_until(end);
+    let sink_ref: &BusCbrSink = sim.component(sink).expect("registered");
+    let latency = sink_ref
+        .last_arrival()
+        .expect("message delivered")
+        .duration_since(inject_at)
+        .as_secs_f64();
+    let bus_ref: &TpWireBus = sim.component(bus_id).expect("registered");
+    let resets = (1..=slaves)
+        .map(|i| bus_ref.slave(node(i)).expect("on chain").reset_count())
+        .sum();
+    (latency, resets)
 }
 
 /// The burst channel: bursts of mean 8 frames in which every frame is

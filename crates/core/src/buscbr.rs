@@ -26,7 +26,6 @@ pub struct BusCbrSource {
     packet_size: u32,
     /// Messages still to send in burst mode (`None` = continuous).
     burst_remaining: Option<u64>,
-    start_at: SimTime,
     sent_messages: u64,
 }
 
@@ -57,7 +56,6 @@ impl BusCbrSource {
             rate_bytes_per_sec,
             packet_size,
             burst_remaining: None,
-            start_at: SimTime::ZERO,
             sent_messages: 0,
         }
     }
@@ -67,13 +65,6 @@ impl BusCbrSource {
     #[must_use]
     pub fn burst(mut self, n: u64) -> Self {
         self.burst_remaining = Some(n);
-        self
-    }
-
-    /// Delays the first emission.
-    #[must_use]
-    pub fn starting_at(mut self, at: SimTime) -> Self {
-        self.start_at = at;
         self
     }
 
@@ -109,9 +100,8 @@ impl BusCbrSource {
 impl Component for BusCbrSource {
     fn start(&mut self, ctx: &mut Context<'_>) {
         if self.period().is_some() {
-            let first = self.start_at.max(ctx.now());
             let target = ctx.self_id();
-            ctx.schedule_at(first, target, Emit);
+            ctx.schedule_at(ctx.now(), target, Emit);
         }
     }
 

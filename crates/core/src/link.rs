@@ -209,17 +209,6 @@ impl Link {
         self
     }
 
-    /// Applies a fault matrix to one direction only (0 = a→b, 1 = b→a).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dir > 1`.
-    #[must_use]
-    pub fn with_direction_faults(mut self, dir: usize, faults: LinkFaults) -> Self {
-        self.faults[dir] = faults;
-        self
-    }
-
     /// The link's transmission parameters.
     #[must_use]
     pub fn spec(&self) -> &LinkSpec {

@@ -165,9 +165,6 @@ pub struct SpaceServerAgent {
     space: Space,
     /// Fixed processing cost per request (RMI + JVM + wrapper).
     service_time: SimDuration,
-    /// Additional cost per payload byte of the request (serialization
-    /// work); zero by default.
-    per_byte: SimDuration,
     /// Reply routing for every parked read/take and wire subscription.
     routes: HashMap<SubscriptionId, Route>,
     /// The space subscription behind each wire subscription id (= index).
@@ -191,7 +188,6 @@ impl SpaceServerAgent {
             endpoint,
             space: Space::new(),
             service_time,
-            per_byte: SimDuration::ZERO,
             routes: HashMap::new(),
             wire_subs: Vec::new(),
             sweep_at: None,
@@ -199,13 +195,6 @@ impl SpaceServerAgent {
             scratch: EncodeScratch::new(),
             obs: ServerInstruments::default(),
         }
-    }
-
-    /// Adds a per-request-byte processing cost (builder style).
-    #[must_use]
-    pub fn with_per_byte_cost(mut self, per_byte: SimDuration) -> Self {
-        self.per_byte = per_byte;
-        self
     }
 
     /// The space, for post-run inspection.
@@ -483,10 +472,8 @@ impl Component for SpaceServerAgent {
                 match request_envelope_from_wire(&payload) {
                     Ok((envelope, format)) => {
                         self.obs.registry.inc(self.obs.requests);
-                        let cost =
-                            self.service_time + self.per_byte.saturating_mul(payload.len() as u64);
                         ctx.schedule_self_in(
-                            cost,
+                            self.service_time,
                             Serviced {
                                 from,
                                 format,

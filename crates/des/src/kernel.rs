@@ -234,12 +234,6 @@ impl Simulator {
         self.core.pool.enabled
     }
 
-    /// Replaces the random seed. Call before the simulation starts drawing
-    /// random numbers, or reproducibility of the earlier draws is lost.
-    pub fn set_seed(&mut self, seed: u64) {
-        self.core.rng = SimRng::seeded(seed);
-    }
-
     /// Registers a component under `name` and returns its id.
     ///
     /// Registration order is part of the determinism contract (ids are handed

@@ -2,10 +2,9 @@
 //!
 //! * [`Counter`] — a plain event counter.
 //! * [`Summary`] — running min/max/mean/variance (Welford) of a sample set.
-//! * [`TimeWeighted`] — the time-integral of a piecewise-constant signal
-//!   (queue lengths, utilization), yielding time-averaged values.
 //! * [`Histogram`] — fixed-width bins plus quantile estimates.
-//! * [`RateMeter`] — events (or bytes) per second over the observed window.
+//! * [`Utilization`] — the busy fraction of a single-server resource.
+//! * [`BusyTime`] — accumulated busy spans, for models that know them.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -173,83 +172,6 @@ impl Summary {
     }
 }
 
-/// The time-integral of a piecewise-constant signal, e.g. a queue length or
-/// a busy/idle flag, producing its time average.
-///
-/// Call [`set`](TimeWeighted::set) whenever the signal changes; the value is
-/// assumed to hold until the next change.
-///
-/// # Examples
-///
-/// ```
-/// use tsbus_des::stats::TimeWeighted;
-/// use tsbus_des::SimTime;
-///
-/// let mut queue_len = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// queue_len.set(SimTime::from_secs(2), 3.0); // 0.0 held for 2 s
-/// queue_len.set(SimTime::from_secs(4), 0.0); // 3.0 held for 2 s
-/// assert_eq!(queue_len.time_average(SimTime::from_secs(4)), 1.5);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeighted {
-    integral: f64,
-    current: f64,
-    last_change: SimTime,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts integrating at `start` with the signal at `initial`.
-    #[must_use]
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            integral: 0.0,
-            current: initial,
-            last_change: start,
-            start,
-        }
-    }
-
-    /// Records a change of the signal to `value` at instant `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous change (time runs forward).
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let held = now.duration_since(self.last_change);
-        self.integral += self.current * held.as_secs_f64();
-        self.current = value;
-        self.last_change = now;
-    }
-
-    /// Adds `delta` to the current signal value at instant `now` — handy for
-    /// queue lengths.
-    pub fn adjust(&mut self, now: SimTime, delta: f64) {
-        let next = self.current + delta;
-        self.set(now, next);
-    }
-
-    /// The current signal value.
-    #[must_use]
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// The time-averaged value of the signal from the start instant to
-    /// `now`. Returns 0.0 over an empty window.
-    #[must_use]
-    pub fn time_average(&self, now: SimTime) -> f64 {
-        let window = now.saturating_duration_since(self.start).as_secs_f64();
-        if window <= 0.0 {
-            return 0.0;
-        }
-        let tail = now
-            .saturating_duration_since(self.last_change)
-            .as_secs_f64();
-        (self.integral + self.current * tail) / window
-    }
-}
-
 /// A fixed-width-bin histogram over `[low, high)` with under/overflow bins.
 ///
 /// # Examples
@@ -401,64 +323,14 @@ impl Histogram {
     }
 }
 
-/// Events (or bytes) per second of simulated time over the observed window.
-///
-/// # Examples
-///
-/// ```
-/// use tsbus_des::stats::RateMeter;
-/// use tsbus_des::SimTime;
-///
-/// let mut bytes = RateMeter::new(SimTime::ZERO);
-/// bytes.record(SimTime::from_secs(1), 100);
-/// bytes.record(SimTime::from_secs(2), 100);
-/// assert_eq!(bytes.rate(SimTime::from_secs(2)), 100.0);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct RateMeter {
-    start: SimTime,
-    total: u64,
-}
-
-impl RateMeter {
-    /// Starts metering at `start`.
-    #[must_use]
-    pub fn new(start: SimTime) -> Self {
-        RateMeter { start, total: 0 }
-    }
-
-    /// Records `amount` units at instant `now` (the instant is only used by
-    /// [`rate`](RateMeter::rate) through the caller; recorded here for
-    /// symmetry and future windowing).
-    pub fn record(&mut self, _now: SimTime, amount: u64) {
-        self.total = self.total.saturating_add(amount);
-    }
-
-    /// Total units recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Units per second from the start instant to `now` (0.0 over an empty
-    /// window).
-    #[must_use]
-    pub fn rate(&self, now: SimTime) -> f64 {
-        let window = now.saturating_duration_since(self.start);
-        if window.is_zero() {
-            0.0
-        } else {
-            self.total as f64 / window.as_secs_f64()
-        }
-    }
-}
-
 /// Utilization of a single-server resource: fraction of time busy.
 ///
-/// A thin, intent-revealing wrapper over [`TimeWeighted`] with a 0/1 signal.
+/// Fed busy/idle edges; the busy spans are integrated as they close.
 #[derive(Debug, Clone, Copy)]
 pub struct Utilization {
-    inner: TimeWeighted,
+    start: SimTime,
+    /// Seconds busy over the closed busy spans.
+    busy_secs: f64,
     busy_since: Option<SimTime>,
 }
 
@@ -467,7 +339,8 @@ impl Utilization {
     #[must_use]
     pub fn new(start: SimTime) -> Self {
         Utilization {
-            inner: TimeWeighted::new(start, 0.0),
+            start,
+            busy_secs: 0.0,
             busy_since: None,
         }
     }
@@ -475,16 +348,18 @@ impl Utilization {
     /// Marks the resource busy at `now`. Idempotent while already busy.
     pub fn set_busy(&mut self, now: SimTime) {
         if self.busy_since.is_none() {
-            self.inner.set(now, 1.0);
             self.busy_since = Some(now);
         }
     }
 
     /// Marks the resource idle at `now`. Idempotent while already idle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` precedes the instant the resource became busy.
     pub fn set_idle(&mut self, now: SimTime) {
-        if self.busy_since.is_some() {
-            self.inner.set(now, 0.0);
-            self.busy_since = None;
+        if let Some(since) = self.busy_since.take() {
+            self.busy_secs += now.duration_since(since).as_secs_f64();
         }
     }
 
@@ -494,10 +369,18 @@ impl Utilization {
         self.busy_since.is_some()
     }
 
-    /// Fraction of time busy in `[start, now]`, in `[0, 1]`.
+    /// Fraction of time busy in `[start, now]`, in `[0, 1]` (0.0 over an
+    /// empty window).
     #[must_use]
     pub fn fraction_busy(&self, now: SimTime) -> f64 {
-        self.inner.time_average(now)
+        let window = now.saturating_duration_since(self.start).as_secs_f64();
+        if window <= 0.0 {
+            return 0.0;
+        }
+        let open = self.busy_since.map_or(0.0, |since| {
+            now.saturating_duration_since(since).as_secs_f64()
+        });
+        (self.busy_secs + open) / window
     }
 }
 
@@ -575,16 +458,6 @@ mod tests {
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn time_weighted_integrates_steps() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 2.0);
-        tw.set(SimTime::from_secs(1), 4.0);
-        tw.adjust(SimTime::from_secs(3), -3.0); // now 1.0
-                                                // integral = 2*1 + 4*2 + 1*1 = 11 over 4 s
-        assert!((tw.time_average(SimTime::from_secs(4)) - 11.0 / 4.0).abs() < 1e-12);
-        assert_eq!(tw.current(), 1.0);
     }
 
     #[test]
@@ -677,15 +550,6 @@ mod tests {
         assert_eq!(c.count(), 1);
         c.subtract(5);
         assert_eq!(c.count(), 0);
-    }
-
-    #[test]
-    fn rate_meter_divides_by_window() {
-        let mut m = RateMeter::new(SimTime::from_secs(10));
-        m.record(SimTime::from_secs(11), 50);
-        assert_eq!(m.rate(SimTime::from_secs(15)), 10.0);
-        assert_eq!(m.rate(SimTime::from_secs(10)), 0.0);
-        assert_eq!(m.total(), 50);
     }
 
     #[test]

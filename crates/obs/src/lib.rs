@@ -25,7 +25,6 @@
 //! [`tsbus_des::stats`] — [`Counter`](tsbus_des::stats::Counter),
 //! [`Summary`](tsbus_des::stats::Summary),
 //! [`Histogram`](tsbus_des::stats::Histogram),
-//! [`TimeWeighted`](tsbus_des::stats::TimeWeighted),
 //! [`BusyTime`](tsbus_des::stats::BusyTime) and
 //! [`Utilization`](tsbus_des::stats::Utilization) — so a registry row
 //! carries exactly the semantics the layer recorded.
@@ -52,8 +51,6 @@ pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
-pub use registry::{
-    BusyId, CounterId, GaugeId, HistogramId, Registry, SummaryId, TimeWeightedId, UtilizationId,
-};
+pub use registry::{BusyId, CounterId, GaugeId, HistogramId, Registry, SummaryId, UtilizationId};
 pub use snapshot::{FlatValue, MetricValue, Snapshot};
 pub use trace::{DedupDecision, LinkEffect, RetryClass, TraceEvent, Tracer, TupleOpKind};

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use tsbus_des::stats::{BusyTime, Counter, Histogram, Summary, TimeWeighted, Utilization};
+use tsbus_des::stats::{BusyTime, Counter, Histogram, Summary, Utilization};
 use tsbus_des::{SimDuration, SimTime};
 
 use crate::snapshot::{MetricValue, Snapshot};
@@ -32,8 +32,6 @@ handles! {
     SummaryId,
     /// Handle to a registered [`Histogram`].
     HistogramId,
-    /// Handle to a registered [`TimeWeighted`] signal.
-    TimeWeightedId,
     /// Handle to a registered [`BusyTime`] accumulator.
     BusyId,
     /// Handle to a registered [`Utilization`] tracker.
@@ -46,7 +44,6 @@ enum Instrument {
     Gauge(f64),
     Summary(Summary),
     Histogram(Histogram),
-    TimeWeighted(TimeWeighted),
     Busy(BusyTime),
     Utilization(Utilization),
 }
@@ -149,15 +146,6 @@ impl Registry {
         HistogramId(self.register(path, Instrument::Histogram(Histogram::new(low, high, bins))))
     }
 
-    /// Registers a [`TimeWeighted`] piecewise-constant signal starting at
-    /// `start` with value `initial`.
-    pub fn time_weighted(&mut self, path: &str, start: SimTime, initial: f64) -> TimeWeightedId {
-        TimeWeightedId(self.register(
-            path,
-            Instrument::TimeWeighted(TimeWeighted::new(start, initial)),
-        ))
-    }
-
     /// Registers a [`BusyTime`] accumulator.
     pub fn busy_time(&mut self, path: &str) -> BusyId {
         BusyId(self.register(path, Instrument::Busy(BusyTime::new())))
@@ -254,22 +242,6 @@ impl Registry {
         }
     }
 
-    /// Records a change of a time-weighted signal to `value` at `now`.
-    pub fn set_level(&mut self, id: TimeWeightedId, now: SimTime, value: f64) {
-        match &mut self.slots[id.0].instrument {
-            Instrument::TimeWeighted(tw) => tw.set(now, value),
-            other => unreachable!("handle type guarantees a time-weighted signal, found {other:?}"),
-        }
-    }
-
-    /// Adds `delta` to a time-weighted signal at `now`.
-    pub fn adjust_level(&mut self, id: TimeWeightedId, now: SimTime, delta: f64) {
-        match &mut self.slots[id.0].instrument {
-            Instrument::TimeWeighted(tw) => tw.adjust(now, delta),
-            other => unreachable!("handle type guarantees a time-weighted signal, found {other:?}"),
-        }
-    }
-
     /// Accumulates one busy span.
     #[inline]
     pub fn add_busy(&mut self, id: BusyId, span: SimDuration) {
@@ -318,8 +290,8 @@ impl Registry {
     }
 
     /// Captures every instrument into a path-sorted, deterministic
-    /// [`Snapshot`]. Time-parameterized instruments (time-weighted signals,
-    /// utilization) are evaluated at `now`.
+    /// [`Snapshot`]. Utilization, the one time-parameterized instrument, is
+    /// evaluated at `now`.
     #[must_use]
     pub fn snapshot(&self, now: SimTime) -> Snapshot {
         let rows = self
@@ -331,7 +303,6 @@ impl Registry {
                     Instrument::Gauge(g) => MetricValue::Gauge(*g),
                     Instrument::Summary(s) => MetricValue::Summary(*s),
                     Instrument::Histogram(h) => MetricValue::Histogram(h.clone()),
-                    Instrument::TimeWeighted(tw) => MetricValue::Gauge(tw.time_average(now)),
                     Instrument::Busy(b) => MetricValue::Duration(b.total()),
                     Instrument::Utilization(u) => MetricValue::Gauge(u.fraction_busy(now)),
                 };

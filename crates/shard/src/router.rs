@@ -46,6 +46,10 @@ use tsbus_xmlwire::{
 use crate::config::{DegradedWritePolicy, ShardConfig};
 use crate::partition::{hash_tuple, hash_value, PartitionMap, Route};
 
+/// The router's exactly-once client id: every sub-request it issues is
+/// identified as `(ROUTER_CLIENT_ID, seq)`.
+const ROUTER_CLIENT_ID: u64 = 1;
+
 /// An application-level operation handed to the router.
 #[derive(Debug)]
 pub struct ShardOp {
@@ -266,7 +270,6 @@ pub struct ShardRouter {
     policy: RouterPolicy,
     degraded_writes: DegradedWritePolicy,
     write_quorum: u8,
-    client_id: u64,
     /// The engine's outstanding-request table: seq allocation, the
     /// cumulative-ack settlement watermark, and one epoch-timed entry
     /// per in-flight sub-request. Failed sub-requests never settle, so
@@ -315,7 +318,6 @@ impl ShardRouter {
             policy: RouterPolicy::default(),
             degraded_writes: cfg.degraded_writes,
             write_quorum: cfg.replication.write_quorum,
-            client_id: 1,
             table: RequestTable::new(),
             ops: BTreeMap::new(),
             degraded: vec![false; n],
@@ -341,23 +343,10 @@ impl ShardRouter {
         self
     }
 
-    /// Sets the router's exactly-once client id (builder style).
-    #[must_use]
-    pub fn with_client_id(mut self, client_id: u64) -> Self {
-        self.client_id = client_id;
-        self
-    }
-
     /// The partition map the router routes by.
     #[must_use]
     pub fn map(&self) -> &PartitionMap {
         &self.map
-    }
-
-    /// Whether `shard` is currently marked degraded.
-    #[must_use]
-    pub fn is_degraded(&self, shard: u8) -> bool {
-        self.degraded[usize::from(shard)]
     }
 
     /// Captures the router's metrics at instant `now`: the `proto/*`
@@ -477,7 +466,7 @@ impl ShardRouter {
         let scatter = matches!(sub.role, SubRole::ScatterLeg);
         let envelope = RequestEnvelope::identified(
             RequestId {
-                client: self.client_id,
+                client: ROUTER_CLIENT_ID,
                 seq,
             },
             self.table.ack(),
@@ -1015,7 +1004,7 @@ impl ShardRouter {
             self.obs.registry.inc(self.obs.proto.stale_replies);
             return;
         };
-        if id.client != self.client_id {
+        if id.client != ROUTER_CLIENT_ID {
             self.obs.registry.inc(self.obs.proto.stale_replies);
             return;
         }

@@ -31,14 +31,6 @@ pub fn raw_frames_bits(params: &BusParams, n_frames: u64, pos: usize) -> u64 {
     n_frames * txn_bits(params, pos)
 }
 
-/// Same as [`raw_frames_bits`], as a duration.
-#[must_use]
-pub fn raw_frames_time(params: &BusParams, n_frames: u64, pos: usize) -> SimDuration {
-    params
-        .bit_period()
-        .saturating_mul(raw_frames_bits(params, n_frames, pos))
-}
-
 /// Bit periods to relay one `payload_len`-byte stream message from the slave
 /// at `src_pos` to the slave at `dst_pos`, on an otherwise idle bus:
 ///

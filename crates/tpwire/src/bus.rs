@@ -530,12 +530,6 @@ impl TpWireBus {
         &self.params
     }
 
-    /// Number of slaves on the chain.
-    #[must_use]
-    pub fn slave_count(&self) -> usize {
-        self.chain.len()
-    }
-
     /// Borrows the slave with the given node id, if present.
     #[must_use]
     pub fn slave(&self, node: NodeId) -> Option<&SlaveDevice> {
@@ -1747,8 +1741,9 @@ impl TpWireBus {
     /// Finds the next pollable slave position (round-robin, skipping slaves
     /// owned by other lanes). Returns `None` when every candidate is busy.
     ///
-    /// Under supervision the scan additionally honours the [`WirePlan`]
-    /// (each lane polls only the positions currently assigned to it) and
+    /// Under supervision the scan additionally honours the
+    /// [`WirePlan`](crate::WirePlan) (each lane polls only the positions
+    /// currently assigned to it) and
     /// consults the breaker: Open slaves are skipped entirely until their
     /// window expires, Half-Open ones are admitted as probes within the
     /// probe budget. Keep-alive polls double as the probe vehicle — a

@@ -72,13 +72,6 @@ impl Command {
         assert!(opcode < 8, "command opcodes are 3 bits");
         Self::ALL[usize::from(opcode)]
     }
-
-    /// Whether a slave answers this command with an RX frame (broadcast
-    /// transactions never get a reply regardless).
-    #[must_use]
-    pub fn expects_reply(self) -> bool {
-        true // every non-broadcast TX elicits an RX in this protocol
-    }
 }
 
 impl fmt::Display for Command {

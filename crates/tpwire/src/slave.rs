@@ -201,11 +201,6 @@ impl SlaveDevice {
         self.memory[usize::from(addr)]
     }
 
-    /// Direct memory write for attachments/tests.
-    pub fn set_memory(&mut self, addr: u8, value: u8) {
-        self.memory[usize::from(addr)] = value;
-    }
-
     /// The command register's current value (last `WRITE_COMMAND` or
     /// broadcast command received).
     #[must_use]

@@ -145,7 +145,7 @@ impl FromIterator<Pattern> for Template {
 /// Builds a [`Template`] from pattern expressions.
 ///
 /// Each position accepts anything convertible into a [`Pattern`]: a value
-/// (exact match), a [`ValueType`](crate::ValueType) (typed wildcard), or
+/// (exact match), a [`ValueType`] (typed wildcard), or
 /// [`Pattern::Wildcard`].
 ///
 /// # Examples

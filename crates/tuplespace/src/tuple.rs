@@ -1,4 +1,4 @@
-//! Tuples — ordered vectors of typed fields — and the [`tuple!`] macro.
+//! Tuples — ordered vectors of typed fields — and the [`tuple!`](macro@crate::tuple) macro.
 
 use core::fmt;
 

@@ -1,5 +1,5 @@
 //! Transactions — the JavaSpaces feature the paper's middleware inherits
-//! from its model ([2] Sun Microsystems, JavaSpaces).
+//! from its model (\[2\] Sun Microsystems, JavaSpaces).
 //!
 //! A transaction groups writes and takes so they commit or abort
 //! atomically:

@@ -9,7 +9,7 @@
 //!    reproduces the same bytes.
 
 use std::path::PathBuf;
-use tsbus_bench::workload::{burst_channel, patient_policy, run_stream_workload};
+use tsbus_bench::workload::{burst_bus, burst_channel, patient_policy, run_stream_workload};
 use tsbus_lab::{
     run_campaign, Campaign, CsvEmitter, Emitter, ExecOpts, Grid, GridPoint, JsonlEmitter, Metrics,
 };
@@ -28,13 +28,8 @@ fn fault_campaign() -> Campaign<GridPoint> {
 }
 
 fn run_fault_point(point: &GridPoint, ctx: tsbus_lab::RunCtx) -> Metrics {
-    let o = run_stream_workload(
-        Some(burst_channel(point.f64("gap"))),
-        patient_policy(),
-        30,
-        64,
-        ctx.seed,
-    );
+    let params = burst_bus(Some(burst_channel(point.f64("gap"))), patient_policy());
+    let o = run_stream_workload(params, 30, 64, ctx.seed);
     Metrics::new()
         .u64("delivered", o.delivered)
         .u64("retries", o.retries)

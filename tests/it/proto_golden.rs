@@ -23,7 +23,9 @@
 
 use std::fmt::Write as _;
 
-use tsbus_bench::workload::{burst_channel, patient_policy, run_stream_workload, REFERENCE_SEED};
+use tsbus_bench::workload::{
+    burst_bus, burst_channel, patient_policy, run_stream_workload, REFERENCE_SEED,
+};
 use tsbus_core::{run_chaos_trial, ChaosConfig};
 use tsbus_des::SimDuration;
 use tsbus_faults::{Backoff, RetryParams, RetryPolicy, SupervisionConfig};
@@ -52,13 +54,8 @@ fn golden_text() -> String {
 
     // ---- fig_fault_sweep sweep 1 points: burst density, patient policy.
     for gap in [None, Some(800.0_f64), Some(200.0), Some(100.0)] {
-        let o = run_stream_workload(
-            gap.map(burst_channel),
-            patient_policy(),
-            30,
-            64,
-            REFERENCE_SEED,
-        );
+        let params = burst_bus(gap.map(burst_channel), patient_policy());
+        let o = run_stream_workload(params, 30, 64, REFERENCE_SEED);
         writeln!(
             out,
             "stream gap={} delivered={} retries={} failures={} backoff={} intact={} elapsed={:.9}",
@@ -96,7 +93,8 @@ fn golden_text() -> String {
         ),
     ];
     for (name, policy) in policies {
-        let o = run_stream_workload(Some(burst_channel(100.0)), policy, 30, 64, REFERENCE_SEED);
+        let params = burst_bus(Some(burst_channel(100.0)), policy);
+        let o = run_stream_workload(params, 30, 64, REFERENCE_SEED);
         writeln!(
             out,
             "policy {name} delivered={} retries={} failures={} backoff={} elapsed={}",
