@@ -21,10 +21,10 @@ fn main() {
         let mut bus = base.bus;
         bus.idle_poll_bits = poll_bits;
         // Idle-bus probe at the full Theseus rate so discovery latency is
-        // readable in milliseconds.
+        // readable in milliseconds: one byte into a 4-slave chain after
+        // 5 s idle.
         let mut fast = BusParams::theseus_default();
         fast.idle_poll_bits = poll_bits;
-        // One byte into a 4-slave chain after 5 s idle.
         let (latency, resets) = idle_bus_probe(
             fast,
             4,

@@ -13,10 +13,10 @@ use tsbus_tpwire::{analytic, BusParams};
 
 fn main() {
     println!("Figure (§3.1) — chain-length scaling at 8 Mbit/s, 64-byte end-to-end relay\n");
+    let params = BusParams::theseus_default();
     let mut rows = Vec::new();
     for n in [2u8, 4, 8, 16, 32, 64, 126] {
         // 64 bytes end to end after 2 s idle (the watchdog check).
-        let params = BusParams::theseus_default();
         let (measured, resets) = idle_bus_probe(
             params,
             n,

@@ -173,7 +173,7 @@ pub struct Link {
     endpoint_a: ComponentId,
     endpoint_b: ComponentId,
     directions: [Direction; 2],
-    faults: [LinkFaults; 2],
+    faults: LinkFaults,
     registry: Registry,
     obs: [DirInstruments; 2],
     tracer: Tracer<TraceEvent>,
@@ -193,7 +193,7 @@ impl Link {
             endpoint_a,
             endpoint_b,
             directions: [Direction::new(), Direction::new()],
-            faults: [LinkFaults::NONE; 2],
+            faults: LinkFaults::NONE,
             registry,
             obs,
             tracer: Tracer::disabled(),
@@ -205,7 +205,7 @@ impl Link {
     /// same master seed replays the identical fault trace.
     #[must_use]
     pub fn with_faults(mut self, faults: LinkFaults) -> Self {
-        self.faults = [faults; 2];
+        self.faults = faults;
         self
     }
 
@@ -213,16 +213,6 @@ impl Link {
     #[must_use]
     pub fn spec(&self) -> &LinkSpec {
         &self.spec
-    }
-
-    /// The fault matrix of one direction (0 = a→b, 1 = b→a).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dir > 1`.
-    #[must_use]
-    pub fn faults(&self, dir: usize) -> &LinkFaults {
-        &self.faults[dir]
     }
 
     /// Statistics for the a→b (`0`) or b→a (`1`) direction at instant `now`.
@@ -288,11 +278,11 @@ impl Link {
     }
 
     /// Schedules delivery of a fully transmitted packet, applying this
-    /// direction's fault matrix: loss kills it, jitter and reorder-hold
+    /// link's fault matrix: loss kills it, jitter and reorder-hold
     /// stretch its propagation, duplication schedules a second copy.
     fn deliver(&mut self, ctx: &mut Context<'_>, dir: usize, packet: Packet) {
         let receiver = self.receiver_of(dir);
-        let faults = self.faults[dir];
+        let faults = self.faults;
         if faults.is_none() {
             ctx.schedule_in(self.spec.delay, receiver, Deliver { packet });
             return;
