@@ -24,7 +24,7 @@ use crate::{fmt_secs, render_table};
 
 /// Burst severities the cost table sweeps (0 = clean channel), matching
 /// the density sweep's mean good-run lengths.
-pub const COST_GAPS: [f64; 3] = [0.0, 800.0, 200.0];
+pub(crate) const COST_GAPS: [f64; 3] = [0.0, 800.0, 200.0];
 
 /// Strips a leading-or-anywhere `--dedup on|off|both` from `args`,
 /// handing everything else to [`LabArgs::parse`]. Returns the

@@ -56,7 +56,7 @@ use tsbus_lab::CampaignReport;
 
 /// Prints `<campaign>: N simulated / M cached` to stderr — how a re-run
 /// against a warm `--cache-dir` shows that it simulated nothing.
-pub fn log_cache_use<P>(report: &CampaignReport<P>) {
+pub(crate) fn log_cache_use<P>(report: &CampaignReport<P>) {
     eprintln!(
         "{}: {} simulated / {} cached",
         report.name, report.simulated, report.cached
@@ -69,7 +69,7 @@ pub fn log_cache_use<P>(report: &CampaignReport<P>) {
 /// the flag is absent; exits with usage on a malformed value, like the
 /// lab parser does.
 #[must_use]
-pub fn strip_mode_axis(flag: &str, args: Vec<String>) -> (Vec<&'static str>, Vec<String>) {
+pub(crate) fn strip_mode_axis(flag: &str, args: Vec<String>) -> (Vec<&'static str>, Vec<String>) {
     let mut modes = vec!["off", "on"];
     let mut rest = Vec::new();
     let mut argv = args.into_iter();

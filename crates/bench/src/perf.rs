@@ -36,35 +36,35 @@ use tsbus_xmlwire::{EncodeScratch, Request, RequestEnvelope, RequestId, WireForm
 /// One arm's measurement: the same workload with an optimization off
 /// (`baseline_s`) and on (`optimized_s`).
 #[derive(Debug, Clone)]
-pub struct ArmResult {
+pub(crate) struct ArmResult {
     /// Arm identifier (stable across runs; the gate joins on it).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Events (or operations) the workload dispatches per run — identical
     /// in both variants by construction.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Wall-clock seconds of the baseline variant (best of the repeats).
-    pub baseline_s: f64,
+    pub(crate) baseline_s: f64,
     /// Wall-clock seconds of the optimized variant (best of the repeats).
-    pub optimized_s: f64,
+    pub(crate) optimized_s: f64,
 }
 
 impl ArmResult {
     /// Baseline throughput in events per second.
     #[must_use]
-    pub fn baseline_eps(&self) -> f64 {
+    pub(crate) fn baseline_eps(&self) -> f64 {
         self.events as f64 / self.baseline_s.max(f64::EPSILON)
     }
 
     /// Optimized throughput in events per second.
     #[must_use]
-    pub fn optimized_eps(&self) -> f64 {
+    pub(crate) fn optimized_eps(&self) -> f64 {
         self.events as f64 / self.optimized_s.max(f64::EPSILON)
     }
 
     /// Optimized-over-baseline throughput ratio (>1 = the optimization
     /// pays off on this workload).
     #[must_use]
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         self.baseline_s / self.optimized_s.max(f64::EPSILON)
     }
 }
@@ -73,9 +73,9 @@ impl ArmResult {
 #[derive(Debug, Clone)]
 pub struct PerfReport {
     /// `"full"` or `"smoke"` (reduced workloads for CI).
-    pub mode: &'static str,
+    pub(crate) mode: &'static str,
     /// Per-arm measurements.
-    pub arms: Vec<ArmResult>,
+    pub(crate) arms: Vec<ArmResult>,
 }
 
 impl PerfReport {
@@ -138,7 +138,7 @@ impl PerfReport {
 ///
 /// Returns a message when the text is not JSON or an arm lacks its
 /// `name` or `speedup`.
-pub fn parse_speedups(json: &str) -> Result<Vec<(String, f64)>, String> {
+pub(crate) fn parse_speedups(json: &str) -> Result<Vec<(String, f64)>, String> {
     let report = Json::parse(json)?;
     let Some(Json::Arr(arms)) = report.get("arms") else {
         return Err("no \"arms\" array".to_owned());

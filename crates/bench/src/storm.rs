@@ -49,7 +49,7 @@ pub struct Batch {
 impl Batch {
     /// Adds one trial's record: each integer metric to its total, each
     /// boolean metric as 0 or 1.
-    pub fn add(&mut self, record: &Metrics) {
+    pub(crate) fn add(&mut self, record: &Metrics) {
         self.seeds += 1;
         for (metric, value) in record.entries() {
             let n = match value {

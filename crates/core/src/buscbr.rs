@@ -63,15 +63,9 @@ impl BusCbrSource {
     /// Limits the source to `n` messages, emitted back-to-back as fast as
     /// the period allows (the Fig. 6 validation workload).
     #[must_use]
-    pub fn burst(mut self, n: u64) -> Self {
+    pub(crate) fn burst(mut self, n: u64) -> Self {
         self.burst_remaining = Some(n);
         self
-    }
-
-    /// Messages handed to the bus so far.
-    #[must_use]
-    pub fn sent_messages(&self) -> u64 {
-        self.sent_messages
     }
 
     fn period(&self) -> Option<SimDuration> {
@@ -149,12 +143,6 @@ impl BusCbrSink {
         self.messages
     }
 
-    /// First delivery instant.
-    #[must_use]
-    pub fn first_arrival(&self) -> Option<SimTime> {
-        self.first_arrival
-    }
-
     /// Most recent delivery instant.
     #[must_use]
     pub fn last_arrival(&self) -> Option<SimTime> {
@@ -199,7 +187,7 @@ mod tests {
         sim.add_component("bus", bus);
         sim.run_until(SimTime::from_secs(1));
         let src: &BusCbrSource = sim.component(src_id).expect("registered");
-        assert_eq!(src.sent_messages(), 5);
+        assert_eq!(src.sent_messages, 5);
         let sink_ref: &BusCbrSink = sim.component(sink).expect("registered");
         assert_eq!(sink_ref.messages(), 5);
         assert_eq!(sink_ref.bytes(), 5);

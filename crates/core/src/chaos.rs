@@ -103,7 +103,7 @@ pub enum ViolationKind {
     /// — the supervision layers above failed to fence it off.
     OpenIssue,
     /// Degraded-mode rebalancing lost or duplicated a slave's lane
-    /// assignment (the [`tsbus_tpwire::WirePlan`] conservation check).
+    /// assignment (the bus's wire-plan conservation check).
     RebalanceLost,
 }
 

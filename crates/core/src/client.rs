@@ -37,15 +37,15 @@ use crate::net::{NetDeliver, NetError, NetSend};
 pub struct RecoveryPolicy {
     /// Total attempts allowed per request, including the first (so 1
     /// means no recovery).
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Idle wait before each re-issue (the think time is charged again on
     /// top, like any send).
-    pub retry_delay: SimDuration,
+    pub(crate) retry_delay: SimDuration,
     /// If set, an attempt whose reply has not arrived within this span of
     /// its send is declared failed and re-issued. Without it a lost reply
     /// (e.g. the server answered into a broken chain) blocks the script
     /// forever.
-    pub reply_timeout: Option<SimDuration>,
+    pub(crate) reply_timeout: Option<SimDuration>,
 }
 
 impl RecoveryPolicy {
@@ -132,7 +132,7 @@ pub struct OpRecord {
     /// Sends of this request so far (1 = no retry yet).
     pub attempts: u32,
     /// When the first failed attempt came back, if any attempt failed.
-    pub first_failure_at: Option<SimTime>,
+    pub(crate) first_failure_at: Option<SimTime>,
 }
 
 impl OpRecord {
@@ -436,16 +436,12 @@ impl ScriptedClient {
         self.obs.proto.fast_fail_count(&self.obs.registry)
     }
 
-    /// Captures the client's metrics registry at instant `now` (the
-    /// shared `proto/*` lifecycle paths plus `lease/`).
+    /// Captures the client's metrics registry (the shared `proto/*`
+    /// lifecycle paths plus `lease/`). No instrument is time-parameterized,
+    /// so `_now` is unused; it stays so existing callers keep compiling.
     #[must_use]
-    pub fn metrics(&self, now: SimTime) -> Snapshot {
-        self.obs.registry.snapshot(now)
-    }
-
-    /// Arms (or replaces) the typed trace stream: recovery probes.
-    pub fn set_tracer(&mut self, tracer: Tracer<TraceEvent>) {
-        self.obs.tracer = tracer;
+    pub fn metrics(&self, _now: SimTime) -> Snapshot {
+        self.obs.registry.snapshot()
     }
 
     /// The typed trace stream.

@@ -19,7 +19,7 @@ use tsbus_xmlwire::{RequestId, Response};
 
 /// The verdict on an incoming identified request.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Never seen: apply the operation (and [`complete`](DedupCache::complete)
     /// it once the reply is known).
     Fresh,
@@ -47,21 +47,21 @@ struct ClientWindow {
 
 /// Per-client duplicate cache with cumulative-ack eviction.
 #[derive(Debug, Default)]
-pub struct DedupCache {
+pub(crate) struct DedupCache {
     clients: HashMap<u64, ClientWindow>,
 }
 
 impl DedupCache {
     /// Creates an empty cache.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Admits one identified request carrying the client's current ack
     /// watermark. Evicts every cached reply at or below the watermark,
     /// then classifies the request.
-    pub fn admit(&mut self, id: RequestId, ack: u64) -> Admission {
+    pub(crate) fn admit(&mut self, id: RequestId, ack: u64) -> Admission {
         let window = self.clients.entry(id.client).or_default();
         if ack > window.ack {
             window.ack = ack;
@@ -84,24 +84,12 @@ impl DedupCache {
 
     /// Records the reply of a previously admitted operation, making it
     /// replayable for later duplicates.
-    pub fn complete(&mut self, id: RequestId, response: &Response) {
+    pub(crate) fn complete(&mut self, id: RequestId, response: &Response) {
         if let Some(window) = self.clients.get_mut(&id.client) {
             if id.seq > window.ack {
                 window.entries.insert(id.seq, Some(response.clone()));
             }
         }
-    }
-
-    /// Total cached operations (in-flight and completed) across clients.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.clients.values().map(|w| w.entries.len()).sum()
-    }
-
-    /// Whether nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -129,7 +117,15 @@ mod tests {
         // are dropped.
         assert_eq!(cache.admit(id(1, 2), 1), Admission::Fresh);
         assert_eq!(cache.admit(id(1, 1), 1), Admission::Acked);
-        assert_eq!(cache.len(), 1, "only seq 2 remains cached");
+        assert_eq!(
+            cache
+                .clients
+                .values()
+                .map(|w| w.entries.len())
+                .sum::<usize>(),
+            1,
+            "only seq 2 remains cached"
+        );
     }
 
     #[test]
@@ -257,7 +253,7 @@ mod tests {
                 );
             }
             // The cache stays bounded by the unacked window.
-            prop_assert!(cache.len() <= n_ops as usize);
+            prop_assert!(cache.clients.values().map(|w| w.entries.len()).sum::<usize>() <= n_ops as usize);
         }
     }
 }

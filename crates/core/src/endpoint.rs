@@ -35,9 +35,9 @@ struct InboundReady {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EndpointCosts {
     /// Charged once per outgoing message before it reaches the bus.
-    pub send_overhead: SimDuration,
+    pub(crate) send_overhead: SimDuration,
     /// Charged once per incoming message before the application sees it.
-    pub receive_overhead: SimDuration,
+    pub(crate) receive_overhead: SimDuration,
 }
 
 impl EndpointCosts {
@@ -91,18 +91,6 @@ impl TpwireEndpoint {
             sent_messages: 0,
             delivered_messages: 0,
         }
-    }
-
-    /// Messages sent toward the bus so far.
-    #[must_use]
-    pub fn sent_messages(&self) -> u64 {
-        self.sent_messages
-    }
-
-    /// Messages delivered to the application so far.
-    #[must_use]
-    pub fn delivered_messages(&self) -> u64 {
-        self.delivered_messages
     }
 }
 

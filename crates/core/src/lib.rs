@@ -11,12 +11,12 @@
 //!   protocol messages.
 //! * [`TpwireEndpoint`] — the TpWIRE transport binding (the SystemC +
 //!   gdb/socket glue of the paper, modeled as endpoint costs).
-//! * [`TcpEndpoint`] / [`Switch`] — the §4.3 TCP-over-Ethernet baseline,
-//!   over NS-2-style duplex [`Link`]s carrying [`Packet`]s.
 //! * [`BusCbrSource`] / [`BusCbrSink`] — background traffic over the bus.
-//! * [`scenario`] — the Fig. 6 validation setup and the Fig. 7 case study
-//!   as one-call experiments ([`run_validation`], [`run_case_study`],
-//!   [`run_case_study_tcp`]).
+//! * [`run_validation`] / [`run_case_study`] — the Fig. 6 validation setup
+//!   and the Fig. 7 case study as one-call experiments;
+//!   [`run_case_study_tcp`] runs the case study over the §4.3
+//!   TCP-over-Ethernet baseline, on NS-2-style duplex [`Link`]s carrying
+//!   [`Packet`]s.
 //!
 //! ## Example: one Table 4 cell
 //!
@@ -40,23 +40,24 @@ mod farm;
 mod link;
 mod net;
 mod packet;
-pub mod scenario;
+mod scenario;
 mod server;
 mod tcp;
 
 pub use buscbr::{BusCbrSink, BusCbrSource};
 pub use chaos::{run_chaos_trial, ChaosConfig, ChaosTrial, Violation, ViolationKind};
-pub use client::{ClientStep, OpRecord, RecoveryOutcome, RecoveryPolicy, ScriptedClient};
-pub use dedup::{Admission, DedupCache};
+pub use client::OpRecord;
+pub use client::{ClientStep, RecoveryOutcome, RecoveryPolicy, ScriptedClient};
 pub use endpoint::{EndpointCosts, TpwireEndpoint};
-pub use farm::{run_farm, FarmConfig, FarmResult};
-pub use link::{Link, LinkSpec, LinkStats};
+pub use farm::FarmResult;
+pub use farm::{run_farm, FarmConfig};
+pub use link::{Link, LinkSpec};
 pub use net::{MessageAssembler, NetDeliver, NetError, NetSend};
-pub use packet::{Deliver, Packet, PacketSeq, Transmit};
+pub use packet::{Packet, Transmit};
+pub use scenario::ValidationResult;
 pub use scenario::{
-    case_study_entry, case_study_script, case_study_template, run_case_study,
-    run_case_study_observed, run_case_study_tcp, run_validation, CaseStudyConfig, CaseStudyResult,
-    ValidationConfig, ValidationResult,
+    case_study_script, run_case_study, run_case_study_observed, run_case_study_tcp, run_validation,
+    CaseStudyConfig, CaseStudyResult, ValidationConfig,
 };
 pub use server::{ServerStats, SpaceServerAgent};
-pub use tcp::{build_tcp_star, Switch, TcpEndpoint, TcpParams, ACK_BYTES, SEGMENT_OVERHEAD};
+pub use tcp::TcpParams;

@@ -8,7 +8,7 @@
 //! is exactly the estimation methodology the paper builds.
 //!
 //! [`TpwireEndpoint`]: crate::TpwireEndpoint
-//! [`TcpEndpoint`]: crate::TcpEndpoint
+//! [`TcpEndpoint`]: crate::tcp::TcpEndpoint
 
 use bytes::{Bytes, BytesMut};
 use tsbus_tpwire::NodeId;
@@ -40,7 +40,7 @@ pub struct NetError {
     /// Destination the message was addressed to.
     pub to: NodeId,
     /// Human-readable reason.
-    pub reason: String,
+    pub(crate) reason: String,
     /// Whether the bus fast-failed the message (destination quarantined by
     /// a circuit breaker) instead of exhausting its retry schedule. Fast
     /// failures arrive much sooner and cost no wire time.
@@ -86,12 +86,6 @@ impl MessageAssembler {
             None
         }
     }
-
-    /// Bytes buffered toward the next message.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.buffer.len()
-    }
 }
 
 #[cfg(test)]
@@ -102,11 +96,11 @@ mod tests {
     fn assembler_accumulates_until_eom() {
         let mut asm = MessageAssembler::new();
         assert!(asm.push(Bytes::from_static(b"ab"), false).is_none());
-        assert_eq!(asm.pending(), 2);
+        assert_eq!(asm.buffer.len(), 2);
         assert!(asm.push(Bytes::from_static(b"cd"), false).is_none());
         let whole = asm.push(Bytes::from_static(b"e"), true).expect("done");
         assert_eq!(&whole[..], b"abcde");
-        assert_eq!(asm.pending(), 0);
+        assert_eq!(asm.buffer.len(), 0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The packet model and the messages exchanged between network components.
 
 use bytes::Bytes;
-use tsbus_des::{ComponentId, SimTime};
+use tsbus_des::ComponentId;
 
 /// A monotonically increasing per-source packet sequence number.
-pub type PacketSeq = u64;
+pub(crate) type PacketSeq = u64;
 
 /// A simulated network packet.
 ///
@@ -17,7 +17,7 @@ pub type PacketSeq = u64;
 ///
 /// ```
 /// use bytes::Bytes;
-/// use tsbus_des::{ComponentId, SimTime};
+/// use tsbus_des::ComponentId;
 /// use tsbus_core::Packet;
 ///
 /// let p = Packet::new(
@@ -25,7 +25,6 @@ pub type PacketSeq = u64;
 ///     ComponentId::from_raw(1),
 ///     64,
 ///     Bytes::from_static(b"hello"),
-///     SimTime::ZERO,
 /// );
 /// assert_eq!(p.size_bytes, 64);
 /// assert_eq!(&p.payload[..], b"hello");
@@ -33,35 +32,26 @@ pub type PacketSeq = u64;
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Source endpoint (the component that originated the packet).
-    pub src: ComponentId,
+    pub(crate) src: ComponentId,
     /// Destination endpoint (the component meant to consume it).
-    pub dst: ComponentId,
+    pub(crate) dst: ComponentId,
     /// Wire size in bytes, used for serialization delay.
     pub size_bytes: u32,
     /// Application payload (may be empty).
     pub payload: Bytes,
-    /// Instant the packet was created at the source.
-    pub sent_at: SimTime,
     /// Per-source sequence number.
-    pub seq: PacketSeq,
+    pub(crate) seq: PacketSeq,
 }
 
 impl Packet {
     /// Creates a packet with sequence number 0 (senders overwrite it).
     #[must_use]
-    pub fn new(
-        src: ComponentId,
-        dst: ComponentId,
-        size_bytes: u32,
-        payload: Bytes,
-        sent_at: SimTime,
-    ) -> Self {
+    pub fn new(src: ComponentId, dst: ComponentId, size_bytes: u32, payload: Bytes) -> Self {
         Packet {
             src,
             dst,
             size_bytes,
             payload,
-            sent_at,
             seq: 0,
         }
     }
@@ -81,7 +71,7 @@ pub struct Transmit {
 
 /// Message: a link delivers a packet to an endpoint.
 #[derive(Debug)]
-pub struct Deliver {
+pub(crate) struct Deliver {
     /// The packet arriving at the endpoint.
-    pub packet: Packet,
+    pub(crate) packet: Packet,
 }

@@ -279,7 +279,7 @@ pub struct CaseStudyResult {
     /// (exactly-once mode only; 0 otherwise).
     pub dedup_replays: u64,
     /// Client attempts declared failed because their reply never arrived
-    /// (requires a [`RecoveryPolicy::reply_timeout`]).
+    /// (requires [`RecoveryPolicy::with_reply_timeout`]).
     pub reply_timeouts: u64,
     /// Duplicate replies the client discarded by id correlation.
     pub stale_replies: u64,
@@ -299,7 +299,7 @@ pub struct CaseStudyResult {
 
 /// The entry tuple the client writes: `("entry", <entry_bytes of data>)`.
 #[must_use]
-pub fn case_study_entry(entry_bytes: usize) -> Tuple {
+pub(crate) fn case_study_entry(entry_bytes: usize) -> Tuple {
     Tuple::new(vec![
         Value::from("entry"),
         Value::Bytes((0..entry_bytes).map(|i| (i % 251) as u8).collect()),
@@ -308,7 +308,7 @@ pub fn case_study_entry(entry_bytes: usize) -> Tuple {
 
 /// The template the client takes with: `("entry", ?bytes)`.
 #[must_use]
-pub fn case_study_template() -> Template {
+pub(crate) fn case_study_template() -> Template {
     Template::new(vec![
         Pattern::Exact(Value::from("entry")),
         Pattern::AnyOfType(ValueType::Bytes),
@@ -381,19 +381,19 @@ pub(crate) fn case_study_server(service: SimDuration) -> SpaceServerAgent {
 /// the copy of these seven registrations each kept.
 pub(crate) struct CaseStudyStack {
     /// The client app ([`case_study_client`]).
-    pub client: ScriptedClient,
+    pub(crate) client: ScriptedClient,
     /// The space server ([`case_study_server`]).
-    pub server: SpaceServerAgent,
+    pub(crate) server: SpaceServerAgent,
     /// Client endpoint per-message costs.
-    pub client_endpoint: EndpointCosts,
+    pub(crate) client_endpoint: EndpointCosts,
     /// Server endpoint per-message costs.
-    pub server_endpoint: EndpointCosts,
+    pub(crate) server_endpoint: EndpointCosts,
     /// Background CBR payload rate (bytes/second) and packet size.
-    pub cbr: (f64, u32),
+    pub(crate) cbr: (f64, u32),
     /// Bus parameters.
-    pub bus: BusParams,
+    pub(crate) bus: BusParams,
     /// Timed faults aimed at the bus.
-    pub faults: FaultSchedule,
+    pub(crate) faults: FaultSchedule,
 }
 
 impl CaseStudyStack {
@@ -459,7 +459,7 @@ pub fn run_case_study(cfg: &CaseStudyConfig) -> CaseStudyResult {
 /// an explicit simulator seed, the entry point for seed-replicated
 /// campaigns (`tsbus-lab`). An empty schedule with seed 7 reproduces
 /// [`run_case_study`] exactly; configurations without stochastic elements
-/// (no burst channel, no link faults) are seed-invariant by construction.
+/// (no burst channel) are seed-invariant by construction.
 ///
 /// It also returns the unified registry snapshot of the whole stack at the
 /// instant the run stopped: every layer's metrics merged under component

@@ -74,11 +74,11 @@ enum Reply {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Requests decoded.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Responses sent.
-    pub responses: u64,
+    pub(crate) responses: u64,
     /// Requests that failed to decode.
-    pub decode_errors: u64,
+    pub(crate) decode_errors: u64,
     /// Blocking requests that parked as waiters.
     pub parked: u64,
     /// Waiters that timed out empty-handed.
@@ -87,13 +87,13 @@ pub struct ServerStats {
     /// operation was *not* re-applied).
     pub dedup_replays: u64,
     /// Duplicates dropped because the original is still being serviced.
-    pub dedup_inflight_drops: u64,
+    pub(crate) dedup_inflight_drops: u64,
     /// Duplicates dropped because the client already acked the reply.
-    pub dedup_acked_drops: u64,
+    pub(crate) dedup_acked_drops: u64,
     /// Entries whose lease a `Renew` request extended.
-    pub renewals: u64,
+    pub(crate) renewals: u64,
     /// `Renew` requests that found no live matching entry.
-    pub renew_misses: u64,
+    pub(crate) renew_misses: u64,
 }
 
 /// Registry handles and the typed trace stream of one server agent.
@@ -214,19 +214,15 @@ impl SpaceServerAgent {
         self.obs.stats()
     }
 
-    /// Captures the agent's own metrics registry at instant `now` (paths
-    /// under `req/`, `resp/`, `waiter/`, `dedup/`, `lease/`). The owned
-    /// [`Space`]'s registry is captured separately via
-    /// [`Space::metrics`](tsbus_tuplespace::Space::metrics).
+    /// Captures the agent's own metrics registry (paths under `req/`,
+    /// `resp/`, `waiter/`, `dedup/`, `lease/`). The owned [`Space`]'s
+    /// registry is captured separately via
+    /// [`Space::metrics`](tsbus_tuplespace::Space::metrics). No instrument
+    /// is time-parameterized, so `_now` is unused; it stays so existing
+    /// callers keep compiling.
     #[must_use]
-    pub fn metrics(&self, now: SimTime) -> Snapshot {
-        self.obs.registry.snapshot(now)
-    }
-
-    /// Arms (or replaces) the typed trace stream: dedup decisions, lease
-    /// renewal batches and served tuple operations.
-    pub fn set_tracer(&mut self, tracer: Tracer<TraceEvent>) {
-        self.obs.tracer = tracer;
+    pub fn metrics(&self, _now: SimTime) -> Snapshot {
+        self.obs.registry.snapshot()
     }
 
     /// The typed trace stream.
@@ -901,7 +897,8 @@ mod tests {
         let (mut sim, _endpoint, server) = setup(SimDuration::ZERO);
         sim.component_mut::<SpaceServerAgent>(server)
             .expect("registered")
-            .set_tracer(Tracer::unbounded());
+            .obs
+            .tracer = Tracer::unbounded();
         let write = RequestEnvelope::identified(
             RequestId { client: 1, seq: 1 },
             0,

@@ -30,21 +30,21 @@ use crate::net::{NetDeliver, NetSend};
 use crate::packet::{Deliver, Packet, Transmit};
 
 /// Ethernet + IPv4 + TCP header bytes charged per segment.
-pub const SEGMENT_OVERHEAD: u32 = 18 + 20 + 20;
+pub(crate) const SEGMENT_OVERHEAD: u32 = 18 + 20 + 20;
 
 /// Wire size of a pure acknowledgement frame (minimum Ethernet frame).
-pub const ACK_BYTES: u32 = 64;
+pub(crate) const ACK_BYTES: u32 = 64;
 
 /// Parameters of the TCP baseline transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpParams {
     /// Maximum segment payload size (classic Ethernet MSS = 1460).
-    pub mss: u32,
+    pub(crate) mss: u32,
     /// One-time connection-establishment delay charged per new peer
     /// (stands in for the three-way handshake: ~1.5 RTT plus kernel work).
-    pub handshake: SimDuration,
+    pub(crate) handshake: SimDuration,
     /// Star link characteristics (endpoint ↔ switch).
-    pub link: LinkSpec,
+    pub(crate) link: LinkSpec,
 }
 
 impl TcpParams {
@@ -69,7 +69,7 @@ const LEN_PREFIX: usize = 4;
 /// Forwards each delivered packet onto the link of the packet's destination
 /// endpoint.
 #[derive(Debug, Default)]
-pub struct Switch {
+pub(crate) struct Switch {
     /// endpoint component → the link that reaches it.
     routes: HashMap<ComponentId, ComponentId>,
     forwarded: u64,
@@ -79,19 +79,13 @@ impl Switch {
     /// Creates an empty switch; routes are added with
     /// [`add_route`](Switch::add_route).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers the link that reaches `endpoint`.
-    pub fn add_route(&mut self, endpoint: ComponentId, link: ComponentId) {
+    pub(crate) fn add_route(&mut self, endpoint: ComponentId, link: ComponentId) {
         self.routes.insert(endpoint, link);
-    }
-
-    /// Frames forwarded so far.
-    #[must_use]
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
     }
 }
 
@@ -119,7 +113,7 @@ struct RxStream {
 
 /// A TCP/IP station endpoint on the star.
 #[derive(Debug)]
-pub struct TcpEndpoint {
+pub(crate) struct TcpEndpoint {
     /// This station's own address: loopback sends short-circuit the wire.
     node: NodeId,
     app: ComponentId,
@@ -155,7 +149,7 @@ struct TcpInboundReady {
 impl TcpEndpoint {
     /// Creates an endpoint for `node`, attached to `link`, serving `app`.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         node: NodeId,
         app: ComponentId,
         link: ComponentId,
@@ -179,27 +173,9 @@ impl TcpEndpoint {
     }
 
     /// Registers a reachable peer endpoint.
-    pub fn add_peer(&mut self, node: NodeId, endpoint: ComponentId) {
+    pub(crate) fn add_peer(&mut self, node: NodeId, endpoint: ComponentId) {
         self.peers.insert(node.raw(), endpoint);
         self.peer_nodes.insert(endpoint, node.raw());
-    }
-
-    /// This station's own address.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Data segments transmitted so far.
-    #[must_use]
-    pub fn segments_sent(&self) -> u64 {
-        self.segments_sent
-    }
-
-    /// Ack frames transmitted so far.
-    #[must_use]
-    pub fn acks_sent(&self) -> u64 {
-        self.acks_sent
     }
 
     fn emit_segments(&mut self, ctx: &mut Context<'_>, to: NodeId, payload: Bytes) {
@@ -219,7 +195,7 @@ impl TcpEndpoint {
             let end = (offset + mss).min(stream.len());
             let chunk = stream.slice(offset..end);
             let wire = chunk.len() as u32 + SEGMENT_OVERHEAD;
-            let mut packet = Packet::new(ctx.self_id(), peer, wire, chunk, ctx.now());
+            let mut packet = Packet::new(ctx.self_id(), peer, wire, chunk);
             packet.seq = self.next_seq;
             self.next_seq += 1;
             self.segments_sent += 1;
@@ -273,13 +249,7 @@ impl Component for TcpEndpoint {
                     return; // a bare ack: costs wire time only
                 }
                 // Acknowledge the data segment on the reverse path.
-                let ack = Packet::new(
-                    ctx.self_id(),
-                    packet.src,
-                    ACK_BYTES,
-                    Bytes::new(),
-                    ctx.now(),
-                );
+                let ack = Packet::new(ctx.self_id(), packet.src, ACK_BYTES, Bytes::new());
                 self.acks_sent += 1;
                 let link = self.link;
                 let from = ctx.self_id();
@@ -334,7 +304,7 @@ impl Component for TcpEndpoint {
 ///
 /// `stations` pairs each address with its application component and the
 /// endpoint's processing costs.
-pub fn build_tcp_star(
+pub(crate) fn build_tcp_star(
     sim: &mut Simulator,
     params: TcpParams,
     stations: &[(NodeId, ComponentId, EndpointCosts)],
@@ -445,12 +415,12 @@ mod tests {
         assert_eq!(&app2.inbox[0].2[..], &big[..]);
         let ep: &TcpEndpoint = sim.component(endpoints[0]).expect("registered");
         assert!(
-            ep.segments_sent() >= 7,
+            ep.segments_sent >= 7,
             "10 KB at MSS 1460 needs several segments, sent {}",
-            ep.segments_sent()
+            ep.segments_sent
         );
         let ep2: &TcpEndpoint = sim.component(endpoints[1]).expect("registered");
-        assert_eq!(ep2.acks_sent(), ep.segments_sent(), "one ack per segment");
+        assert_eq!(ep2.acks_sent, ep.segments_sent, "one ack per segment");
     }
 
     #[test]
@@ -523,9 +493,9 @@ mod tests {
         assert_eq!(a.inbox.len(), 1);
         assert_eq!(a.inbox[0].1, node(1), "delivered from the station itself");
         let ep: &TcpEndpoint = sim.component(endpoints[0]).expect("registered");
-        assert_eq!(ep.node(), node(1));
-        assert_eq!(ep.segments_sent(), 0, "loopback never reaches the link");
-        assert_eq!(ep.acks_sent(), 0);
+        assert_eq!(ep.node, node(1));
+        assert_eq!(ep.segments_sent, 0, "loopback never reaches the link");
+        assert_eq!(ep.acks_sent, 0);
     }
 
     #[test]

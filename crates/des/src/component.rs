@@ -123,12 +123,6 @@ impl<'a> Context<'a> {
         self.self_id
     }
 
-    /// The registered name of a component, or `"?"` if the id is unknown.
-    #[must_use]
-    pub fn name_of(&self, id: ComponentId) -> &str {
-        self.core.name_of(id)
-    }
-
     /// Schedules `msg` for `target` after `delay`.
     pub fn schedule_in(
         &mut self,
@@ -181,21 +175,12 @@ impl<'a> Context<'a> {
         self.core.cancel(event);
     }
 
-    /// Hands a delivered event box back to the kernel's recycling pool, so
-    /// the next `schedule_*` of the same message type reuses the allocation
-    /// instead of heap-allocating.
-    ///
-    /// Entirely optional — unrecycled boxes are simply freed as before — and
+    /// Hands a delivered event box, already downcast with
+    /// [`MessageExt::downcast`](crate::MessageExt), back to the kernel's
+    /// recycling pool, so the next `schedule_*` of the same message type
+    /// reuses the allocation instead of heap-allocating. Optional and
     /// behaviour-invisible: a reused box is fully overwritten before it is
-    /// scheduled again. Components on hot paths call this after extracting
-    /// what they need from a message (cheaply `mem::take`-ing owned fields
-    /// first if necessary).
-    pub fn recycle(&mut self, msg: Box<dyn Message>) {
-        self.core.recycle_msg(msg);
-    }
-
-    /// Typed variant of [`recycle`](Self::recycle) for boxes a component has
-    /// already downcast with [`MessageExt::downcast`](crate::MessageExt).
+    /// scheduled again.
     pub fn recycle_box<T: Message>(&mut self, msg: Box<T>) {
         self.core.recycle_msg(msg);
     }
@@ -203,13 +188,6 @@ impl<'a> Context<'a> {
     /// The simulator's deterministic random-number source.
     pub fn rng(&mut self) -> &mut crate::rng::SimRng {
         &mut self.core.rng
-    }
-
-    /// Appends a trace record attributed to this component. Cheap no-op when
-    /// tracing is disabled.
-    pub fn trace(&mut self, label: &str, detail: impl fmt::Display) {
-        let id = self.self_id;
-        self.core.trace.record(self.core.now, id, label, detail);
     }
 }
 

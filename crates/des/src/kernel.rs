@@ -20,7 +20,7 @@ const POOL_CAP_PER_TYPE: usize = 256;
 /// Scheduling normally heap-allocates one `Box<dyn Message>` per event; on
 /// campaign workloads that is millions of short-lived allocations. The pool
 /// lets the kernel (cancelled events) and cooperating components
-/// ([`Context::recycle`]) hand boxes back so the next `schedule_*` of the
+/// ([`Context::recycle_box`]) hand boxes back so the next `schedule_*` of the
 /// same message type reuses the allocation. Purely an allocator concern:
 /// event contents are fully overwritten on reuse, so simulated behaviour is
 /// byte-identical with the pool on or off.
@@ -32,7 +32,7 @@ struct MessagePool {
     free: Vec<(TypeId, Vec<Box<dyn Any>>)>,
     /// Boxes held across all buckets. Scheduling skips the scan while it
     /// is zero, which is the common case: only cancelled events and
-    /// components that call [`Context::recycle`] fill the pool.
+    /// components that call [`Context::recycle_box`] fill the pool.
     pooled: usize,
 }
 
@@ -131,16 +131,7 @@ impl SimCore {
             self.recycle_msg(msg);
         }
     }
-
-    pub(crate) fn name_of(&self, id: ComponentId) -> &str {
-        self.names.get(id.index()).map_or("?", String::as_str)
-    }
 }
-
-/// The default ceiling on dispatched events for [`Simulator::run`]; a
-/// backstop against accidentally unbounded simulations rather than a limit
-/// any real scenario in this workspace approaches.
-pub const DEFAULT_EVENT_LIMIT: u64 = u64::MAX;
 
 /// A deterministic discrete-event simulator.
 ///
@@ -228,12 +219,6 @@ impl Simulator {
         }
     }
 
-    /// Whether event-box recycling is enabled.
-    #[must_use]
-    pub fn pooling(&self) -> bool {
-        self.core.pool.enabled
-    }
-
     /// Registers a component under `name` and returns its id.
     ///
     /// Registration order is part of the determinism contract (ids are handed
@@ -277,12 +262,6 @@ impl Simulator {
     #[must_use]
     pub fn pending_events(&self) -> usize {
         self.core.queue.len()
-    }
-
-    /// The registered name of a component, or `"?"` for an unknown id.
-    #[must_use]
-    pub fn name_of(&self, id: ComponentId) -> &str {
-        self.core.name_of(id)
     }
 
     /// Borrows a registered component as its concrete type.
@@ -592,14 +571,6 @@ mod tests {
         sim.with_context(|ctx| {
             ctx.schedule_at(SimTime::from_nanos(1), id, Num(0));
         });
-    }
-
-    #[test]
-    fn named_components_are_reachable() {
-        let mut sim = Simulator::new();
-        let id = sim.add_component("alpha", Recorder::default());
-        assert_eq!(sim.name_of(id), "alpha");
-        assert_eq!(sim.name_of(ComponentId::from_raw(99)), "?");
     }
 
     /// Re-arms itself `remaining` times, recycling every delivered box.

@@ -10,8 +10,9 @@
 //! A [`Simulator`] owns a clock ([`SimTime`]), a pending-event set (a
 //! binary heap ordered by time, then scheduling order), and a registry of
 //! [`Component`]s. Components react to [`Message`]s and use their
-//! [`Context`] to schedule further events, draw deterministic random
-//! numbers ([`SimRng`]) and write trace records ([`TraceLog`]).
+//! [`Context`] to schedule further events and draw deterministic random
+//! numbers ([`SimRng`]); [`Simulator::enable_trace`] logs every schedule
+//! and dispatch.
 //!
 //! ## Determinism
 //!
@@ -73,7 +74,7 @@ mod trace;
 
 pub use component::{Component, ComponentId, Context};
 pub use event::{EventId, Message, MessageExt};
-pub use kernel::{Simulator, DEFAULT_EVENT_LIMIT};
+pub use kernel::Simulator;
 pub use rng::{derive_stream, derive_stream_seed, splitmix64_finalize, SimRng, SplitMix64};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceLog, TraceRecord};

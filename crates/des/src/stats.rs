@@ -3,10 +3,9 @@
 //! * [`Counter`] — a plain event counter.
 //! * [`Summary`] — running min/max/mean/variance (Welford) of a sample set.
 //! * [`Histogram`] — fixed-width bins plus quantile estimates.
-//! * [`Utilization`] — the busy fraction of a single-server resource.
 //! * [`BusyTime`] — accumulated busy spans, for models that know them.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A plain monotonically increasing event counter.
 ///
@@ -42,12 +41,6 @@ impl Counter {
     #[inline]
     pub fn add(&mut self, n: u64) {
         self.count = self.count.saturating_add(n);
-    }
-
-    /// Removes `n`, saturating at zero — for compensating adjustments such
-    /// as a transaction abort reinstating an entry that was counted taken.
-    pub fn subtract(&mut self, n: u64) {
-        self.count = self.count.saturating_sub(n);
     }
 
     /// The current count.
@@ -130,12 +123,6 @@ impl Summary {
         } else {
             self.m2 / self.n as f64
         }
-    }
-
-    /// The population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// The smallest sample, if any.
@@ -256,18 +243,6 @@ impl Histogram {
         &self.bins
     }
 
-    /// The lower bound of the binned range.
-    #[must_use]
-    pub fn low(&self) -> f64 {
-        self.low
-    }
-
-    /// The (exclusive) upper bound of the binned range.
-    #[must_use]
-    pub fn high(&self) -> f64 {
-        self.high
-    }
-
     /// Folds another histogram into this one, bin by bin. Exact: counts
     /// are integers, so merging is associative and commutative.
     ///
@@ -323,67 +298,6 @@ impl Histogram {
     }
 }
 
-/// Utilization of a single-server resource: fraction of time busy.
-///
-/// Fed busy/idle edges; the busy spans are integrated as they close.
-#[derive(Debug, Clone, Copy)]
-pub struct Utilization {
-    start: SimTime,
-    /// Seconds busy over the closed busy spans.
-    busy_secs: f64,
-    busy_since: Option<SimTime>,
-}
-
-impl Utilization {
-    /// Starts observing (idle) at `start`.
-    #[must_use]
-    pub fn new(start: SimTime) -> Self {
-        Utilization {
-            start,
-            busy_secs: 0.0,
-            busy_since: None,
-        }
-    }
-
-    /// Marks the resource busy at `now`. Idempotent while already busy.
-    pub fn set_busy(&mut self, now: SimTime) {
-        if self.busy_since.is_none() {
-            self.busy_since = Some(now);
-        }
-    }
-
-    /// Marks the resource idle at `now`. Idempotent while already idle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the instant the resource became busy.
-    pub fn set_idle(&mut self, now: SimTime) {
-        if let Some(since) = self.busy_since.take() {
-            self.busy_secs += now.duration_since(since).as_secs_f64();
-        }
-    }
-
-    /// Whether the resource is currently busy.
-    #[must_use]
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
-    /// Fraction of time busy in `[start, now]`, in `[0, 1]` (0.0 over an
-    /// empty window).
-    #[must_use]
-    pub fn fraction_busy(&self, now: SimTime) -> f64 {
-        let window = now.saturating_duration_since(self.start).as_secs_f64();
-        if window <= 0.0 {
-            return 0.0;
-        }
-        let open = self.busy_since.map_or(0.0, |since| {
-            now.saturating_duration_since(since).as_secs_f64()
-        });
-        (self.busy_secs + open) / window
-    }
-}
-
 /// Measures total busy time directly (durations accumulated by the caller),
 /// for models that know transaction spans rather than busy/idle edges.
 #[derive(Debug, Clone, Copy, Default)]
@@ -408,17 +322,6 @@ impl BusyTime {
     #[must_use]
     pub fn total(&self) -> SimDuration {
         self.total
-    }
-
-    /// Busy fraction of the window `[SimTime::ZERO, now]`.
-    #[must_use]
-    pub fn fraction_of(&self, now: SimTime) -> f64 {
-        let window = now.as_secs_f64();
-        if window <= 0.0 {
-            0.0
-        } else {
-            (self.total.as_secs_f64() / window).min(1.0)
-        }
     }
 }
 
@@ -543,32 +446,10 @@ mod tests {
     }
 
     #[test]
-    fn counter_subtract_saturates() {
-        let mut c = Counter::new();
-        c.add(2);
-        c.subtract(1);
-        assert_eq!(c.count(), 1);
-        c.subtract(5);
-        assert_eq!(c.count(), 0);
-    }
-
-    #[test]
-    fn utilization_tracks_busy_fraction() {
-        let mut u = Utilization::new(SimTime::ZERO);
-        u.set_busy(SimTime::from_secs(1));
-        u.set_busy(SimTime::from_secs(2)); // idempotent
-        u.set_idle(SimTime::from_secs(3));
-        assert!(!u.is_busy());
-        assert!((u.fraction_busy(SimTime::from_secs(4)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn busy_time_fraction() {
         let mut b = BusyTime::new();
         b.add(SimDuration::from_secs(2));
         b.add(SimDuration::from_secs(1));
         assert_eq!(b.total(), SimDuration::from_secs(3));
-        assert!((b.fraction_of(SimTime::from_secs(6)) - 0.5).abs() < 1e-12);
-        assert_eq!(b.fraction_of(SimTime::ZERO), 0.0);
     }
 }

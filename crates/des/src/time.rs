@@ -56,7 +56,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
     /// The largest representable instant; used as an "infinitely far" sentinel
     /// by schedulers and deadline bookkeeping.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from nanoseconds since simulation start.
     #[must_use]
@@ -123,7 +123,7 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Adds a duration, saturating at [`SimTime::MAX`] instead of
+    /// Adds a duration, saturating at `u64::MAX` nanoseconds instead of
     /// overflowing. Useful when computing deadlines from caller-supplied
     /// (possibly huge) timeouts.
     #[must_use]
@@ -136,8 +136,6 @@ impl SimTime {
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable span; used as an "infinite" timeout.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a span from nanoseconds.
     #[must_use]
@@ -219,26 +217,19 @@ impl SimDuration {
     /// Checked multiplication by an integer factor.
     #[must_use]
     #[inline]
-    pub const fn checked_mul(self, rhs: u64) -> Option<SimDuration> {
+    pub(crate) const fn checked_mul(self, rhs: u64) -> Option<SimDuration> {
         match self.0.checked_mul(rhs) {
             Some(v) => Some(SimDuration(v)),
             None => None,
         }
     }
 
-    /// Multiplication by an integer factor, saturating at
-    /// [`SimDuration::MAX`].
+    /// Multiplication by an integer factor, saturating at `u64::MAX`
+    /// nanoseconds.
     #[must_use]
     #[inline]
     pub const fn saturating_mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(rhs))
-    }
-
-    /// Subtraction saturating at [`SimDuration::ZERO`].
-    #[must_use]
-    #[inline]
-    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
     }
 
     /// Multiplies by a non-negative float factor, rounding to the nearest
@@ -455,7 +446,10 @@ mod tests {
             SimTime::ZERO.saturating_duration_since(SimTime::from_secs(1)),
             SimDuration::ZERO
         );
-        assert_eq!(SimDuration::MAX.saturating_mul(3), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::from_nanos(u64::MAX).saturating_mul(3),
+            SimDuration::from_nanos(u64::MAX)
+        );
     }
 
     #[test]
@@ -498,7 +492,7 @@ mod tests {
         assert_eq!(SimDuration::from_micros(2).to_string(), "2.000µs");
         assert_eq!(SimDuration::from_millis(5).to_string(), "5.000ms");
         assert_eq!(SimDuration::from_secs(140).to_string(), "140.000s");
-        assert_eq!(SimDuration::MAX.to_string(), "inf");
+        assert_eq!(SimDuration::from_nanos(u64::MAX).to_string(), "inf");
     }
 
     #[test]

@@ -14,13 +14,13 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Instant the record was written.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// Component the record is attributed to.
-    pub component: ComponentId,
+    pub(crate) component: ComponentId,
     /// Short machine-greppable label (`"sched"`, `"fire"`, `"tx"`, …).
-    pub label: String,
+    pub(crate) label: String,
     /// Free-form human-oriented detail.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for TraceRecord {
@@ -56,7 +56,7 @@ pub struct TraceLog {
 impl TraceLog {
     /// A log that ignores all records.
     #[must_use]
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         TraceLog {
             enabled: false,
             capacity: 0,
@@ -71,7 +71,7 @@ impl TraceLog {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn enabled(capacity: usize) -> Self {
+    pub(crate) fn enabled(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be positive");
         TraceLog {
             enabled: true,
@@ -89,7 +89,7 @@ impl TraceLog {
 
     /// Appends a record (no-op when disabled).
     #[inline]
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         time: SimTime,
         component: ComponentId,
@@ -135,12 +135,6 @@ impl TraceLog {
         self.records.iter().filter(move |r| r.label == label)
     }
 
-    /// Records evicted because the ring was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Renders all retained records, one per line — NS-2-trace-file style.
     #[must_use]
     pub fn to_text(&self) -> String {
@@ -179,7 +173,6 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].label, "b");
         assert_eq!(records[1].label, "c");
-        assert_eq!(log.dropped(), 1);
     }
 
     #[test]

@@ -21,13 +21,13 @@ use crate::validate_probability;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstParams {
     /// Per-frame corruption probability while the channel is good.
-    pub good_error_rate: f64,
+    pub(crate) good_error_rate: f64,
     /// Per-frame corruption probability while the channel is bad.
-    pub bad_error_rate: f64,
+    pub(crate) bad_error_rate: f64,
     /// Per-frame probability of leaving the good state.
-    pub good_to_bad: f64,
+    pub(crate) good_to_bad: f64,
     /// Per-frame probability of leaving the bad state.
-    pub bad_to_good: f64,
+    pub(crate) bad_to_good: f64,
 }
 
 impl BurstParams {
@@ -37,7 +37,7 @@ impl BurstParams {
     ///
     /// Panics if any parameter is NaN or outside `[0, 1]`.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         good_error_rate: f64,
         bad_error_rate: f64,
         good_to_bad: f64,
@@ -80,7 +80,7 @@ impl BurstParams {
 
     /// Long-run fraction of time spent in the bad state.
     #[must_use]
-    pub fn steady_state_bad(&self) -> f64 {
+    pub(crate) fn steady_state_bad(&self) -> f64 {
         if self.good_to_bad == 0.0 {
             return 0.0;
         }
@@ -97,7 +97,7 @@ impl BurstParams {
 
 /// Which state the channel is currently in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChannelState {
+pub(crate) enum ChannelState {
     /// Low error rate; sojourn governed by `good_to_bad`.
     Good,
     /// Burst in progress; sojourn governed by `bad_to_good`.
@@ -122,18 +122,6 @@ impl GilbertElliott {
             state: ChannelState::Good,
             state_until: None,
         }
-    }
-
-    /// The channel's parameters.
-    #[must_use]
-    pub fn params(&self) -> &BurstParams {
-        &self.params
-    }
-
-    /// The state the channel was last observed in.
-    #[must_use]
-    pub fn state(&self) -> ChannelState {
-        self.state
     }
 
     /// Draws whether a frame transmitted at `now` (one frame lasting

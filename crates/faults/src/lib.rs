@@ -16,10 +16,7 @@
 //! * [`FaultSchedule`] / [`FaultDriver`] / [`FaultCommand`] — timed fault
 //!   events (slave crash/revive/reset, daisy-chain break/heal) delivered to
 //!   a target component by a small driver [`Component`](tsbus_des::Component).
-//! * [`LinkFaults`] — the packet-link fault matrix (loss, jitter,
-//!   duplication, bounded reordering) carried by `tsbus-core`'s duplex
-//!   `Link` under the TCP/Ethernet baseline.
-//! * [`SupervisionConfig`] / [`CircuitBreaker`] / [`SlaveHealth`] — the
+//! * [`SupervisionConfig`] / [`CircuitBreaker`] — the
 //!   supervision layer's per-slave health tracking and the
 //!   Closed → Open → Half-Open circuit breaker the master consults before
 //!   issuing transactions, so persistently sick slaves are quarantined
@@ -34,18 +31,15 @@
 #![warn(missing_docs)]
 
 mod burst;
-mod link;
 mod retry;
 mod schedule;
 mod supervise;
 
-pub use burst::{BurstParams, ChannelState, GilbertElliott};
-pub use link::LinkFaults;
-pub use retry::{Backoff, BackoffExceedsWatchdog, FrameClass, RetryParams, RetryPolicy};
-pub use schedule::{FaultCommand, FaultDriver, FaultEvent, FaultKind, FaultSchedule};
-pub use supervise::{
-    Admission, BreakerState, CircuitBreaker, SlaveHealth, SupervisionConfig, Transition,
-};
+pub use burst::{BurstParams, GilbertElliott};
+pub use retry::{Backoff, FrameClass, RetryParams, RetryPolicy};
+pub use schedule::FaultEvent;
+pub use schedule::{FaultCommand, FaultDriver, FaultKind, FaultSchedule};
+pub use supervise::{Admission, BreakerState, CircuitBreaker, SupervisionConfig, Transition};
 
 /// Validates a probability parameter: must be finite and within `[0, 1]`.
 ///
@@ -56,7 +50,7 @@ pub use supervise::{
 ///
 /// Panics (with the offending parameter name) if `p` is NaN, infinite, or
 /// outside `[0, 1]`.
-pub fn validate_probability(name: &str, p: f64) -> f64 {
+pub(crate) fn validate_probability(name: &str, p: f64) -> f64 {
     assert!(
         p.is_finite() && (0.0..=1.0).contains(&p),
         "{name} must be a probability in [0, 1], got {p}"

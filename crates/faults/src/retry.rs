@@ -100,7 +100,7 @@ impl RetryParams {
     /// slaves reset mid-recovery and the remaining retries fail against
     /// deselected hardware.
     #[must_use]
-    pub fn worst_case_backoff_bits(&self) -> u64 {
+    pub(crate) fn worst_case_backoff_bits(&self) -> u64 {
         let mut total = 0u64;
         for attempt in 1..=u32::from(self.max_retries) {
             total = total.saturating_add(self.backoff.delay_bits(attempt));
@@ -116,7 +116,7 @@ impl RetryParams {
     /// sum can never exceed the budget. Policies already inside the budget
     /// come back untouched.
     #[must_use]
-    pub fn clamped_to_backoff_budget(self, budget_bits: u64) -> (Self, bool) {
+    pub(crate) fn clamped_to_backoff_budget(self, budget_bits: u64) -> (Self, bool) {
         if self.worst_case_backoff_bits() <= budget_bits {
             return (self, false);
         }
@@ -165,11 +165,11 @@ pub enum FrameClass {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Applied to any class without an override.
-    pub default: RetryParams,
+    pub(crate) default: RetryParams,
     /// Override for [`FrameClass::StreamRead`].
-    pub stream_read: Option<RetryParams>,
+    pub(crate) stream_read: Option<RetryParams>,
     /// Override for [`FrameClass::StreamWrite`].
-    pub stream_write: Option<RetryParams>,
+    pub(crate) stream_write: Option<RetryParams>,
 }
 
 impl RetryPolicy {
@@ -194,20 +194,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Returns a copy with a [`FrameClass::StreamRead`] override.
-    #[must_use]
-    pub const fn with_stream_read(mut self, params: RetryParams) -> Self {
-        self.stream_read = Some(params);
-        self
-    }
-
-    /// Returns a copy with a [`FrameClass::StreamWrite`] override.
-    #[must_use]
-    pub const fn with_stream_write(mut self, params: RetryParams) -> Self {
-        self.stream_write = Some(params);
-        self
-    }
-
     /// The effective parameters for one frame class.
     #[must_use]
     pub fn for_class(&self, class: FrameClass) -> RetryParams {
@@ -218,52 +204,9 @@ impl RetryPolicy {
         }
     }
 
-    /// The largest worst-case cumulative backoff of any frame class, in
-    /// bit periods (see [`RetryParams::worst_case_backoff_bits`]).
-    #[must_use]
-    pub fn worst_case_backoff_bits(&self) -> u64 {
-        [
-            FrameClass::Control,
-            FrameClass::StreamRead,
-            FrameClass::StreamWrite,
-        ]
-        .into_iter()
-        .map(|class| self.for_class(class).worst_case_backoff_bits())
-        .max()
-        .unwrap_or(0)
-    }
-
-    /// Checks the policy against a silent-span budget (typically the
-    /// TpWIRE 2048-bit slave reset timeout): every class's worst-case
-    /// cumulative backoff must fit within `budget_bits`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first offending class with its worst-case sum.
-    pub fn validated_against_watchdog(
-        self,
-        budget_bits: u64,
-    ) -> Result<Self, BackoffExceedsWatchdog> {
-        for class in [
-            FrameClass::Control,
-            FrameClass::StreamRead,
-            FrameClass::StreamWrite,
-        ] {
-            let worst = self.for_class(class).worst_case_backoff_bits();
-            if worst > budget_bits {
-                return Err(BackoffExceedsWatchdog {
-                    class,
-                    worst_case_bits: worst,
-                    budget_bits,
-                });
-            }
-        }
-        Ok(self)
-    }
-
     /// Returns a copy in which every class's worst-case cumulative backoff
-    /// fits within `budget_bits`, plus whether any class was clamped (see
-    /// [`RetryParams::clamped_to_backoff_budget`] for the clamp rule).
+    /// fits within `budget_bits`, plus whether any class was clamped. Each
+    /// class's per-attempt delay is capped at `budget_bits / max_retries`.
     #[must_use]
     pub fn clamped_to_watchdog(self, budget_bits: u64) -> (Self, bool) {
         let (default, c0) = self.default.clamped_to_backoff_budget(budget_bits);
@@ -291,32 +234,6 @@ impl RetryPolicy {
         )
     }
 }
-
-/// Error: a retry policy whose worst-case cumulative backoff outlasts the
-/// slave reset watchdog, so its later retries would fire against slaves
-/// that have already reset and deselected themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffExceedsWatchdog {
-    /// The offending frame class.
-    pub class: FrameClass,
-    /// That class's worst-case cumulative backoff, in bit periods.
-    pub worst_case_bits: u64,
-    /// The budget it exceeds (the slave reset timeout), in bit periods.
-    pub budget_bits: u64,
-}
-
-impl core::fmt::Display for BackoffExceedsWatchdog {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "worst-case cumulative backoff of {:?} frames is {} bits, \
-             exceeding the {}-bit slave reset watchdog",
-            self.class, self.worst_case_bits, self.budget_bits
-        )
-    }
-}
-
-impl std::error::Error for BackoffExceedsWatchdog {}
 
 impl Default for RetryPolicy {
     /// Matches the seed's hard-coded behaviour: three immediate resends.
@@ -407,31 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_validation_accepts_and_rejects() {
-        let fits = RetryPolicy::uniform(RetryParams {
-            max_retries: 12,
-            backoff: Backoff::Exponential {
-                base_bits: 32,
-                cap_bits: 128,
-            },
-        });
-        assert_eq!(fits.worst_case_backoff_bits(), 1376);
-        assert_eq!(fits.validated_against_watchdog(2048), Ok(fits));
-
-        let too_patient = RetryPolicy::immediate(3).with_stream_read(RetryParams {
-            max_retries: 10,
-            backoff: Backoff::Fixed { bits: 512 },
-        });
-        let err = too_patient
-            .validated_against_watchdog(2048)
-            .expect_err("5120 bits of silence must be rejected");
-        assert_eq!(err.class, FrameClass::StreamRead);
-        assert_eq!(err.worst_case_bits, 5120);
-        assert_eq!(err.budget_bits, 2048);
-        assert!(err.to_string().contains("2048-bit slave reset watchdog"));
-    }
-
-    #[test]
     fn watchdog_clamp_is_idempotent_and_fits() {
         let too_patient = RetryPolicy::uniform(RetryParams {
             max_retries: 8,
@@ -440,10 +332,10 @@ mod tests {
                 cap_bits: 4096,
             },
         });
-        assert!(too_patient.worst_case_backoff_bits() > 2048);
+        assert!(too_patient.default.worst_case_backoff_bits() > 2048);
         let (clamped, changed) = too_patient.clamped_to_watchdog(2048);
         assert!(changed);
-        assert!(clamped.worst_case_backoff_bits() <= 2048);
+        assert!(clamped.default.worst_case_backoff_bits() <= 2048);
         // Per-attempt cap = 2048 / 8 = 256 bits.
         assert_eq!(
             clamped.default.backoff,
@@ -459,13 +351,16 @@ mod tests {
 
     #[test]
     fn class_overrides_resolve() {
-        let policy = RetryPolicy::immediate(3).with_stream_read(RetryParams {
-            max_retries: 8,
-            backoff: Backoff::Exponential {
-                base_bits: 16,
-                cap_bits: 512,
-            },
-        });
+        let policy = RetryPolicy {
+            stream_read: Some(RetryParams {
+                max_retries: 8,
+                backoff: Backoff::Exponential {
+                    base_bits: 16,
+                    cap_bits: 512,
+                },
+            }),
+            ..RetryPolicy::immediate(3)
+        };
         assert_eq!(
             policy.for_class(FrameClass::Control),
             RetryParams::immediate(3)

@@ -41,9 +41,9 @@ pub struct FaultCommand(pub FaultKind);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When the fault fires.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// What happens.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
 }
 
 /// An ordered collection of timed faults.

@@ -45,22 +45,22 @@ use tsbus_des::{SimDuration, SimTime};
 pub struct SupervisionConfig {
     /// EWMA smoothing factor for the error-rate estimate, in `(0, 1]`.
     /// Larger = more reactive, smaller = smoother.
-    pub ewma_alpha: f64,
+    pub(crate) ewma_alpha: f64,
     /// Trip when the EWMA error rate reaches this level (and at least
     /// [`min_samples`](SupervisionConfig::min_samples) outcomes were seen).
-    pub trip_error_rate: f64,
+    pub(crate) trip_error_rate: f64,
     /// Outcomes required before the EWMA threshold may trip the breaker
     /// (prevents a cold-start trip on the first unlucky frame).
-    pub min_samples: u32,
+    pub(crate) min_samples: u32,
     /// Trip immediately after this many consecutive failures, regardless
     /// of the EWMA.
-    pub trip_consecutive: u32,
+    pub(crate) trip_consecutive: u32,
     /// Length of one Open (quarantine) window, in bus bit periods.
     pub open_bits: u64,
     /// Probes admitted per Half-Open episode; the breaker re-closes after
     /// this many consecutive probe successes and re-opens on the first
     /// probe failure.
-    pub probe_budget: u8,
+    pub(crate) probe_budget: u8,
 }
 
 impl SupervisionConfig {
@@ -78,38 +78,6 @@ impl SupervisionConfig {
             open_bits: 4096,
             probe_budget: 2,
         }
-    }
-
-    /// Returns a copy with a different consecutive-failure trip threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero (a breaker that trips on zero failures would
-    /// never admit anything).
-    #[must_use]
-    pub fn with_trip_consecutive(mut self, n: u32) -> Self {
-        assert!(n > 0, "trip_consecutive must be at least 1");
-        self.trip_consecutive = n;
-        self
-    }
-
-    /// Returns a copy with a different Open-window length in bit periods.
-    #[must_use]
-    pub fn with_open_bits(mut self, bits: u64) -> Self {
-        self.open_bits = bits;
-        self
-    }
-
-    /// Returns a copy with a different probe budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is zero (an Open slave could never be readmitted).
-    #[must_use]
-    pub fn with_probe_budget(mut self, budget: u8) -> Self {
-        assert!(budget > 0, "probe budget must be at least 1");
-        self.probe_budget = budget;
-        self
     }
 
     /// Validates the numeric ranges, panicking loudly on nonsense (the
@@ -168,7 +136,7 @@ impl fmt::Display for BreakerState {
 /// a consecutive-failure counter. Snapshot-able at any instant via the
 /// accessors; no interior randomness.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SlaveHealth {
+pub(crate) struct SlaveHealth {
     ewma: f64,
     consecutive_failures: u32,
     samples: u64,
@@ -178,14 +146,14 @@ pub struct SlaveHealth {
 impl SlaveHealth {
     /// A fresh tracker: error rate 0, no samples.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Feeds one transaction outcome (`ok = false` for a retry, CRC error,
     /// timeout, or exhausted budget).
     #[inline]
-    pub fn record(&mut self, alpha: f64, ok: bool) {
+    pub(crate) fn record(&mut self, alpha: f64, ok: bool) {
         let x = if ok { 0.0 } else { 1.0 };
         self.ewma = if self.samples == 0 {
             x
@@ -203,26 +171,8 @@ impl SlaveHealth {
 
     /// The smoothed error-rate estimate in `[0, 1]`.
     #[must_use]
-    pub fn error_rate(&self) -> f64 {
+    pub(crate) fn error_rate(&self) -> f64 {
         self.ewma
-    }
-
-    /// Failures since the last success.
-    #[must_use]
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// Outcomes observed in total.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Failures observed in total.
-    #[must_use]
-    pub fn failures(&self) -> u64 {
-        self.failures
     }
 }
 
@@ -286,12 +236,6 @@ impl CircuitBreaker {
     #[must_use]
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// The health tracker (read-only snapshot).
-    #[must_use]
-    pub fn health(&self) -> &SlaveHealth {
-        &self.health
     }
 
     /// Consults the breaker before issuing a transaction at `now`. May
@@ -420,7 +364,7 @@ mod tests {
             b.record(t, false);
         }
         b.record(t, true);
-        assert_eq!(b.health().consecutive_failures(), 0);
+        assert_eq!(b.health.consecutive_failures, 0);
         for _ in 0..3 {
             assert_eq!(b.record(t, false), None);
         }
@@ -504,9 +448,9 @@ mod tests {
         for _ in 0..4 {
             b.record(t, false);
         }
-        let samples = b.health().samples();
+        let samples = b.health.samples;
         assert_eq!(b.record(t, false), None);
-        assert_eq!(b.health().samples(), samples + 1);
+        assert_eq!(b.health.samples, samples + 1);
         assert_eq!(b.state(), BreakerState::Open);
     }
 
@@ -563,11 +507,11 @@ mod properties {
     }
 
     fn config() -> impl Strategy<Value = SupervisionConfig> {
-        (1u32..6, 1u8..5, 1u64..20_000).prop_map(|(trip, budget, open_bits)| {
-            SupervisionConfig::conservative()
-                .with_trip_consecutive(trip)
-                .with_probe_budget(budget)
-                .with_open_bits(open_bits)
+        (1u32..6, 1u8..5, 1u64..20_000).prop_map(|(trip, budget, open_bits)| SupervisionConfig {
+            trip_consecutive: trip,
+            probe_budget: budget,
+            open_bits,
+            ..SupervisionConfig::conservative()
         })
     }
 
@@ -620,7 +564,7 @@ mod properties {
                 }
             }
         }
-        Ok((b.state(), *b.health(), transitions))
+        Ok((b.state(), b.health, transitions))
     }
 
     /// The legal transition alphabet; everything else panics the test.

@@ -38,7 +38,7 @@ fn fnv1a(bytes: &[u8], offset: u64) -> u64 {
 /// its cache entries) stable when an axis edit shifts its position in
 /// the grid.
 #[must_use]
-pub fn point_id(campaign: &str, point_key: &str) -> u64 {
+pub(crate) fn point_id(campaign: &str, point_key: &str) -> u64 {
     fnv1a(
         format!("{campaign}\u{1f}{point_key}").as_bytes(),
         0xcbf2_9ce4_8422_2325,
@@ -48,7 +48,7 @@ pub fn point_id(campaign: &str, point_key: &str) -> u64 {
 /// The 128-bit config hash (as 32 hex chars) keying one
 /// `(point, replication)` cache entry.
 #[must_use]
-pub fn config_hash(campaign: &str, point_key: &str, replication: u32, seed: u64) -> String {
+pub(crate) fn config_hash(campaign: &str, point_key: &str, replication: u32, seed: u64) -> String {
     let text = format!("{campaign}\u{1f}{point_key}\u{1f}{replication}\u{1f}{seed:016x}");
     let lo = fnv1a(text.as_bytes(), 0xcbf2_9ce4_8422_2325);
     let hi = fnv1a(text.as_bytes(), 0x6c62_272e_07bb_0142);
@@ -57,7 +57,7 @@ pub fn config_hash(campaign: &str, point_key: &str, replication: u32, seed: u64)
 
 /// An on-disk result store for one campaign.
 #[derive(Debug)]
-pub struct ResultStore {
+pub(crate) struct ResultStore {
     path: PathBuf,
     entries: HashMap<String, Metrics>,
 }
@@ -70,7 +70,7 @@ impl ResultStore {
     ///
     /// Fails if `dir` cannot be created or an existing store cannot be
     /// read.
-    pub fn open(dir: &Path, campaign: &str) -> io::Result<ResultStore> {
+    pub(crate) fn open(dir: &Path, campaign: &str) -> io::Result<ResultStore> {
         fs::create_dir_all(dir)?;
         let path = dir.join(format!("{campaign}.jsonl"));
         let mut entries = HashMap::new();
@@ -99,20 +99,8 @@ impl ResultStore {
 
     /// Looks up a cached measurement by config hash.
     #[must_use]
-    pub fn get(&self, hash: &str) -> Option<&Metrics> {
+    pub(crate) fn get(&self, hash: &str) -> Option<&Metrics> {
         self.entries.get(hash)
-    }
-
-    /// Number of cached measurements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store holds no measurements.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Appends freshly simulated measurements. Each record carries its
@@ -122,7 +110,7 @@ impl ResultStore {
     /// # Errors
     ///
     /// Fails on I/O errors writing the store file.
-    pub fn append<'a>(
+    pub(crate) fn append<'a>(
         &mut self,
         records: impl IntoIterator<Item = NewRecord<'a>>,
     ) -> io::Result<()> {
@@ -151,17 +139,17 @@ impl ResultStore {
 
 /// One freshly simulated measurement headed for the store.
 #[derive(Debug)]
-pub struct NewRecord<'a> {
+pub(crate) struct NewRecord<'a> {
     /// Config hash (from [`config_hash`]).
-    pub hash: String,
+    pub(crate) hash: String,
     /// The point's canonical config key.
-    pub point_key: &'a str,
+    pub(crate) point_key: &'a str,
     /// Replication index.
-    pub replication: u32,
+    pub(crate) replication: u32,
     /// The derived stream seed the run used.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The measurement.
-    pub metrics: &'a Metrics,
+    pub(crate) metrics: &'a Metrics,
 }
 
 #[cfg(test)]
@@ -178,11 +166,11 @@ mod tests {
     #[test]
     fn round_trip_through_disk() {
         let dir = tmp_dir("round");
-        let m = Metrics::new().f64("t", 1.25).i64("n", 3);
+        let m = Metrics::new().f64("t", 1.25).u64("n", 3);
         let hash = config_hash("camp", "a=1", 0, 42);
         {
             let mut store = ResultStore::open(&dir, "camp").unwrap();
-            assert!(store.is_empty());
+            assert!(store.entries.is_empty());
             store
                 .append([NewRecord {
                     hash: hash.clone(),
@@ -194,7 +182,7 @@ mod tests {
                 .unwrap();
         }
         let store = ResultStore::open(&dir, "camp").unwrap();
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.entries.len(), 1);
         assert_eq!(store.get(&hash), Some(&m));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -217,7 +205,7 @@ mod tests {
         )
         .unwrap();
         let store = ResultStore::open(&dir, "c").unwrap();
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.entries.len(), 1);
         assert!(store.get("abc").is_some());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -19,13 +19,13 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LabArgs {
     /// `--threads` (0 = all cores).
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// `--seeds` (replications per point).
     pub seeds: u32,
     /// `--seed` (campaign master seed), when given.
     pub seed: Option<u64>,
     /// `--cache-dir`, when given.
-    pub cache_dir: Option<PathBuf>,
+    pub(crate) cache_dir: Option<PathBuf>,
     /// `--obs-snapshot`, when given: write the binary's reference
     /// registry snapshot (rendered with `Snapshot::to_text`) to this
     /// file after the campaign finishes.

@@ -217,7 +217,7 @@ mod tests {
                 #[allow(clippy::cast_precision_loss)]
                 Metrics::new()
                     .f64("v", *p as f64)
-                    .u64("rep", u64::from(ctx.replication))
+                    .u64("seed", ctx.seed)
                     .str("tag", "a,b")
             },
         )
@@ -265,7 +265,7 @@ mod tests {
     fn csv_escapes_commas() {
         let text = CsvEmitter.format(&report());
         let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("point,replication,v,rep,tag"));
+        assert_eq!(lines.next(), Some("point,replication,v,seed,tag"));
         assert!(text.contains("\"a,b\""), "{text}");
         assert_eq!(text.lines().count(), 5);
     }

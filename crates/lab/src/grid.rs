@@ -7,7 +7,6 @@
 //! resulting [`GridPoint`] renders a canonical key string that the result
 //! cache hashes.
 
-use crate::json::Json;
 use std::fmt;
 
 /// One coordinate value on an axis.
@@ -58,16 +57,6 @@ impl fmt::Display for AxisValue {
             AxisValue::I64(v) => write!(f, "{v}"),
             AxisValue::F64(v) => write!(f, "{v:?}"),
             AxisValue::Str(v) => write!(f, "{v}"),
-        }
-    }
-}
-
-impl AxisValue {
-    fn to_json(&self) -> Json {
-        match self {
-            AxisValue::I64(v) => Json::I64(*v),
-            AxisValue::F64(v) => Json::F64(*v),
-            AxisValue::Str(v) => Json::Str(v.clone()),
         }
     }
 }
@@ -154,7 +143,7 @@ impl GridPoint {
     ///
     /// Panics if the axis does not exist (a campaign programming error).
     #[must_use]
-    pub fn coord(&self, axis: &str) -> &AxisValue {
+    pub(crate) fn coord(&self, axis: &str) -> &AxisValue {
         self.coords
             .iter()
             .find(|(n, _)| n == axis)
@@ -203,12 +192,6 @@ impl GridPoint {
         }
     }
 
-    /// The coordinates in axis order.
-    #[must_use]
-    pub fn coords(&self) -> &[(String, AxisValue)] {
-        &self.coords
-    }
-
     /// The canonical config key: `axis=value` pairs sorted by axis name
     /// and joined with commas. Sorting makes the key independent of axis
     /// declaration order, so reordering `.axis()` calls does not
@@ -222,17 +205,6 @@ impl GridPoint {
             .collect();
         pairs.sort();
         pairs.join(",")
-    }
-
-    /// The point as a JSON object (axis declaration order preserved).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::Obj(
-            self.coords
-                .iter()
-                .map(|(n, v)| (n.clone(), v.to_json()))
-                .collect(),
-        )
     }
 }
 

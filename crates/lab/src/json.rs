@@ -83,7 +83,7 @@ impl Json {
 
     /// The value as an `i64`.
     #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Json::I64(v) => Some(*v),
             _ => None,
@@ -92,7 +92,7 @@ impl Json {
 
     /// The value as a `bool`.
     #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(v) => Some(*v),
             _ => None,

@@ -11,17 +11,18 @@
 //!
 //! * [`grid`] — declarative parameter grids (cartesian products of named
 //!   axes) with canonical per-point config keys;
-//! * [`run`] — the campaign runner: seed-stream replication
+//! * [`run_campaign`] — the campaign runner: seed-stream replication
 //!   (per-point seeds derived from the campaign seed via
 //!   [`tsbus_des::derive_stream_seed`], so results are byte-identical
 //!   regardless of thread count or execution order), work-queue
 //!   execution, and per-point replication statistics;
-//! * [`cache`] — the config-hash-keyed JSONL result store: a re-run
-//!   after editing one axis only re-simulates the changed points;
-//! * [`stats`] — mean / stddev / 95% CI across seed replications;
-//! * [`emit`] — pluggable emitters: the ASCII table helper the bench
-//!   binaries share, plus CSV and JSON Lines;
-//! * [`cli`] — the `--threads` / `--seeds` / `--cache-dir` flags every
+//! * a config-hash-keyed JSONL result store behind
+//!   [`ExecOpts::cache_dir`]: a re-run after editing one axis only
+//!   re-simulates the changed points;
+//! * [`Summary`] — mean / stddev / 95% CI across seed replications;
+//! * [`Emitter`] — pluggable emitters: the ASCII table helper the bench
+//!   binaries share ([`render_table`]), plus CSV and JSON Lines;
+//! * [`LabArgs`] — the `--threads` / `--seeds` / `--cache-dir` flags every
 //!   campaign binary speaks;
 //! * [`json`] — the minimal canonical JSON round trip backing the cache
 //!   and emitters (the workspace vendors its dependencies; no serde).
@@ -51,18 +52,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod cli;
-pub mod emit;
+mod cache;
+mod cli;
+mod emit;
 pub mod grid;
 pub mod json;
-pub mod metrics;
-pub mod run;
-pub mod stats;
+mod metrics;
+mod run;
+mod stats;
 
 pub use cli::LabArgs;
 pub use emit::{fmt_secs, render_table, AsciiEmitter, CsvEmitter, Emitter, JsonlEmitter};
-pub use grid::{AxisValue, Grid, GridPoint};
+pub use grid::{Grid, GridPoint};
 pub use metrics::{snapshot_to_metrics, Metrics};
 pub use run::{run_campaign, Campaign, CampaignReport, ExecOpts, PointResult, RunCtx};
 pub use stats::Summary;

@@ -29,13 +29,6 @@ impl Metrics {
         self
     }
 
-    /// Records an integer metric (retries, deliveries…).
-    #[must_use]
-    pub fn i64(mut self, name: &str, value: i64) -> Self {
-        self.push(name, Json::I64(value));
-        self
-    }
-
     /// Records an unsigned counter.
     #[must_use]
     pub fn u64(mut self, name: &str, value: u64) -> Self {
@@ -136,7 +129,7 @@ impl Metrics {
 
     /// The record as a JSON object.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(self.entries.clone())
     }
 
@@ -145,7 +138,7 @@ impl Metrics {
     /// # Errors
     ///
     /// Fails if `json` is not an object.
-    pub fn from_json(json: &Json) -> Result<Metrics, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<Metrics, String> {
         match json {
             Json::Obj(members) => Ok(Metrics {
                 entries: members.clone(),
@@ -193,17 +186,17 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_order_and_nan() {
-        let m = Metrics::new().f64("t", f64::NAN).i64("n", -2);
+        let m = Metrics::new().f64("t", f64::NAN).u64("n", 2);
         let back = Metrics::from_json(&Json::parse(&m.to_json().encode()).unwrap()).unwrap();
         assert!(back.get_f64("t").is_nan());
-        assert_eq!(back.get_i64("n"), -2);
+        assert_eq!(back.get_i64("n"), 2);
         assert_eq!(back.names(), ["t", "n"]);
     }
 
     #[test]
     #[should_panic(expected = "duplicate metric")]
     fn duplicate_names_rejected() {
-        let _ = Metrics::new().i64("x", 1).i64("x", 2);
+        let _ = Metrics::new().u64("x", 1).u64("x", 2);
     }
 
     #[test]
@@ -219,7 +212,7 @@ mod tests {
         reg.add(txns, 3);
         let depth = reg.gauge("queue/depth");
         reg.set_gauge(depth, 1.5);
-        let m = snapshot_to_metrics(&reg.snapshot(tsbus_des::SimTime::ZERO));
+        let m = snapshot_to_metrics(&reg.snapshot());
         assert_eq!(m.get_i64("txn/total"), 3);
         assert!((m.get_f64("queue/depth") - 1.5).abs() < f64::EPSILON);
         assert_eq!(m.names(), ["queue/depth", "txn/total"]);
@@ -227,7 +220,7 @@ mod tests {
 
     #[test]
     fn integers_read_as_floats() {
-        let m = Metrics::new().i64("n", 7);
+        let m = Metrics::new().u64("n", 7);
         assert!((m.get_f64("n") - 7.0).abs() < f64::EPSILON);
     }
 }

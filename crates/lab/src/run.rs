@@ -34,13 +34,13 @@ use tsbus_des::derive_stream_seed;
 #[derive(Debug, Clone)]
 pub struct Campaign<P> {
     /// Campaign name (also the result-store file stem).
-    pub name: String,
+    pub(crate) name: String,
     /// The campaign master seed every job seed is derived from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Seed replications per point (≥ 1).
-    pub replications: u32,
+    pub(crate) replications: u32,
     /// The points to sweep, in presentation order.
-    pub points: Vec<P>,
+    pub(crate) points: Vec<P>,
 }
 
 impl<P> Campaign<P> {
@@ -112,10 +112,6 @@ pub struct RunCtx {
     /// simulator (or [`tsbus_des::SimRng`]) with this for replicated
     /// runs; fully deterministic sweeps may ignore it.
     pub seed: u64,
-    /// Replication index, `0..replications`.
-    pub replication: u32,
-    /// The point's position in the campaign's point list.
-    pub point_index: usize,
 }
 
 /// Everything measured for one point: the per-replication records plus
@@ -157,8 +153,6 @@ impl<P> PointResult<P> {
 pub struct CampaignReport<P> {
     /// Campaign name.
     pub name: String,
-    /// The campaign master seed.
-    pub seed: u64,
     /// Per-point results, in campaign point order.
     pub points: Vec<PointResult<P>>,
     /// Jobs actually simulated this run.
@@ -241,11 +235,7 @@ where
             .map(|job| {
                 Some(run_fn(
                     &campaign.points[job.point_index],
-                    RunCtx {
-                        seed: job.seed,
-                        replication: job.replication,
-                        point_index: job.point_index,
-                    },
+                    RunCtx { seed: job.seed },
                 ))
             })
             .collect()
@@ -257,14 +247,8 @@ where
                 scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
-                    let metrics = run_fn(
-                        &campaign.points[job.point_index],
-                        RunCtx {
-                            seed: job.seed,
-                            replication: job.replication,
-                            point_index: job.point_index,
-                        },
-                    );
+                    let metrics =
+                        run_fn(&campaign.points[job.point_index], RunCtx { seed: job.seed });
                     out.lock().expect("result mutex")[i] = Some(metrics);
                 });
             }
@@ -321,7 +305,6 @@ where
 
     Ok(CampaignReport {
         name: campaign.name.clone(),
-        seed: campaign.seed,
         points,
         simulated,
         cached,
@@ -342,7 +325,7 @@ mod tests {
         #[allow(clippy::cast_precision_loss)]
         Metrics::new()
             .f64("value", *p as f64 + rng.uniform_f64())
-            .u64("rep", u64::from(ctx.replication))
+            .u64("seed", ctx.seed)
     }
 
     #[test]
@@ -386,8 +369,8 @@ mod tests {
         let s = p0.summary.get("value").expect("summarized");
         assert_eq!(s.n, 4);
         assert!(s.mean > 10.0 && s.mean < 11.0, "mean {}", s.mean);
-        // The replication index 0,1,2,3 summarizes too (it is numeric).
-        assert!((p0.summary["rep"].mean - 1.5).abs() < 1e-12);
+        // Integer metrics summarize too.
+        assert_eq!(p0.summary["seed"].n, 4);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Summary {
     ///
     /// Returns `None` when no finite samples remain.
     #[must_use]
-    pub fn of(samples: &[f64]) -> Option<Summary> {
+    pub(crate) fn of(samples: &[f64]) -> Option<Summary> {
         let finite: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
         let n = finite.len();
         if n == 0 {

@@ -23,10 +23,8 @@
 //!
 //! Instruments reuse the measurement primitives of
 //! [`tsbus_des::stats`] — [`Counter`](tsbus_des::stats::Counter),
-//! [`Summary`](tsbus_des::stats::Summary),
-//! [`Histogram`](tsbus_des::stats::Histogram),
-//! [`BusyTime`](tsbus_des::stats::BusyTime) and
-//! [`Utilization`](tsbus_des::stats::Utilization) — so a registry row
+//! [`Summary`](tsbus_des::stats::Summary) and
+//! [`BusyTime`](tsbus_des::stats::BusyTime) — so a registry row
 //! carries exactly the semantics the layer recorded.
 //!
 //! ## Example
@@ -40,17 +38,20 @@
 //! let latency = reg.summary("latency");
 //! reg.inc(retries);
 //! reg.observe(latency, 2.5);
-//! let snap = reg.snapshot(SimTime::ZERO).prefixed("bus/0");
+//! let snap = reg.snapshot().prefixed("bus/0");
 //! assert_eq!(snap.count("bus/0/retry/total"), 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod registry;
-pub mod snapshot;
-pub mod trace;
+mod registry;
+mod snapshot;
+mod trace;
 
-pub use registry::{BusyId, CounterId, GaugeId, HistogramId, Registry, SummaryId, UtilizationId};
-pub use snapshot::{FlatValue, MetricValue, Snapshot};
-pub use trace::{DedupDecision, LinkEffect, RetryClass, TraceEvent, Tracer, TupleOpKind};
+pub use registry::{BusyId, CounterId, Registry};
+pub use registry::{GaugeId, SummaryId};
+pub use snapshot::MetricValue;
+pub use snapshot::{FlatValue, Snapshot};
+pub use trace::RetryClass;
+pub use trace::{DedupDecision, TraceEvent, Tracer, TupleOpKind};

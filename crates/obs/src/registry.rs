@@ -8,8 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use tsbus_des::stats::{BusyTime, Counter, Histogram, Summary, Utilization};
-use tsbus_des::{SimDuration, SimTime};
+use tsbus_des::stats::{BusyTime, Counter, Summary};
+use tsbus_des::SimDuration;
 
 use crate::snapshot::{MetricValue, Snapshot};
 
@@ -30,12 +30,8 @@ handles! {
     GaugeId,
     /// Handle to a registered [`Summary`].
     SummaryId,
-    /// Handle to a registered [`Histogram`].
-    HistogramId,
     /// Handle to a registered [`BusyTime`] accumulator.
     BusyId,
-    /// Handle to a registered [`Utilization`] tracker.
-    UtilizationId,
 }
 
 #[derive(Debug, Clone)]
@@ -43,9 +39,7 @@ enum Instrument {
     Counter(Counter),
     Gauge(f64),
     Summary(Summary),
-    Histogram(Histogram),
     Busy(BusyTime),
-    Utilization(Utilization),
 }
 
 #[derive(Debug, Clone)]
@@ -72,7 +66,7 @@ struct Slot {
 /// let polls = reg.counter("poll/total");
 /// reg.add(polls, 3);
 /// assert_eq!(reg.count(polls), 3);
-/// assert_eq!(reg.snapshot(SimTime::ZERO).count("poll/total"), 3);
+/// assert_eq!(reg.snapshot().count("poll/total"), 3);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
@@ -141,20 +135,9 @@ impl Registry {
         SummaryId(self.register(path, Instrument::Summary(Summary::new())))
     }
 
-    /// Registers a fixed-width-bin [`Histogram`] over `[low, high)`.
-    pub fn histogram(&mut self, path: &str, low: f64, high: f64, bins: usize) -> HistogramId {
-        HistogramId(self.register(path, Instrument::Histogram(Histogram::new(low, high, bins))))
-    }
-
     /// Registers a [`BusyTime`] accumulator.
     pub fn busy_time(&mut self, path: &str) -> BusyId {
         BusyId(self.register(path, Instrument::Busy(BusyTime::new())))
-    }
-
-    /// Registers a [`Utilization`] (busy-fraction) tracker observing from
-    /// `start`.
-    pub fn utilization(&mut self, path: &str, start: SimTime) -> UtilizationId {
-        UtilizationId(self.register(path, Instrument::Utilization(Utilization::new(start))))
     }
 
     /// Adds one to a counter.
@@ -168,16 +151,6 @@ impl Registry {
     pub fn add(&mut self, id: CounterId, n: u64) {
         match &mut self.slots[id.0].instrument {
             Instrument::Counter(c) => c.add(n),
-            other => unreachable!("handle type guarantees a counter, found {other:?}"),
-        }
-    }
-
-    /// Subtracts `n` from a counter, saturating at zero — the compensation
-    /// hook for undo paths (e.g. a transaction abort reinstating an entry
-    /// that was already counted as taken).
-    pub fn sub(&mut self, id: CounterId, n: u64) {
-        match &mut self.slots[id.0].instrument {
-            Instrument::Counter(c) => c.subtract(n),
             other => unreachable!("handle type guarantees a counter, found {other:?}"),
         }
     }
@@ -199,46 +172,11 @@ impl Registry {
         }
     }
 
-    /// The current level of a gauge.
-    #[must_use]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        match &self.slots[id.0].instrument {
-            Instrument::Gauge(g) => *g,
-            other => unreachable!("handle type guarantees a gauge, found {other:?}"),
-        }
-    }
-
     /// Records one sample into a summary.
     pub fn observe(&mut self, id: SummaryId, value: f64) {
         match &mut self.slots[id.0].instrument {
             Instrument::Summary(s) => s.record(value),
             other => unreachable!("handle type guarantees a summary, found {other:?}"),
-        }
-    }
-
-    /// The current state of a summary.
-    #[must_use]
-    pub fn summary_value(&self, id: SummaryId) -> Summary {
-        match &self.slots[id.0].instrument {
-            Instrument::Summary(s) => *s,
-            other => unreachable!("handle type guarantees a summary, found {other:?}"),
-        }
-    }
-
-    /// Records one sample into a histogram.
-    pub fn record(&mut self, id: HistogramId, value: f64) {
-        match &mut self.slots[id.0].instrument {
-            Instrument::Histogram(h) => h.record(value),
-            other => unreachable!("handle type guarantees a histogram, found {other:?}"),
-        }
-    }
-
-    /// The current state of a histogram.
-    #[must_use]
-    pub fn histogram_value(&self, id: HistogramId) -> &Histogram {
-        match &self.slots[id.0].instrument {
-            Instrument::Histogram(h) => h,
-            other => unreachable!("handle type guarantees a histogram, found {other:?}"),
         }
     }
 
@@ -264,36 +202,10 @@ impl Registry {
         }
     }
 
-    /// Marks a utilization-tracked resource busy at `now`.
-    pub fn set_busy(&mut self, id: UtilizationId, now: SimTime) {
-        match &mut self.slots[id.0].instrument {
-            Instrument::Utilization(u) => u.set_busy(now),
-            other => unreachable!("handle type guarantees a utilization tracker, found {other:?}"),
-        }
-    }
-
-    /// Marks a utilization-tracked resource idle at `now`.
-    pub fn set_idle(&mut self, id: UtilizationId, now: SimTime) {
-        match &mut self.slots[id.0].instrument {
-            Instrument::Utilization(u) => u.set_idle(now),
-            other => unreachable!("handle type guarantees a utilization tracker, found {other:?}"),
-        }
-    }
-
-    /// Busy fraction of a utilization tracker in `[start, now]`.
-    #[must_use]
-    pub fn fraction_busy(&self, id: UtilizationId, now: SimTime) -> f64 {
-        match &self.slots[id.0].instrument {
-            Instrument::Utilization(u) => u.fraction_busy(now),
-            other => unreachable!("handle type guarantees a utilization tracker, found {other:?}"),
-        }
-    }
-
     /// Captures every instrument into a path-sorted, deterministic
-    /// [`Snapshot`]. Utilization, the one time-parameterized instrument, is
-    /// evaluated at `now`.
+    /// [`Snapshot`].
     #[must_use]
-    pub fn snapshot(&self, now: SimTime) -> Snapshot {
+    pub fn snapshot(&self) -> Snapshot {
         let rows = self
             .slots
             .iter()
@@ -302,9 +214,7 @@ impl Registry {
                     Instrument::Counter(c) => MetricValue::Count(c.count()),
                     Instrument::Gauge(g) => MetricValue::Gauge(*g),
                     Instrument::Summary(s) => MetricValue::Summary(*s),
-                    Instrument::Histogram(h) => MetricValue::Histogram(h.clone()),
                     Instrument::Busy(b) => MetricValue::Duration(b.total()),
-                    Instrument::Utilization(u) => MetricValue::Gauge(u.fraction_busy(now)),
                 };
                 (slot.path.clone(), value)
             })
@@ -324,23 +234,9 @@ mod tests {
         let g = reg.gauge("a/level");
         reg.inc(c);
         reg.add(c, 2);
-        reg.sub(c, 1);
         reg.set_gauge(g, 0.75);
-        assert_eq!(reg.count(c), 2);
-        assert!((reg.gauge_value(g) - 0.75).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn snapshot_evaluates_time_instruments_at_now() {
-        let mut reg = Registry::new();
-        let u = reg.utilization("util", SimTime::ZERO);
-        let b = reg.busy_time("busy");
-        reg.set_busy(u, SimTime::from_secs(1));
-        reg.set_idle(u, SimTime::from_secs(2));
-        reg.add_busy(b, SimDuration::from_secs(3));
-        let snap = reg.snapshot(SimTime::from_secs(4));
-        assert!((snap.gauge("util") - 0.25).abs() < 1e-12);
-        assert_eq!(snap.duration("busy"), SimDuration::from_secs(3));
+        assert_eq!(reg.count(c), 3);
+        assert_eq!(reg.snapshot().to_text(), "a/count 3\na/level 0.75\n");
     }
 
     #[test]
@@ -356,18 +252,5 @@ mod tests {
     fn malformed_paths_rejected() {
         let mut reg = Registry::new();
         let _ = reg.counter("Bad Path");
-    }
-
-    #[test]
-    fn summaries_and_histograms_record() {
-        let mut reg = Registry::new();
-        let s = reg.summary("lat");
-        let h = reg.histogram("dist", 0.0, 10.0, 10);
-        reg.observe(s, 1.0);
-        reg.observe(s, 3.0);
-        reg.record(h, 5.0);
-        assert_eq!(reg.summary_value(s).len(), 2);
-        assert!((reg.summary_value(s).mean() - 2.0).abs() < f64::EPSILON);
-        assert_eq!(reg.histogram_value(h).count(), 1);
     }
 }

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use tsbus_des::stats::{Histogram, Summary};
+use tsbus_des::stats::Summary;
 use tsbus_des::SimDuration;
 
 /// The captured value of one instrument.
@@ -24,8 +24,6 @@ pub enum MetricValue {
     Duration(SimDuration),
     /// A full sample summary (n / mean / min / max / variance).
     Summary(Summary),
-    /// A full binned distribution.
-    Histogram(Histogram),
 }
 
 /// One scalar produced by [`Snapshot::flatten`].
@@ -62,9 +60,9 @@ impl fmt::Display for FlatValue {
 /// space.inc(writes);
 ///
 /// let snap = bus
-///     .snapshot(SimTime::ZERO)
+///     .snapshot()
 ///     .prefixed("bus/0")
-///     .merge(space.snapshot(SimTime::ZERO).prefixed("space"));
+///     .merge(space.snapshot().prefixed("space"));
 /// assert_eq!(snap.count("bus/0/retry/total"), 2);
 /// assert_eq!(snap.count("space/writes"), 1);
 /// ```
@@ -80,7 +78,7 @@ impl Snapshot {
     ///
     /// Panics if two rows share a path.
     #[must_use]
-    pub fn from_rows(mut rows: Vec<(String, MetricValue)>) -> Self {
+    pub(crate) fn from_rows(mut rows: Vec<(String, MetricValue)>) -> Self {
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         for pair in rows.windows(2) {
             assert!(
@@ -98,21 +96,9 @@ impl Snapshot {
         &self.rows
     }
 
-    /// Number of rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the snapshot holds no rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Looks a row up by exact path.
     #[must_use]
-    pub fn get(&self, path: &str) -> Option<&MetricValue> {
+    pub(crate) fn get(&self, path: &str) -> Option<&MetricValue> {
         self.rows
             .binary_search_by(|(p, _)| p.as_str().cmp(path))
             .ok()
@@ -133,39 +119,12 @@ impl Snapshot {
         }
     }
 
-    /// Reads a [`MetricValue::Gauge`] row.
-    #[must_use]
-    pub fn gauge(&self, path: &str) -> f64 {
-        match self.get(path) {
-            Some(MetricValue::Gauge(v)) => *v,
-            other => panic!("snapshot row {path:?} is not a gauge: {other:?}"),
-        }
-    }
-
     /// Reads a [`MetricValue::Duration`] row.
     #[must_use]
     pub fn duration(&self, path: &str) -> SimDuration {
         match self.get(path) {
             Some(MetricValue::Duration(v)) => *v,
             other => panic!("snapshot row {path:?} is not a duration: {other:?}"),
-        }
-    }
-
-    /// Reads a [`MetricValue::Summary`] row.
-    #[must_use]
-    pub fn summary(&self, path: &str) -> Summary {
-        match self.get(path) {
-            Some(MetricValue::Summary(v)) => *v,
-            other => panic!("snapshot row {path:?} is not a summary: {other:?}"),
-        }
-    }
-
-    /// Reads a [`MetricValue::Histogram`] row.
-    #[must_use]
-    pub fn histogram(&self, path: &str) -> &Histogram {
-        match self.get(path) {
-            Some(MetricValue::Histogram(v)) => v,
-            other => panic!("snapshot row {path:?} is not a histogram: {other:?}"),
         }
     }
 
@@ -194,31 +153,6 @@ impl Snapshot {
     pub fn merge(self, other: Snapshot) -> Snapshot {
         let mut rows = self.rows;
         rows.extend(other.rows);
-        Snapshot::from_rows(rows)
-    }
-
-    /// The change from `earlier` to `self`: counts and durations subtract
-    /// (saturating), while gauges, summaries and histograms keep this
-    /// snapshot's value (they are levels or full distributions, not
-    /// deltas). Paths absent from `earlier` keep this snapshot's value.
-    #[must_use]
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let rows = self
-            .rows
-            .iter()
-            .map(|(path, value)| {
-                let value = match (value, earlier.get(path)) {
-                    (MetricValue::Count(now), Some(MetricValue::Count(then))) => {
-                        MetricValue::Count(now.saturating_sub(*then))
-                    }
-                    (MetricValue::Duration(now), Some(MetricValue::Duration(then))) => {
-                        MetricValue::Duration(now.saturating_sub(*then))
-                    }
-                    (value, _) => value.clone(),
-                };
-                (path.clone(), value)
-            })
-            .collect();
         Snapshot::from_rows(rows)
     }
 
@@ -257,19 +191,6 @@ impl Snapshot {
                         FlatValue::F64(s.max().unwrap_or(0.0)),
                     ));
                 }
-                MetricValue::Histogram(h) => {
-                    out.push((format!("{path}/count"), FlatValue::U64(h.count())));
-                    out.push((format!("{path}/underflow"), FlatValue::U64(h.underflow())));
-                    out.push((format!("{path}/overflow"), FlatValue::U64(h.overflow())));
-                    out.push((
-                        format!("{path}/p50"),
-                        FlatValue::F64(h.quantile(0.5).unwrap_or(0.0)),
-                    ));
-                    out.push((
-                        format!("{path}/p95"),
-                        FlatValue::F64(h.quantile(0.95).unwrap_or(0.0)),
-                    ));
-                }
             }
         }
         out
@@ -294,7 +215,6 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::Registry;
-    use tsbus_des::SimTime;
 
     fn sample() -> Snapshot {
         let mut reg = Registry::new();
@@ -307,7 +227,7 @@ mod tests {
         reg.observe(s, 1.0);
         reg.observe(s, 2.0);
         reg.add_busy(b, SimDuration::from_micros(7));
-        reg.snapshot(SimTime::ZERO)
+        reg.snapshot()
     }
 
     #[test]
@@ -318,8 +238,8 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(paths, sorted);
         assert_eq!(snap.count("retries"), 4);
-        assert!((snap.gauge("level") - 0.5).abs() < f64::EPSILON);
-        assert_eq!(snap.summary("lat").len(), 2);
+        assert_eq!(snap.get("level"), Some(&MetricValue::Gauge(0.5)));
+        assert!(matches!(snap.get("lat"), Some(MetricValue::Summary(s)) if s.len() == 2));
         assert_eq!(snap.duration("busy"), SimDuration::from_micros(7));
         assert!(snap.get("absent").is_none());
     }
@@ -329,27 +249,13 @@ mod tests {
         let merged = sample().prefixed("a").merge(sample().prefixed("b"));
         assert_eq!(merged.count("a/retries"), 4);
         assert_eq!(merged.count("b/retries"), 4);
-        assert_eq!(merged.len(), 2 * sample().len());
+        assert_eq!(merged.rows().len(), 2 * sample().rows().len());
     }
 
     #[test]
     #[should_panic(expected = "duplicate snapshot path")]
     fn merge_rejects_overlapping_paths() {
         let _ = sample().merge(sample());
-    }
-
-    #[test]
-    fn diff_subtracts_counts_and_keeps_levels() {
-        let earlier = sample();
-        let mut reg = Registry::new();
-        let c = reg.counter("retries");
-        let g = reg.gauge("level");
-        reg.add(c, 10);
-        reg.set_gauge(g, 0.9);
-        let later = reg.snapshot(SimTime::ZERO);
-        let delta = later.diff(&earlier);
-        assert_eq!(delta.count("retries"), 6);
-        assert!((delta.gauge("level") - 0.9).abs() < f64::EPSILON);
     }
 
     #[test]

@@ -57,19 +57,6 @@ pub enum TupleOpKind {
     Expire,
 }
 
-/// A fault effect applied by a point-to-point link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkEffect {
-    /// The packet was destroyed on the wire.
-    Loss,
-    /// A second copy of the packet was delivered.
-    Duplicate,
-    /// The packet was held back and overtaken.
-    Reorder,
-    /// The packet was discarded by the drop-tail queue.
-    QueueDrop,
-}
-
 /// One structured trace event, spanning every simulation layer.
 ///
 /// Variants carry only primitive fields, so events are `Copy` and a
@@ -123,15 +110,6 @@ pub enum TraceEvent {
         at: SimTime,
         /// Target node.
         node: u8,
-    },
-    /// A link applied a fault effect to a packet.
-    Link {
-        /// Effect instant.
-        at: SimTime,
-        /// What happened to the packet.
-        effect: LinkEffect,
-        /// The packet's sequence number.
-        seq: u64,
     },
     /// A tuplespace operation was served.
     TupleOp {
@@ -238,33 +216,6 @@ pub enum TraceEvent {
         /// read), `false` when it was healthy but lagging.
         degraded: bool,
     },
-}
-
-impl TraceEvent {
-    /// The instant the event was recorded at.
-    #[must_use]
-    pub fn at(&self) -> SimTime {
-        match self {
-            TraceEvent::Frame { at, .. }
-            | TraceEvent::Retry { at, .. }
-            | TraceEvent::Backoff { at, .. }
-            | TraceEvent::TxnFailed { at, .. }
-            | TraceEvent::Fault { at, .. }
-            | TraceEvent::DeliveryDropped { at, .. }
-            | TraceEvent::Link { at, .. }
-            | TraceEvent::TupleOp { at, .. }
-            | TraceEvent::Dedup { at, .. }
-            | TraceEvent::Lease { at, .. }
-            | TraceEvent::Recovery { at, .. }
-            | TraceEvent::BreakerTransition { at, .. }
-            | TraceEvent::Probe { at, .. }
-            | TraceEvent::Quarantine { at, .. }
-            | TraceEvent::Rebalance { at, .. }
-            | TraceEvent::ShardRoute { at, .. }
-            | TraceEvent::Replicate { at, .. }
-            | TraceEvent::ReadRepair { at, .. } => *at,
-        }
-    }
 }
 
 /// A typed trace collector: disabled (free), bounded (ring, oldest events
@@ -379,17 +330,10 @@ impl<E> Tracer<E> {
         self.events.is_empty()
     }
 
-    /// Events evicted from a bounded ring since creation (or the last
-    /// [`clear`](Tracer::clear)).
+    /// Events evicted from a bounded ring since creation.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Discards all held events and resets the dropped count.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
     }
 }
 
@@ -427,7 +371,7 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
         let first = t.events().next().expect("non-empty");
-        assert_eq!(first.at(), SimTime::from_nanos(2));
+        assert!(matches!(first, TraceEvent::Backoff { bits: 2, .. }));
     }
 
     #[test]
@@ -441,105 +385,5 @@ mod tests {
         }
         assert_eq!(t.len(), 10_000);
         assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn clear_resets_state() {
-        let mut t = Tracer::bounded(1);
-        t.emit(TraceEvent::Recovery {
-            at: SimTime::ZERO,
-            resolved: true,
-        });
-        t.emit(TraceEvent::Recovery {
-            at: SimTime::ZERO,
-            resolved: false,
-        });
-        assert_eq!(t.dropped(), 1);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn every_variant_reports_its_instant() {
-        let at = SimTime::from_micros(3);
-        let events = [
-            TraceEvent::Frame {
-                at,
-                node: 1,
-                class: RetryClass::Control,
-                ok: true,
-            },
-            TraceEvent::Retry {
-                at,
-                node: 1,
-                class: RetryClass::StreamRead,
-            },
-            TraceEvent::Fault {
-                at,
-                kind: FaultKind::ChainHeal,
-            },
-            TraceEvent::TupleOp {
-                at,
-                op: TupleOpKind::Take,
-                hit: false,
-            },
-            TraceEvent::Dedup {
-                at,
-                decision: DedupDecision::Replay,
-            },
-            TraceEvent::Lease {
-                at,
-                renewed: 2,
-                missed: 0,
-            },
-            TraceEvent::Link {
-                at,
-                effect: LinkEffect::Loss,
-                seq: 7,
-            },
-            TraceEvent::BreakerTransition {
-                at,
-                node: 4,
-                from: BreakerState::Closed,
-                to: BreakerState::Open,
-            },
-            TraceEvent::Probe {
-                at,
-                node: 4,
-                ok: true,
-            },
-            TraceEvent::Quarantine {
-                at,
-                node: 4,
-                entered: true,
-            },
-            TraceEvent::Rebalance {
-                at,
-                lane: 1,
-                moved: 3,
-                restored: false,
-            },
-            TraceEvent::ShardRoute {
-                at,
-                shard: 2,
-                op: TupleOpKind::Write,
-                scatter: false,
-            },
-            TraceEvent::Replicate {
-                at,
-                shard: 3,
-                acked: 2,
-                quorum: true,
-            },
-            TraceEvent::ReadRepair {
-                at,
-                shard: 0,
-                degraded: true,
-            },
-        ];
-        for e in events {
-            assert_eq!(e.at(), at);
-        }
     }
 }

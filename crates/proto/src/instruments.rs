@@ -36,7 +36,7 @@ pub struct ProtoInstruments {
     /// `proto/fast_fails`; `None` until first booked (or registered
     /// eagerly by [`with_parking`](Self::with_parking)) so layers that
     /// never see supervision keep their exact snapshot layout.
-    pub fast_fails: Option<CounterId>,
+    pub(crate) fast_fails: Option<CounterId>,
     /// `proto/parked_subops`; only parking layers register it.
     pub parked_subops: Option<CounterId>,
     /// `proto/queue_flushes`; only parking layers register it.

@@ -43,5 +43,6 @@ mod timer;
 
 pub use decision::{frame_step, request_step, FrameStep, RequestStep};
 pub use instruments::ProtoInstruments;
-pub use table::{Entry, RequestTable, SeqGen, Watermark};
+pub use table::Entry;
+pub use table::{RequestTable, SeqGen, Watermark};
 pub use timer::{ArmToken, EpochTimer, ReplyDue, RetryDue, TimerToken};

@@ -96,7 +96,7 @@ pub struct Entry<T> {
 impl<T> Entry<T> {
     /// A first-attempt entry with a fresh timer.
     #[must_use]
-    pub fn new(payload: T) -> Self {
+    pub(crate) fn new(payload: T) -> Self {
         Entry {
             attempts: 1,
             timer: EpochTimer::new(),
@@ -187,12 +187,6 @@ impl<T> RequestTable<T> {
         Some(fresh)
     }
 
-    /// Draws a fresh seq without opening an entry (out-of-band
-    /// identities, e.g. fire-and-forget heartbeats).
-    pub fn fresh_seq(&mut self) -> u64 {
-        self.seqs.fresh()
-    }
-
     /// The outstanding entry under `seq`.
     #[must_use]
     pub fn get(&self, seq: u64) -> Option<&Entry<T>> {
@@ -218,18 +212,6 @@ impl<T> RequestTable<T> {
     /// Iterates the outstanding entries in seq order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Entry<T>)> {
         self.entries.iter().map(|(seq, entry)| (*seq, entry))
-    }
-
-    /// Outstanding entry count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing is outstanding.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Settles `seq` on the watermark (see [`Watermark::settle`]).
@@ -296,7 +278,5 @@ mod tests {
         assert_eq!(table.ack(), 0);
         assert!(table.settle(seq));
         assert_eq!(table.ack(), 1);
-        let hb = table.fresh_seq();
-        assert_eq!(hb, 2, "out-of-band identities share the space");
     }
 }

@@ -99,11 +99,11 @@ pub struct ShardViolation {
     /// The invariant breached.
     pub kind: ShardViolationKind,
     /// The item concerned.
-    pub item: u64,
+    pub(crate) item: u64,
     /// The shard concerned, when one is identifiable.
-    pub shard: Option<u8>,
+    pub(crate) shard: Option<u8>,
     /// Human-readable evidence.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for ShardViolation {
@@ -119,8 +119,6 @@ impl fmt::Display for ShardViolation {
 /// One seeded trial: the run itself plus its invariant verdicts.
 #[derive(Debug, Clone)]
 pub struct ShardChaosTrial {
-    /// The seed that produced it.
-    pub seed: u64,
     /// Fault events injected across all segments.
     pub fault_events: usize,
     /// Segments that carried burst noise.
@@ -136,7 +134,7 @@ pub struct ShardChaosTrial {
 /// At least one segment always crashes — a chaos trial without chaos
 /// proves nothing.
 #[must_use]
-pub fn derive_shard_faults(
+pub(crate) fn derive_shard_faults(
     seed: u64,
     shards: u8,
 ) -> (Vec<Option<BurstParams>>, Vec<FaultSchedule>) {
@@ -337,7 +335,6 @@ pub fn run_shard_chaos_trial(cfg: &ShardChaosConfig, seed: u64) -> ShardChaosTri
     let result = run_shard_trial(&trial, seed);
     let violations = check_shard_invariants(cfg, &result);
     ShardChaosTrial {
-        seed,
         fault_events,
         noisy_segments,
         result,

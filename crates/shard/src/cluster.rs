@@ -452,9 +452,8 @@ pub fn server_node(shard: u8) -> NodeId {
 ///
 /// # Panics
 ///
-/// Panics if the shard configuration is invalid (validate first with
-/// [`ShardConfig::validate`]) or if per-shard fault/burst lists are
-/// non-empty but shorter than the shard count.
+/// Panics if the shard configuration is invalid or if per-shard
+/// fault/burst lists are non-empty but shorter than the shard count.
 #[must_use]
 pub fn run_shard_trial(cfg: &ShardTrialConfig, seed: u64) -> ShardTrialResult {
     let map = PartitionMap::new(&cfg.shard).expect("validated shard config");

@@ -133,7 +133,7 @@ impl ReplicationConfig {
 
     /// Checks the factor/quorum pair in isolation (the R ≤ N check needs
     /// the shard count and lives in [`ShardConfig::validate`]).
-    pub fn validate(&self) -> Result<(), ShardConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ShardConfigError> {
         if self.replicas == 0 {
             return Err(ShardConfigError::ZeroReplicas);
         }
@@ -179,13 +179,13 @@ pub struct ShardConfig {
     /// Replication factor and write quorum.
     pub replication: ReplicationConfig,
     /// Tuple field index carrying the shard key.
-    pub key_field: usize,
+    pub(crate) key_field: usize,
     /// Routing for tuples/templates without that field.
-    pub keyless: KeylessPolicy,
+    pub(crate) keyless: KeylessPolicy,
     /// Virtual nodes per shard on the hash ring (balance knob).
-    pub vnodes: u16,
+    pub(crate) vnodes: u16,
     /// Degraded-shard write policy.
-    pub degraded_writes: DegradedWritePolicy,
+    pub(crate) degraded_writes: DegradedWritePolicy,
 }
 
 impl ShardConfig {
@@ -236,7 +236,7 @@ impl ShardConfig {
 
     /// Full validation: shard bounds, replication bounds, quorum bounds,
     /// ring and fallback sanity.
-    pub fn validate(&self) -> Result<(), ShardConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ShardConfigError> {
         if self.shards == 0 {
             return Err(ShardConfigError::ZeroShards);
         }

@@ -20,30 +20,30 @@
 //! * [`run_shard_trial`] — a full-cluster
 //!   harness (driver + router + N bus segments) used by the benches,
 //!   the integration tests and the chaos campaigns.
-//! * [`chaos`] — seeded fault campaigns with the two tier invariants:
+//! * [`run_shard_chaos_trial`] — seeded fault campaigns with the two tier invariants:
 //!   no tuple owned by two shards, and quorum-acked writes survive any
 //!   single-shard crash.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
+mod chaos;
 pub mod cluster;
-pub mod config;
-pub mod partition;
-pub mod router;
+mod config;
+mod partition;
+mod router;
 
+pub use chaos::ShardViolation;
 pub use chaos::{
-    check_shard_invariants, derive_shard_faults, run_shard_chaos_trial, ShardChaosConfig,
-    ShardChaosTrial, ShardViolation, ShardViolationKind,
+    check_shard_invariants, run_shard_chaos_trial, ShardChaosConfig, ShardChaosTrial,
+    ShardViolationKind,
 };
 pub use cluster::{
     router_node, run_shard_trial, server_node, ShardAudit, ShardDriver, ShardTrialConfig,
-    ShardTrialResult, ShardWorkload,
+    ShardTrialResult,
 };
-pub use config::{
-    DegradedWritePolicy, KeylessPolicy, ReplicationConfig, ShardConfig, ShardConfigError,
-    MAX_SHARDS,
-};
-pub use partition::{hash_tuple, hash_value, PartitionMap, Route};
-pub use router::{RouterPolicy, ShardOp, ShardOpDone, ShardRouter};
+pub use config::ShardConfigError;
+pub use config::{DegradedWritePolicy, KeylessPolicy, ReplicationConfig, ShardConfig, MAX_SHARDS};
+pub use partition::{hash_tuple, hash_value, PartitionMap};
+pub use router::RouterPolicy;
+pub use router::{ShardOp, ShardOpDone, ShardRouter};

@@ -71,7 +71,7 @@ pub fn hash_tuple(tuple: &Tuple) -> u64 {
 
 /// Where a routed operation goes: one owner shard, or everywhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Route {
+pub(crate) enum Route {
     /// The key resolved to an owner (and its replica set).
     Owner(u8),
     /// No usable key: scatter to every shard and gather.
@@ -119,19 +119,13 @@ impl PartitionMap {
 
     /// Number of shards.
     #[must_use]
-    pub fn shards(&self) -> u8 {
+    pub(crate) fn shards(&self) -> u8 {
         self.shards
-    }
-
-    /// Replicas per key (owner included).
-    #[must_use]
-    pub fn replicas(&self) -> u8 {
-        self.replicas
     }
 
     /// The tuple field index carrying the shard key.
     #[must_use]
-    pub fn key_field(&self) -> usize {
+    pub(crate) fn key_field(&self) -> usize {
         self.key_field
     }
 
@@ -151,7 +145,7 @@ impl PartitionMap {
     /// The owner shard of a tuple: its key field if present, the keyless
     /// policy otherwise.
     #[must_use]
-    pub fn owner_of_tuple(&self, tuple: &Tuple) -> u8 {
+    pub(crate) fn owner_of_tuple(&self, tuple: &Tuple) -> u8 {
         match tuple.field(self.key_field) {
             Some(key) => self.owner_of_value(key),
             None => match self.keyless {
@@ -164,7 +158,7 @@ impl PartitionMap {
     /// The exact key value a template pins, if its key-field pattern is
     /// [`Pattern::Exact`].
     #[must_use]
-    pub fn template_key<'a>(&self, template: &'a Template) -> Option<&'a Value> {
+    pub(crate) fn template_key<'a>(&self, template: &'a Template) -> Option<&'a Value> {
         match template.patterns().get(self.key_field) {
             Some(Pattern::Exact(value)) => Some(value),
             _ => None,
@@ -175,7 +169,7 @@ impl PartitionMap {
     /// when the template pins the key field exactly, otherwise per the
     /// keyless policy (a fixed shard, or scatter-gather).
     #[must_use]
-    pub fn route_of_template(&self, template: &Template) -> Route {
+    pub(crate) fn route_of_template(&self, template: &Template) -> Route {
         match self.template_key(template) {
             Some(key) => Route::Owner(self.owner_of_value(key)),
             None => match self.keyless {
@@ -197,7 +191,7 @@ impl PartitionMap {
 
     /// The replica set of a tuple's key.
     #[must_use]
-    pub fn replicas_of_tuple(&self, tuple: &Tuple) -> Vec<u8> {
+    pub(crate) fn replicas_of_tuple(&self, tuple: &Tuple) -> Vec<u8> {
         self.replica_set(self.owner_of_tuple(tuple))
     }
 

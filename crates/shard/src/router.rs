@@ -33,8 +33,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use tsbus_core::{NetDeliver, NetError, NetSend};
-use tsbus_des::{Component, ComponentId, Context, Message, MessageExt, SimDuration, SimTime};
-use tsbus_obs::{CounterId, Registry, Snapshot, TraceEvent, Tracer, TupleOpKind};
+use tsbus_des::{Component, ComponentId, Context, Message, MessageExt, SimDuration};
+use tsbus_obs::{CounterId, Registry, TraceEvent, Tracer, TupleOpKind};
 use tsbus_proto::{request_step, ProtoInstruments, ReplyDue, RequestStep, RequestTable, RetryDue};
 use tsbus_tpwire::NodeId;
 use tsbus_tuplespace::{Template, Tuple};
@@ -56,7 +56,7 @@ pub struct ShardOp {
     /// Caller-chosen correlation id, echoed in [`ShardOpDone`].
     pub op: u64,
     /// The tuplespace request to route.
-    pub request: Request,
+    pub(crate) request: Request,
 }
 
 /// The routed operation's final outcome, delivered to the application.
@@ -67,9 +67,9 @@ pub struct ShardOpDone {
     /// The response (synthesized for scatter-gather operations).
     pub response: Response,
     /// Whether a degraded or unreachable shard was involved.
-    pub degraded: bool,
+    pub(crate) degraded: bool,
     /// Sub-request sends charged to the operation.
-    pub attempts: u32,
+    pub(crate) attempts: u32,
 }
 
 /// Retry/timeout knobs of the router's sub-request machinery.
@@ -77,20 +77,20 @@ pub struct ShardOpDone {
 pub struct RouterPolicy {
     /// A sub-request whose reply has not arrived within this span is
     /// declared overdue and re-issued (same identity).
-    pub reply_timeout: SimDuration,
+    pub(crate) reply_timeout: SimDuration,
     /// Idle wait before each re-issue.
-    pub retry_delay: SimDuration,
+    pub(crate) retry_delay: SimDuration,
     /// Total sends allowed per sub-request, the first included.
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Per-shard gather deadline of a scatter read leg.
-    pub scatter_deadline: SimDuration,
+    pub(crate) scatter_deadline: SimDuration,
     /// Probe period for flushing a degraded shard's parked writes.
-    pub degraded_retry_delay: SimDuration,
+    pub(crate) degraded_retry_delay: SimDuration,
     /// `false` is the ablation arm: retries draw a FRESH identity each
     /// time, so the server-side duplicate caches cannot recognize them
     /// and a lost reply can re-apply — exactly the double-apply the
     /// sharded chaos invariants are built to catch.
-    pub exactly_once: bool,
+    pub(crate) exactly_once: bool,
 }
 
 impl Default for RouterPolicy {
@@ -343,19 +343,6 @@ impl ShardRouter {
         self
     }
 
-    /// The partition map the router routes by.
-    #[must_use]
-    pub fn map(&self) -> &PartitionMap {
-        &self.map
-    }
-
-    /// Captures the router's metrics at instant `now`: the `proto/*`
-    /// lifecycle paths plus the `shard/*` routing counters.
-    #[must_use]
-    pub fn metrics(&self, now: SimTime) -> Snapshot {
-        self.obs.registry.snapshot(now)
-    }
-
     /// Reads served away from the owner (counted as repairs).
     #[must_use]
     pub fn read_repairs(&self) -> u64 {
@@ -427,7 +414,7 @@ impl ShardRouter {
 
     /// Arms (or replaces) the typed trace stream
     /// (`ShardRoute`/`Replicate`/`ReadRepair` events).
-    pub fn set_tracer(&mut self, tracer: Tracer<TraceEvent>) {
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer<TraceEvent>) {
         self.obs.tracer = tracer;
     }
 

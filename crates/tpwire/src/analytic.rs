@@ -8,8 +8,7 @@
 //! the equivalent scaling factor; agreement is a genuine cross-check because
 //! the two implementations share only [`BusParams`], not code paths.
 //!
-//! All functions count **bit periods** (exact integers); convert with
-//! [`BusParams::bits_to_time`].
+//! All functions count **bit periods** (exact integers).
 
 use tsbus_des::SimDuration;
 
@@ -17,26 +16,18 @@ use crate::bus::STREAM_HEADER_BYTES;
 use crate::wiring::BusParams;
 
 /// Bit periods of one transaction addressed to the slave at 0-based chain
-/// position `pos` (= [`BusParams::transaction_bits`] with `hops = pos + 1`).
+/// position `pos` (the bus's own transaction cost with `hops = pos + 1`).
 #[must_use]
 pub fn txn_bits(params: &BusParams, pos: usize) -> u64 {
     u64::from(params.transaction_bits(pos as u32 + 1))
-}
-
-/// Bit periods for `n_frames` back-to-back data transactions with the slave
-/// at position `pos` — the frame-count workload of the paper's Table 3
-/// validation (a CBR source clocking 1-byte frames at a neighbour).
-#[must_use]
-pub fn raw_frames_bits(params: &BusParams, n_frames: u64, pos: usize) -> u64 {
-    n_frames * txn_bits(params, pos)
 }
 
 /// Bit periods to relay one `payload_len`-byte stream message from the slave
 /// at `src_pos` to the slave at `dst_pos`, on an otherwise idle bus:
 ///
 /// * **discovery**: the poll that finds the source (1 select) + pointer
-///   setup + [`STREAM_HEADER_BYTES`] header reads — all at the source;
-/// * **payload**: [`BusParams::relay_chunk`]-byte service slots; each slot
+///   setup + the stream header reads — all at the source;
+/// * **payload**: relay-chunk-sized service slots; each slot
 ///   re-selects + re-points the source (except the first, which inherits the
 ///   discovery setup) and the destination (every slot), then moves its bytes
 ///   one `READ_DATA`/`WRITE_DATA` pair per byte.
@@ -145,50 +136,6 @@ pub fn relay_goodput(
     message_len as f64 / secs
 }
 
-/// Load multiplier on each surviving lane after degraded-mode rebalancing
-/// evacuates `dead` of `lanes` parallel buses (§3.2 mode B wirings).
-///
-/// Striped assignment spreads every evacuated lane's slaves evenly over the
-/// survivors, so each survivor carries `lanes / (lanes - dead)` of its
-/// nominal load. `1.0` when nothing is evacuated; `f64::INFINITY` when no
-/// lane survives (the bus is down, every transfer fails fast).
-///
-/// # Panics
-///
-/// Panics if `lanes == 0` or `dead > lanes`.
-#[must_use]
-pub fn degraded_load_factor(lanes: u8, dead: u8) -> f64 {
-    assert!(lanes > 0, "a bus has at least one lane");
-    assert!(dead <= lanes, "cannot evacuate more lanes than exist");
-    if dead == 0 {
-        return 1.0;
-    }
-    if dead == lanes {
-        return f64::INFINITY;
-    }
-    f64::from(lanes) / f64::from(lanes - dead)
-}
-
-/// Degraded-mode relay goodput: [`relay_goodput`] divided by the
-/// [`degraded_load_factor`] — each surviving lane time-shares its capacity
-/// across the evacuated lanes' traffic, so a saturated flow sees its
-/// goodput shrink by exactly the load multiplier. `0.0` when every lane is
-/// evacuated.
-#[must_use]
-pub fn degraded_relay_goodput(
-    params: &BusParams,
-    src_pos: usize,
-    dst_pos: usize,
-    message_len: usize,
-    dead: u8,
-) -> f64 {
-    let lanes = params.wiring.lanes();
-    if dead >= lanes {
-        return 0.0;
-    }
-    relay_goodput(params, src_pos, dst_pos, message_len) / degraded_load_factor(lanes, dead)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,14 +154,6 @@ mod tests {
                 u64::from(params.transaction_bits(pos as u32 + 1))
             );
         }
-    }
-
-    #[test]
-    fn raw_frames_scale_linearly() {
-        let params = p();
-        let one = raw_frames_bits(&params, 1, 1);
-        assert_eq!(raw_frames_bits(&params, 10, 1), 10 * one);
-        assert_eq!(raw_frames_bits(&params, 1000, 1), 1000 * one);
     }
 
     #[test]
@@ -299,32 +238,6 @@ mod tests {
             dma >= plain,
             "2-byte DMA ({dma}) should not beat per-byte ({plain})"
         );
-    }
-
-    #[test]
-    fn degraded_load_factor_tracks_survivors() {
-        assert_eq!(degraded_load_factor(4, 0), 1.0);
-        assert_eq!(degraded_load_factor(4, 1), 4.0 / 3.0);
-        assert_eq!(degraded_load_factor(4, 2), 2.0);
-        assert_eq!(degraded_load_factor(2, 1), 2.0);
-        assert_eq!(degraded_load_factor(3, 3), f64::INFINITY);
-        assert_eq!(degraded_load_factor(1, 0), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot evacuate more lanes than exist")]
-    fn degraded_load_factor_rejects_impossible_evacuations() {
-        let _ = degraded_load_factor(2, 3);
-    }
-
-    #[test]
-    fn degraded_goodput_halves_on_a_two_bus_wiring() {
-        let params = p().with_wiring(Wiring::parallel_buses(2).expect("valid"));
-        let healthy = degraded_relay_goodput(&params, 0, 1, 512, 0);
-        let degraded = degraded_relay_goodput(&params, 0, 1, 512, 1);
-        assert_eq!(healthy, relay_goodput(&params, 0, 1, 512));
-        assert!((degraded - healthy / 2.0).abs() < 1e-9);
-        assert_eq!(degraded_relay_goodput(&params, 0, 1, 512, 2), 0.0);
     }
 
     #[test]

@@ -71,10 +71,10 @@ use crate::wiring::{BusParams, RESET_TIMEOUT_BITS};
 const DST_MASTER: u8 = 0x80;
 
 /// Length of the relay header pushed ahead of every stream payload.
-pub const STREAM_HEADER_BYTES: usize = 3;
+pub(crate) const STREAM_HEADER_BYTES: usize = 3;
 
 /// Largest payload one [`SendStream`] may carry (16-bit length field).
-pub const MAX_STREAM_PAYLOAD: usize = u16::MAX as usize;
+pub(crate) const MAX_STREAM_PAYLOAD: usize = u16::MAX as usize;
 
 /// One end of a stream transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -524,12 +524,6 @@ impl TpWireBus {
         self.master_attachment = Some(component);
     }
 
-    /// The bus parameters.
-    #[must_use]
-    pub fn params(&self) -> &BusParams {
-        &self.params
-    }
-
     /// Borrows the slave with the given node id, if present.
     #[must_use]
     pub fn slave(&self, node: NodeId) -> Option<&SlaveDevice> {
@@ -548,8 +542,7 @@ impl TpWireBus {
         &self.obs
     }
 
-    /// Mutable access to the instrument set, e.g. to arm the tracer with
-    /// [`BusInstruments::set_tracer`].
+    /// Mutable access to the instrument set.
     pub fn obs_mut(&mut self) -> &mut BusInstruments {
         &mut self.obs
     }
@@ -1742,7 +1735,7 @@ impl TpWireBus {
     /// owned by other lanes). Returns `None` when every candidate is busy.
     ///
     /// Under supervision the scan additionally honours the
-    /// [`WirePlan`](crate::WirePlan) (each lane polls only the positions
+    /// [`WirePlan`](crate::wiring::WirePlan) (each lane polls only the positions
     /// currently assigned to it) and
     /// consults the breaker: Open slaves are skipped entirely until their
     /// window expires, Half-Open ones are admitted as probes within the

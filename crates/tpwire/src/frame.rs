@@ -45,7 +45,7 @@ pub enum Command {
 
 impl Command {
     /// All commands in opcode order.
-    pub const ALL: [Command; 8] = [
+    pub(crate) const ALL: [Command; 8] = [
         Command::Status,
         Command::WriteData,
         Command::ReadData,
@@ -58,7 +58,7 @@ impl Command {
 
     /// The 3-bit opcode.
     #[must_use]
-    pub fn opcode(self) -> u8 {
+    pub(crate) fn opcode(self) -> u8 {
         self as u8
     }
 
@@ -68,7 +68,7 @@ impl Command {
     ///
     /// Panics if `opcode > 7` (callers mask to 3 bits first).
     #[must_use]
-    pub fn from_opcode(opcode: u8) -> Command {
+    pub(crate) fn from_opcode(opcode: u8) -> Command {
         assert!(opcode < 8, "command opcodes are 3 bits");
         Self::ALL[usize::from(opcode)]
     }
@@ -92,7 +92,7 @@ impl fmt::Display for Command {
 
 /// The 2-bit RX response type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RxType {
+pub(crate) enum RxType {
     /// Generic acknowledge: `DATA[7:1]` = node id, `DATA[0]` = pending
     /// interrupt.
     Status = 0,
@@ -104,47 +104,25 @@ pub enum RxType {
     Spi = 3,
 }
 
-impl RxType {
-    /// All response types in code order.
-    pub const ALL: [RxType; 4] = [RxType::Status, RxType::Data, RxType::Flags, RxType::Spi];
-
-    /// The 2-bit code.
-    #[must_use]
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// Decodes a 2-bit code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code > 3` (callers mask to 2 bits first).
-    #[must_use]
-    pub fn from_code(code: u8) -> RxType {
-        assert!(code < 4, "RX type codes are 2 bits");
-        Self::ALL[usize::from(code)]
-    }
-}
-
 /// A decoded TX frame (master → slaves).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TxFrame {
     /// The command opcode.
-    pub cmd: Command,
+    pub(crate) cmd: Command,
     /// The 8-bit data field (ignored by slaves for read commands).
     pub data: u8,
 }
 
 /// A decoded RX frame (slave → master).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RxFrame {
+pub(crate) struct RxFrame {
     /// Set when any slave the frame passed through (including the sender)
     /// has a pending interrupt.
-    pub int: bool,
+    pub(crate) int: bool,
     /// The response type.
-    pub rtype: RxType,
+    pub(crate) rtype: RxType,
     /// The 8-bit data field.
-    pub data: u8,
+    pub(crate) data: u8,
 }
 
 /// Why a 16-bit word failed to decode as a frame.
@@ -185,7 +163,7 @@ impl TxFrame {
     /// The `SELECT_NODE` frame for `node`, with `system_space` choosing the
     /// second node address (system registers).
     #[must_use]
-    pub fn select(node: NodeId, system_space: bool) -> Self {
+    pub(crate) fn select(node: NodeId, system_space: bool) -> Self {
         let data = node.raw() | if system_space { 0x80 } else { 0 };
         TxFrame::new(Command::SelectNode, data)
     }
@@ -238,7 +216,7 @@ impl TxFrame {
 impl RxFrame {
     /// Builds a response frame.
     #[must_use]
-    pub fn new(int: bool, rtype: RxType, data: u8) -> Self {
+    pub(crate) fn new(int: bool, rtype: RxType, data: u8) -> Self {
         RxFrame { int, rtype, data }
     }
 
@@ -249,7 +227,7 @@ impl RxFrame {
     ///
     /// Panics if `node` is the broadcast node (broadcast never replies).
     #[must_use]
-    pub fn status_ack(node: NodeId, pending_interrupt: bool, int: bool) -> Self {
+    pub(crate) fn status_ack(node: NodeId, pending_interrupt: bool, int: bool) -> Self {
         assert!(
             !node.is_broadcast(),
             "the broadcast node never sends RX frames"
@@ -258,57 +236,10 @@ impl RxFrame {
         RxFrame::new(int, RxType::Status, data)
     }
 
-    /// For [`RxType::Status`] frames: the responding node id.
-    #[must_use]
-    pub fn status_node(&self) -> Option<NodeId> {
-        if self.rtype == RxType::Status {
-            NodeId::new(self.data >> 1).ok()
-        } else {
-            None
-        }
-    }
-
     /// For [`RxType::Status`] frames: the responder's pending-interrupt bit.
     #[must_use]
-    pub fn status_pending_interrupt(&self) -> bool {
+    pub(crate) fn status_pending_interrupt(&self) -> bool {
         self.rtype == RxType::Status && self.data & 1 == 1
-    }
-
-    /// Encodes to the 16-bit wire word (start bit in bit 15).
-    #[must_use]
-    pub fn encode(&self) -> u16 {
-        let int = u16::from(self.int);
-        let rtype = u16::from(self.rtype.code());
-        let data = u16::from(self.data);
-        let crc = u16::from(crc::rx_crc(self.rtype.code(), self.data));
-        (int << 14) | (rtype << 12) | (data << 4) | crc
-    }
-
-    /// Decodes a 16-bit wire word.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeFrameError`] if the start bit is set or the CRC does
-    /// not match. The INT bit is *not* CRC-protected (it is rewritten by
-    /// pass-through slaves), matching the specification's coverage of
-    /// `TYPE` + `DATA` only.
-    pub fn decode(wire: u16) -> Result<Self, DecodeFrameError> {
-        if wire & 0x8000 != 0 {
-            return Err(DecodeFrameError::StartBit);
-        }
-        let int = (wire >> 14) & 1 == 1;
-        let rtype = ((wire >> 12) & 0x3) as u8;
-        let data = ((wire >> 4) & 0xFF) as u8;
-        let received = (wire & 0xF) as u8;
-        let computed = crc::rx_crc(rtype, data);
-        if received != computed {
-            return Err(DecodeFrameError::Crc { received, computed });
-        }
-        Ok(RxFrame {
-            int,
-            rtype: RxType::from_code(rtype),
-            data,
-        })
     }
 }
 
@@ -346,17 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn rx_layout_matches_table_2() {
-        let frame = RxFrame::new(true, RxType::Flags, 0x5A);
-        let wire = frame.encode();
-        assert_eq!(wire >> 15, 0, "start bit");
-        assert_eq!((wire >> 14) & 1, 1, "INT bit");
-        assert_eq!((wire >> 12) & 0x3, 0b10, "TYPE field");
-        assert_eq!((wire >> 4) & 0xFF, 0x5A, "DATA field");
-        assert_eq!(wire & 0xF, u16::from(crc::rx_crc(0b10, 0x5A)), "CRC field");
-    }
-
-    #[test]
     fn select_frame_packs_space_bit() {
         let node = NodeId::new(0x2A).expect("valid");
         assert_eq!(TxFrame::select(node, false).data, 0x2A);
@@ -367,7 +287,6 @@ mod tests {
     fn status_ack_roundtrips_node_and_interrupt() {
         let node = NodeId::new(42).expect("valid");
         let ack = RxFrame::status_ack(node, true, false);
-        assert_eq!(ack.status_node(), Some(node));
         assert!(ack.status_pending_interrupt());
         let ack2 = RxFrame::status_ack(node, false, true);
         assert!(!ack2.status_pending_interrupt());
@@ -383,7 +302,6 @@ mod tests {
     #[test]
     fn decode_rejects_start_bit() {
         assert_eq!(TxFrame::decode(0x8000), Err(DecodeFrameError::StartBit));
-        assert_eq!(RxFrame::decode(0xFFFF), Err(DecodeFrameError::StartBit));
     }
 
     #[test]
@@ -398,7 +316,6 @@ mod tests {
     #[test]
     fn data_frames_do_not_expose_status_accessors() {
         let frame = RxFrame::new(false, RxType::Data, 0xFF);
-        assert_eq!(frame.status_node(), None);
         assert!(!frame.status_pending_interrupt());
     }
 
@@ -407,12 +324,6 @@ mod tests {
         fn tx_roundtrip(cmd in 0u8..8, data in any::<u8>()) {
             let frame = TxFrame::new(Command::from_opcode(cmd), data);
             prop_assert_eq!(TxFrame::decode(frame.encode()), Ok(frame));
-        }
-
-        #[test]
-        fn rx_roundtrip(int in any::<bool>(), code in 0u8..4, data in any::<u8>()) {
-            let frame = RxFrame::new(int, RxType::from_code(code), data);
-            prop_assert_eq!(RxFrame::decode(frame.encode()), Ok(frame));
         }
 
         /// Flipping any CRC-covered bit of a TX frame breaks decoding.
@@ -442,21 +353,6 @@ mod tests {
             if let Ok(frame) = TxFrame::decode(wire) {
                 prop_assert_eq!(frame.encode(), wire);
             }
-            if let Ok(frame) = RxFrame::decode(wire) {
-                prop_assert_eq!(frame.encode(), wire);
-            }
-        }
-
-        /// The INT bit is deliberately outside CRC coverage: flipping it
-        /// still decodes (pass-through slaves rewrite it in flight).
-        #[test]
-        fn rx_int_bit_not_crc_protected(code in 0u8..4, data in any::<u8>()) {
-            let frame = RxFrame::new(false, RxType::from_code(code), data);
-            let flipped = frame.encode() ^ (1 << 14);
-            let decoded = RxFrame::decode(flipped).expect("INT flip still valid");
-            prop_assert!(decoded.int);
-            prop_assert_eq!(decoded.rtype, frame.rtype);
-            prop_assert_eq!(decoded.data, frame.data);
         }
     }
 }

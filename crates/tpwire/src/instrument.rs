@@ -23,11 +23,11 @@ pub struct BusStats {
     /// Re-sent transactions (timeout or corrupted frame), all classes.
     pub retries: u64,
     /// Retries of control frames (selection, pointers, commands, polls).
-    pub control_retries: u64,
+    pub(crate) control_retries: u64,
     /// Retries of stream-FIFO reads (including DMA read bursts).
-    pub stream_read_retries: u64,
+    pub(crate) stream_read_retries: u64,
     /// Retries of stream-FIFO writes (including DMA write bursts).
-    pub stream_write_retries: u64,
+    pub(crate) stream_write_retries: u64,
     /// Retries that waited out a backoff delay before resending.
     pub backoff_events: u64,
     /// Total bit periods spent waiting in retry backoff.
@@ -115,7 +115,7 @@ impl BusInstruments {
     /// Tracing starts disabled; arm it with
     /// [`set_tracer`](BusInstruments::set_tracer).
     #[must_use]
-    pub fn new(lanes: usize) -> Self {
+    pub(crate) fn new(lanes: usize) -> Self {
         let mut registry = Registry::new();
         let txn_total = registry.counter("txn/total");
         let txn_failures = registry.counter("txn/failures");
@@ -161,7 +161,7 @@ impl BusInstruments {
     /// positions. Called once by the bus when supervision is configured;
     /// never called on an unsupervised bus, whose registry layout is
     /// thereby unchanged.
-    pub fn enable_supervision(&mut self, slaves: usize) {
+    pub(crate) fn enable_supervision(&mut self, slaves: usize) {
         let registry = &mut self.registry;
         let slave_open = (0..slaves)
             .map(|i| registry.busy_time(&format!("supervise/slave/{i}/open")))
@@ -195,22 +195,16 @@ impl BusInstruments {
         self.tracer.dropped()
     }
 
-    /// The underlying registry (read-only; all updates go through the
-    /// semantic methods).
+    /// Captures the registry. No instrument is time-parameterized, so
+    /// `_now` is unused; it stays so existing callers keep compiling.
     #[must_use]
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Captures the registry at `now`.
-    #[must_use]
-    pub fn snapshot(&self, now: SimTime) -> Snapshot {
-        self.registry.snapshot(now)
+    pub fn snapshot(&self, _now: SimTime) -> Snapshot {
+        self.registry.snapshot()
     }
 
     /// The legacy aggregate view, assembled from the registry.
     #[must_use]
-    pub fn stats(&self) -> BusStats {
+    pub(crate) fn stats(&self) -> BusStats {
         BusStats {
             transactions: self.registry.count(self.txn_total),
             retries: self.registry.count(self.retry_total),
@@ -244,7 +238,7 @@ impl BusInstruments {
     /// Books `n` completed transactions and emits one `Frame` event for
     /// the logical transaction they conclude (a DMA burst folds its arming
     /// transactions into `n`).
-    pub fn txn_ok(&mut self, at: SimTime, node: u8, class: FrameClass, n: u64) {
+    pub(crate) fn txn_ok(&mut self, at: SimTime, node: u8, class: FrameClass, n: u64) {
         self.registry.add(self.txn_total, n);
         self.tracer.emit(TraceEvent::Frame {
             at,
@@ -255,7 +249,7 @@ impl BusInstruments {
     }
 
     /// Books one retry in the aggregate and per-class counters.
-    pub fn retry(&mut self, at: SimTime, node: u8, class: FrameClass) {
+    pub(crate) fn retry(&mut self, at: SimTime, node: u8, class: FrameClass) {
         self.registry.inc(self.retry_total);
         let per_class = match class {
             FrameClass::Control => self.retry_control,
@@ -271,48 +265,48 @@ impl BusInstruments {
     }
 
     /// Books one backoff wait of `bits` bit periods.
-    pub fn backoff(&mut self, at: SimTime, bits: u64) {
+    pub(crate) fn backoff(&mut self, at: SimTime, bits: u64) {
         self.registry.inc(self.backoff_events);
         self.registry.add(self.backoff_bits, bits);
         self.tracer.emit(TraceEvent::Backoff { at, bits });
     }
 
     /// Books a transaction abandoned after exhausting retries.
-    pub fn txn_failed(&mut self, at: SimTime, node: u8) {
+    pub(crate) fn txn_failed(&mut self, at: SimTime, node: u8) {
         self.registry.inc(self.txn_failures);
         self.tracer.emit(TraceEvent::TxnFailed { at, node });
     }
 
     /// Books one keep-alive/discovery poll.
-    pub fn poll(&mut self) {
+    pub(crate) fn poll(&mut self) {
         self.registry.inc(self.poll_total);
     }
 
     /// Books a stream message fully relayed to its destination.
-    pub fn message_relayed(&mut self, bytes: u64) {
+    pub(crate) fn message_relayed(&mut self, bytes: u64) {
         self.registry.add(self.relay_bytes, bytes);
         self.registry.inc(self.relay_messages);
     }
 
     /// Books a stream message abandoned.
-    pub fn message_failed(&mut self) {
+    pub(crate) fn message_failed(&mut self) {
         self.registry.inc(self.relay_failed);
     }
 
     /// Books a delivery dropped for lack of an attachment.
-    pub fn delivery_dropped(&mut self, at: SimTime, node: u8) {
+    pub(crate) fn delivery_dropped(&mut self, at: SimTime, node: u8) {
         self.registry.inc(self.notify_dropped);
         self.tracer.emit(TraceEvent::DeliveryDropped { at, node });
     }
 
     /// Books one applied fault command.
-    pub fn fault(&mut self, at: SimTime, kind: FaultKind) {
+    pub(crate) fn fault(&mut self, at: SimTime, kind: FaultKind) {
         self.registry.inc(self.fault_injected);
         self.tracer.emit(TraceEvent::Fault { at, kind });
     }
 
     /// Books one request failed fast against an Open breaker.
-    pub fn fast_fail(&mut self, at: SimTime, node: u8) {
+    pub(crate) fn fast_fail(&mut self, at: SimTime, node: u8) {
         if let Some(ids) = &self.supervise {
             self.registry.inc(ids.fast_fails);
         }
@@ -320,7 +314,7 @@ impl BusInstruments {
     }
 
     /// Books one probe frame outcome against a Half-Open slave.
-    pub fn probe(&mut self, at: SimTime, node: u8, ok: bool) {
+    pub(crate) fn probe(&mut self, at: SimTime, node: u8, ok: bool) {
         if let Some(ids) = &self.supervise {
             self.registry.inc(ids.probes);
         }
@@ -329,7 +323,7 @@ impl BusInstruments {
 
     /// Books one circuit-breaker state change, counting trips and
     /// readmissions and emitting the quarantine boundary events.
-    pub fn breaker_transition(
+    pub(crate) fn breaker_transition(
         &mut self,
         at: SimTime,
         node: u8,
@@ -365,7 +359,7 @@ impl BusInstruments {
     }
 
     /// Books one degraded-mode rebalance touching `moved` slaves.
-    pub fn rebalance(&mut self, at: SimTime, lane: u8, moved: u8, restored: bool) {
+    pub(crate) fn rebalance(&mut self, at: SimTime, lane: u8, moved: u8, restored: bool) {
         if let Some(ids) = &self.supervise {
             self.registry.inc(ids.rebalances);
         }
@@ -379,7 +373,7 @@ impl BusInstruments {
 
     /// Books one violation of the "never issue to an Open slave" invariant.
     /// Stays zero in a correct master; the chaos harness asserts it.
-    pub fn open_issue(&mut self) {
+    pub(crate) fn open_issue(&mut self) {
         if let Some(ids) = &self.supervise {
             self.registry.inc(ids.open_issues);
         }
@@ -387,7 +381,7 @@ impl BusInstruments {
 
     /// Accumulates a closed interval of breaker-Open time for the slave at
     /// 0-based chain position `pos`.
-    pub fn slave_open_span(&mut self, pos: usize, span: SimDuration) {
+    pub(crate) fn slave_open_span(&mut self, pos: usize, span: SimDuration) {
         if let Some(ids) = &self.supervise {
             self.registry.add_busy(ids.slave_open[pos], span);
         }
@@ -395,7 +389,7 @@ impl BusInstruments {
 
     /// Total breaker-Open time accumulated for chain position `pos`.
     #[must_use]
-    pub fn slave_open_total(&self, pos: usize) -> SimDuration {
+    pub(crate) fn slave_open_total(&self, pos: usize) -> SimDuration {
         self.supervise.as_ref().map_or(SimDuration::ZERO, |ids| {
             self.registry.busy_total(ids.slave_open[pos])
         })
@@ -403,24 +397,16 @@ impl BusInstruments {
 
     /// Accumulates a closed interval of degraded-mode (evacuated-lane)
     /// time.
-    pub fn degraded_span(&mut self, span: SimDuration) {
+    pub(crate) fn degraded_span(&mut self, span: SimDuration) {
         if let Some(ids) = &self.supervise {
             self.registry.add_busy(ids.degraded, span);
         }
     }
 
-    /// Total time the bus spent in degraded mode.
-    #[must_use]
-    pub fn degraded_total(&self) -> SimDuration {
-        self.supervise.as_ref().map_or(SimDuration::ZERO, |ids| {
-            self.registry.busy_total(ids.degraded)
-        })
-    }
-
     /// Books (and on first use registers) the `retry/clamped` warning: a
     /// configured retry policy's worst-case cumulative backoff exceeded the
     /// slave reset watchdog and was clamped.
-    pub fn retry_policy_clamped(&mut self) {
+    pub(crate) fn retry_policy_clamped(&mut self) {
         let id = match self.retry_clamped {
             Some(id) => id,
             None => {
@@ -432,20 +418,14 @@ impl BusInstruments {
         self.registry.inc(id);
     }
 
-    /// How many retry-policy clamp warnings were booked.
-    #[must_use]
-    pub fn retry_clamp_warnings(&self) -> u64 {
-        self.retry_clamped.map_or(0, |id| self.registry.count(id))
-    }
-
     /// Accumulates a closed busy interval on `lane`'s transmitter.
-    pub fn lane_busy(&mut self, lane: usize, span: SimDuration) {
+    pub(crate) fn lane_busy(&mut self, lane: usize, span: SimDuration) {
         self.registry.add_busy(self.lane_busy[lane], span);
     }
 
     /// Total accumulated busy time of `lane`'s transmitter.
     #[must_use]
-    pub fn lane_busy_total(&self, lane: usize) -> SimDuration {
+    pub(crate) fn lane_busy_total(&self, lane: usize) -> SimDuration {
         self.registry.busy_total(self.lane_busy[lane])
     }
 }
@@ -529,8 +509,13 @@ mod tests {
         assert_eq!(stats.rebalances, 1);
         assert_eq!(stats.open_issues, 1);
         assert_eq!(obs.slave_open_total(2), SimDuration::from_micros(7));
-        assert_eq!(obs.degraded_total(), SimDuration::from_micros(3));
-        assert_eq!(obs.retry_clamp_warnings(), 1);
+        let degraded = obs.supervise.as_ref().expect("supervised").degraded;
+        assert_eq!(
+            obs.registry.busy_total(degraded),
+            SimDuration::from_micros(3)
+        );
+        let clamped = obs.retry_clamped.expect("registered on first use");
+        assert_eq!(obs.registry.count(clamped), 1);
 
         // Trips and readmissions come with quarantine boundary events.
         let quarantines: Vec<_> = obs

@@ -8,11 +8,11 @@
 //! * [`crc`] — CRC-4 with polynomial x⁴ + x + 1 (property-tested against a
 //!   long-division reference; detects all single-bit and ≤4-bit burst
 //!   errors).
-//! * [`TxFrame`] / [`RxFrame`] — bit-exact 16-bit frame encode/decode
-//!   (paper Tables 1–2).
-//! * [`NodeId`] / [`AddressSpace`] / [`SystemReg`] — the 127-node + broadcast
-//!   addressing model with the dual address spaces.
-//! * [`SlaveDevice`] — the slave state machine: selection, memory/pointer,
+//! * [`TxFrame`] — bit-exact 16-bit master frame encode/decode (paper
+//!   Table 1); slave replies (Table 2) are built field by field.
+//! * [`NodeId`] — the 127-node + broadcast addressing model with the dual
+//!   address spaces.
+//! * The slave state machine (crate-private): selection, memory/pointer,
 //!   system registers, the stream FIFO, the 2048-bit-period self-reset.
 //! * [`Wiring`] / [`BusParams`] — programmable bit rate, protocol latencies
 //!   and the two §3.2 *n*-wire scaling modes (parallel data lines vs
@@ -52,7 +52,7 @@ pub mod analytic;
 mod bus;
 pub mod crc;
 mod frame;
-pub mod instrument;
+mod instrument;
 mod node;
 mod slave;
 mod supervisor;
@@ -61,12 +61,11 @@ mod wiring;
 
 pub use bus::{
     BroadcastCommand, MasterSend, SendStream, StreamDelivered, StreamEndpoint, StreamFailed,
-    StreamSent, TpWireBus, MAX_STREAM_PAYLOAD, STREAM_HEADER_BYTES,
+    StreamSent, TpWireBus,
 };
-pub use frame::{Command, DecodeFrameError, RxFrame, RxType, TxFrame, FRAME_BITS};
+pub use frame::{Command, DecodeFrameError, TxFrame, FRAME_BITS};
 pub use instrument::{BusInstruments, BusStats};
-pub use node::{AddressSpace, InvalidNodeId, NodeId, SystemReg, MAX_NODE_ID};
-pub use slave::{SlaveDevice, Watchdog, MEMORY_BYTES, STREAM_ADDR};
-pub use wiring::{
-    BusParams, InvalidWiring, WirePlan, Wiring, RESET_ACTIVE_BITS, RESET_TIMEOUT_BITS,
-};
+pub use node::{InvalidNodeId, NodeId};
+pub use slave::SlaveDevice;
+pub use wiring::InvalidWiring;
+pub use wiring::{BusParams, Wiring};

@@ -3,11 +3,8 @@
 
 use core::fmt;
 
-/// Largest assignable node id; 127 is reserved for broadcast.
-pub const MAX_NODE_ID: u8 = 126;
-
 /// The raw id of the virtual broadcast node.
-pub const BROADCAST_RAW: u8 = 127;
+pub(crate) const BROADCAST_RAW: u8 = 127;
 
 /// A validated TpWIRE node id.
 ///
@@ -119,7 +116,7 @@ impl<T: Copy> NodeTable<T> {
 /// our concretization the space is selected by `DATA[7]` of the `SelectNode`
 /// command (see `DESIGN.md` §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AddressSpace {
+pub(crate) enum AddressSpace {
     /// Memory and memory-mapped I/O registers.
     #[default]
     Memory,
@@ -138,7 +135,7 @@ impl fmt::Display for AddressSpace {
 
 /// The system register set named by the specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SystemReg {
+pub(crate) enum SystemReg {
     /// Command register (written to trigger node-level actions).
     Command,
     /// Flags register (status bits; bit 0 mirrors the pending-interrupt
@@ -153,7 +150,7 @@ pub enum SystemReg {
 impl SystemReg {
     /// All system registers in pointer order (the system address space is
     /// laid out `[Command, Flags, DmaCounter, Spi]` at offsets 0–3).
-    pub const ALL: [SystemReg; 4] = [
+    pub(crate) const ALL: [SystemReg; 4] = [
         SystemReg::Command,
         SystemReg::Flags,
         SystemReg::DmaCounter,
@@ -162,19 +159,8 @@ impl SystemReg {
 
     /// The register at pointer offset `offset & 0x3`.
     #[must_use]
-    pub fn from_offset(offset: u8) -> SystemReg {
+    pub(crate) fn from_offset(offset: u8) -> SystemReg {
         Self::ALL[usize::from(offset & 0x3)]
-    }
-
-    /// The pointer offset of this register.
-    #[must_use]
-    pub fn offset(self) -> u8 {
-        match self {
-            SystemReg::Command => 0,
-            SystemReg::Flags => 1,
-            SystemReg::DmaCounter => 2,
-            SystemReg::Spi => 3,
-        }
     }
 }
 
@@ -222,7 +208,7 @@ mod tests {
     #[test]
     fn system_registers_roundtrip_offsets() {
         for reg in SystemReg::ALL {
-            assert_eq!(SystemReg::from_offset(reg.offset()), reg);
+            assert_eq!(SystemReg::from_offset(reg as u8), reg);
         }
         // Offsets wrap modulo 4.
         assert_eq!(SystemReg::from_offset(4), SystemReg::Command);

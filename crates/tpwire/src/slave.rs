@@ -26,25 +26,25 @@ use crate::node::{AddressSpace, NodeId, SystemReg};
 use crate::wiring::BusParams;
 
 /// The memory-space pointer value that addresses the stream FIFO.
-pub const STREAM_ADDR: u8 = 0xFF;
+pub(crate) const STREAM_ADDR: u8 = 0xFF;
 
 /// The self-reset watchdog of a slave's line interfaces, as durations at
 /// one bus's bit rate. The bus converts them once and hands them to every
 /// frame the slaves observe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Watchdog {
+pub(crate) struct Watchdog {
     /// Idle time after which an interface resets itself
     /// ([`BusParams::reset_timeout`]).
-    pub reset_timeout: SimDuration,
+    pub(crate) reset_timeout: SimDuration,
     /// How long the reset pulse holds the interface
     /// ([`BusParams::reset_active`]).
-    pub reset_active: SimDuration,
+    pub(crate) reset_active: SimDuration,
 }
 
 impl Watchdog {
     /// The watchdog durations at `params`' bit rate.
     #[must_use]
-    pub fn new(params: &BusParams) -> Self {
+    pub(crate) fn new(params: &BusParams) -> Self {
         Watchdog {
             reset_timeout: params.reset_timeout(),
             reset_active: params.reset_active(),
@@ -54,7 +54,7 @@ impl Watchdog {
 
 /// Size of the byte-addressable memory space (pointer is 8 bits; the last
 /// address is the stream FIFO).
-pub const MEMORY_BYTES: usize = 256;
+pub(crate) const MEMORY_BYTES: usize = 256;
 
 /// Per-line interface state of a slave. In multi-bus (`ParallelBuses`)
 /// wirings each slave has one independent interface per line, each with its
@@ -115,7 +115,7 @@ impl SlaveDevice {
     /// Panics if `node` is the broadcast id — broadcast is virtual, no
     /// physical slave carries it.
     #[must_use]
-    pub fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId) -> Self {
         assert!(
             !node.is_broadcast(),
             "the broadcast node id cannot be instantiated as a device"
@@ -140,28 +140,23 @@ impl SlaveDevice {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn set_port_count(&mut self, n: usize) {
+    pub(crate) fn set_port_count(&mut self, n: usize) {
         assert!(n > 0, "a slave needs at least one bus interface");
         self.ports = vec![Port::new(); n];
     }
 
     /// This slave's node id.
     #[must_use]
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
     }
 
     /// Whether the slave currently has a pending interrupt (it raises one
-    /// whenever its outbound stream is non-empty, or when
-    /// [`raise_interrupt`](Self::raise_interrupt) was called).
+    /// whenever its outbound stream is non-empty, or while its interrupt
+    /// latch is set).
     #[must_use]
-    pub fn pending_interrupt(&self) -> bool {
+    pub(crate) fn pending_interrupt(&self) -> bool {
         self.pending_interrupt || !self.outbound.is_empty()
-    }
-
-    /// Raises the interrupt flag explicitly (attachment-level signal).
-    pub fn raise_interrupt(&mut self) {
-        self.pending_interrupt = true;
     }
 
     /// Number of self-resets the slave has performed.
@@ -178,27 +173,14 @@ impl SlaveDevice {
     }
 
     /// Queues attachment bytes for the master to collect.
-    pub fn push_outbound(&mut self, bytes: impl IntoIterator<Item = u8>) {
+    pub(crate) fn push_outbound(&mut self, bytes: impl IntoIterator<Item = u8>) {
         self.outbound.extend(bytes);
     }
 
     /// Drains bytes the master has written for the attachment.
     #[must_use]
-    pub fn take_inbound(&mut self) -> Vec<u8> {
+    pub(crate) fn take_inbound(&mut self) -> Vec<u8> {
         self.inbound.drain(..).collect()
-    }
-
-    /// Bytes waiting in the inbound stream.
-    #[must_use]
-    pub fn inbound_len(&self) -> usize {
-        self.inbound.len()
-    }
-
-    /// Direct memory access for attachments/tests (the attached CPU shares
-    /// the memory with the bus interface).
-    #[must_use]
-    pub fn memory(&self, addr: u8) -> u8 {
-        self.memory[usize::from(addr)]
     }
 
     /// The command register's current value (last `WRITE_COMMAND` or
@@ -211,7 +193,7 @@ impl SlaveDevice {
     /// The flags register image: bit 0 = pending interrupt, bit 1 = inbound
     /// stream non-empty, bit 2 = outbound stream non-empty.
     #[must_use]
-    pub fn flags(&self) -> u8 {
+    pub(crate) fn flags(&self) -> u8 {
         u8::from(self.pending_interrupt())
             | (u8::from(!self.inbound.is_empty()) << 1)
             | (u8::from(!self.outbound.is_empty()) << 2)
@@ -242,7 +224,7 @@ impl SlaveDevice {
     /// its reset active for the spec's pulse length starting at `now`.
     /// Used by fault injection; counts once per interface in
     /// [`reset_count`](Self::reset_count).
-    pub fn force_reset(&mut self, now: SimTime, watchdog: Watchdog) {
+    pub(crate) fn force_reset(&mut self, now: SimTime, watchdog: Watchdog) {
         for port in 0..self.ports.len() {
             self.reset(port, now, watchdog);
             let p = &mut self.ports[port];
@@ -282,7 +264,7 @@ impl SlaveDevice {
     /// executes data commands and replies. Returns the RX reply this slave
     /// produces, if any — without the INT bit, which the bus computes from
     /// the chain path.
-    pub fn on_tx(
+    pub(crate) fn on_tx(
         &mut self,
         frame: &TxFrame,
         port: usize,
@@ -352,7 +334,7 @@ impl SlaveDevice {
     /// arming select addressed another node, so this interface deselects,
     /// and the frames feed its reset watchdog. Mirrors what `on_tx` does
     /// for non-addressed slaves on the per-frame path.
-    pub fn observe_burst(&mut self, port: usize, now: SimTime, watchdog: Watchdog) {
+    pub(crate) fn observe_burst(&mut self, port: usize, now: SimTime, watchdog: Watchdog) {
         if self.poll_reset(port, now, watchdog) {
             return;
         }
@@ -368,7 +350,7 @@ impl SlaveDevice {
     /// Side effects mirror the real sequence: the interface ends up
     /// selected in memory space with its pointer at the stream FIFO and the
     /// DMA counter run down to zero.
-    pub fn dma_burst_write(
+    pub(crate) fn dma_burst_write(
         &mut self,
         port: usize,
         bytes: &[u8],
@@ -389,7 +371,7 @@ impl SlaveDevice {
     /// Serves a DMA burst read of up to `k` stream bytes through port
     /// `port`. Returns `None` without popping anything if the interface is
     /// holding reset; otherwise exactly `min(k, queued)` bytes.
-    pub fn dma_burst_read(
+    pub(crate) fn dma_burst_read(
         &mut self,
         port: usize,
         k: usize,
@@ -495,10 +477,7 @@ mod tests {
         assert!(reply_a.is_some(), "selected slave acknowledges");
         assert!(reply_b.is_none(), "other slaves stay quiet");
         // The ack carries the node id.
-        assert_eq!(
-            reply_a.expect("ack").status_node(),
-            Some(NodeId::new(1).expect("valid"))
-        );
+        assert_eq!(reply_a.expect("ack").data >> 1, 1);
     }
 
     #[test]
@@ -514,8 +493,8 @@ mod tests {
         let w = TxFrame::new(Command::WriteData, 0xAB);
         let _ = a.on_tx(&w, 0, t, watchdog());
         let _ = b.on_tx(&w, 0, t, watchdog());
-        assert_eq!(a.memory(0), 0xAB);
-        assert_eq!(b.memory(0), 0xAB);
+        assert_eq!(a.memory[0], 0xAB);
+        assert_eq!(b.memory[0], 0xAB);
     }
 
     #[test]
@@ -524,7 +503,7 @@ mod tests {
         let t = SimTime::from_nanos(10);
         let reply = dev.on_tx(&TxFrame::new(Command::WriteData, 0xFF), 0, t, watchdog());
         assert!(reply.is_none());
-        assert_eq!(dev.memory(0), 0);
+        assert_eq!(dev.memory[0], 0);
     }
 
     #[test]
@@ -535,7 +514,7 @@ mod tests {
         dev.on_tx(&TxFrame::new(Command::SetPointer, 0x10), 0, t, watchdog());
         for (i, byte) in [0xDE, 0xAD, 0xBE, 0xEF].iter().enumerate() {
             dev.on_tx(&TxFrame::new(Command::WriteData, *byte), 0, t, watchdog());
-            assert_eq!(dev.memory(0x10 + i as u8), *byte);
+            assert_eq!(dev.memory[0x10 + i], *byte);
         }
         dev.on_tx(&TxFrame::new(Command::SetPointer, 0x10), 0, t, watchdog());
         let reads: Vec<u8> = (0..4)
@@ -599,9 +578,9 @@ mod tests {
         for byte in [1, 2, 3] {
             dev.on_tx(&TxFrame::new(Command::WriteData, byte), 0, t, watchdog());
         }
-        assert_eq!(dev.inbound_len(), 3);
+        assert_eq!(dev.inbound.len(), 3);
         assert_eq!(dev.take_inbound(), vec![1, 2, 3]);
-        assert_eq!(dev.inbound_len(), 0);
+        assert_eq!(dev.inbound.len(), 0);
     }
 
     #[test]
@@ -610,14 +589,14 @@ mod tests {
         let t = SimTime::from_nanos(10);
         select(&mut dev, 1, true, t);
         dev.on_tx(
-            &TxFrame::new(Command::SetPointer, SystemReg::DmaCounter.offset()),
+            &TxFrame::new(Command::SetPointer, SystemReg::DmaCounter as u8),
             0,
             t,
             watchdog(),
         );
         dev.on_tx(&TxFrame::new(Command::WriteData, 42), 0, t, watchdog());
         dev.on_tx(
-            &TxFrame::new(Command::SetPointer, SystemReg::DmaCounter.offset()),
+            &TxFrame::new(Command::SetPointer, SystemReg::DmaCounter as u8),
             0,
             t,
             watchdog(),
@@ -649,7 +628,7 @@ mod tests {
     fn write_command_clears_interrupt_latch() {
         let mut dev = slave(1);
         let t = SimTime::from_nanos(10);
-        dev.raise_interrupt();
+        dev.pending_interrupt = true;
         assert!(dev.pending_interrupt());
         select(&mut dev, 1, false, t);
         dev.on_tx(&TxFrame::new(Command::WriteCommand, 0x01), 0, t, watchdog());

@@ -30,14 +30,14 @@ use crate::wiring::WirePlan;
 #[derive(Debug, Default)]
 pub(crate) struct OutcomeEffects {
     /// The breaker transition, if the outcome caused one.
-    pub transition: Option<Transition>,
+    pub(crate) transition: Option<Transition>,
     /// A quarantine span that just closed (trip → readmission).
-    pub quarantine_closed: Option<SimDuration>,
+    pub(crate) quarantine_closed: Option<SimDuration>,
     /// Rebalances performed: `(lane, slaves moved, restored)`.
-    pub rebalances: Vec<(u8, u8, bool)>,
+    pub(crate) rebalances: Vec<(u8, u8, bool)>,
     /// A degraded-mode span that just closed (first evacuation → last
     /// restoration).
-    pub degraded_closed: Option<SimDuration>,
+    pub(crate) degraded_closed: Option<SimDuration>,
 }
 
 /// Per-slave breakers plus the lane plan; see the module docs.

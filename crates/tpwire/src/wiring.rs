@@ -36,9 +36,7 @@
 //! each chain position's home lane and current lane, performs deterministic
 //! evacuation/restoration, and checks the conservation property the chaos
 //! harness asserts: **no slave is ever lost or double-assigned by a
-//! rebalance**. The analytic side of the same story lives in
-//! [`degraded_load_factor`](crate::analytic::degraded_load_factor), which
-//! predicts how much of the lost lane's traffic each survivor absorbs.
+//! rebalance**.
 
 use core::fmt;
 
@@ -49,11 +47,11 @@ use crate::frame::FRAME_BITS;
 
 /// Slave reset timeout: a slave resets itself after this many bit periods
 /// without a valid TX frame (specification value).
-pub const RESET_TIMEOUT_BITS: u32 = 2048;
+pub(crate) const RESET_TIMEOUT_BITS: u32 = 2048;
 
 /// Once triggered, a slave's reset stays active this many bit periods
 /// (specification value).
-pub const RESET_ACTIVE_BITS: u32 = 33;
+pub(crate) const RESET_ACTIVE_BITS: u32 = 33;
 
 /// How the physical lines of a TpWIRE bus are organized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -106,7 +104,7 @@ impl Wiring {
 
     /// How many independent transaction pipelines the configuration offers.
     #[must_use]
-    pub fn lanes(self) -> u8 {
+    pub(crate) fn lanes(self) -> u8 {
         match self {
             Wiring::Single | Wiring::ParallelData { .. } => 1,
             Wiring::ParallelBuses { buses } => buses,
@@ -121,7 +119,7 @@ impl Wiring {
     ///   line) and the parallelized data portion (`⌈8 / (lines − 1)⌉`),
     ///   which run concurrently.
     #[must_use]
-    pub fn frame_bit_periods(self) -> u32 {
+    pub(crate) fn frame_bit_periods(self) -> u32 {
         match self {
             Wiring::Single | Wiring::ParallelBuses { .. } => FRAME_BITS,
             Wiring::ParallelData { lines } => {
@@ -129,16 +127,6 @@ impl Wiring {
                 let data_bits = 8u32.div_ceil(data_lanes);
                 1 + 7u32.max(data_bits)
             }
-        }
-    }
-
-    /// Total physical line count.
-    #[must_use]
-    pub fn line_count(self) -> u8 {
-        match self {
-            Wiring::Single => 1,
-            Wiring::ParallelData { lines } => lines,
-            Wiring::ParallelBuses { buses } => buses,
         }
     }
 }
@@ -189,10 +177,10 @@ pub struct BusParams {
     /// Physical line organization.
     pub wiring: Wiring,
     /// Per-slave pass-through latency of the daisy chain, in bit periods.
-    pub hop_delay_bits: u32,
+    pub(crate) hop_delay_bits: u32,
     /// Slave processing time between the end of a TX frame and the start of
     /// its RX reply, in bit periods.
-    pub turnaround_bits: u32,
+    pub(crate) turnaround_bits: u32,
     /// Idle gap the master leaves between transactions, in bit periods.
     pub gap_bits: u32,
     /// How long the master waits for an RX before declaring a timeout, in
@@ -201,30 +189,30 @@ pub struct BusParams {
     /// Master retry policy: how many times each frame class is re-sent
     /// before signaling an error ("a predetermined number of times" in the
     /// specification), and how long the master backs off between resends.
-    pub retry: RetryPolicy,
+    pub(crate) retry: RetryPolicy,
     /// Probability that any one frame (TX or RX) is corrupted in flight;
     /// 0.0 for an ideal channel. Independent per frame — layered on top of
     /// [`burst_error`](BusParams::burst_error) when both are set.
-    pub frame_error_rate: f64,
+    pub(crate) frame_error_rate: f64,
     /// Optional Gilbert-Elliott burst error channel. When set, every frame
     /// additionally rolls against the channel's current state, so errors
     /// cluster instead of arriving uniformly.
-    pub burst_error: Option<BurstParams>,
+    pub(crate) burst_error: Option<BurstParams>,
     /// Master policy: gap between idle keep-alive/discovery polls, in bit
-    /// periods. Must stay well below [`RESET_TIMEOUT_BITS`] or idle slaves
-    /// start resetting.
+    /// periods. Must stay well below the 2048-bit slave reset timeout or
+    /// idle slaves start resetting.
     pub idle_poll_bits: u32,
     /// Master policy: how many stream bytes are moved per relay service
     /// slot before the master re-arbitrates between flows. Small values
     /// favour fairness/latency, large values favour throughput.
-    pub relay_chunk: u16,
+    pub(crate) relay_chunk: u16,
     /// DMA block transfers: when nonzero, the master moves stream bytes in
     /// bursts of up to this many data frames per transaction (armed through
     /// the slave's DMA counter register) instead of one acknowledged frame
     /// per byte. Bursts cut the per-byte frame count roughly in half at the
     /// cost of coarser error recovery (a corrupted burst retries whole).
     /// `0` disables DMA.
-    pub dma_block: u16,
+    pub(crate) dma_block: u16,
     /// Optional supervision layer: per-slave health tracking, circuit
     /// breakers with fast-fail/probe semantics, and (on multi-lane
     /// wirings) degraded-mode rebalancing. `None` — the default — keeps
@@ -327,14 +315,6 @@ impl BusParams {
         self
     }
 
-    /// Returns a copy with a uniform immediate-resend budget for every
-    /// frame class (the historical `max_retries` knob).
-    #[must_use]
-    pub fn with_max_retries(mut self, max_retries: u8) -> Self {
-        self.retry = RetryPolicy::immediate(max_retries);
-        self
-    }
-
     /// Returns a copy with the supervision layer enabled under `cfg`
     /// (validated eagerly so a bad configuration fails at build time, not
     /// mid-simulation).
@@ -352,20 +332,20 @@ impl BusParams {
 
     /// Converts a bit-period count to simulated time.
     #[must_use]
-    pub fn bits_to_time(&self, bits: u32) -> SimDuration {
+    pub(crate) fn bits_to_time(&self, bits: u32) -> SimDuration {
         SimDuration::from_secs_f64(f64::from(bits) / self.bit_rate_hz)
     }
 
     /// Converts a wide bit-period count (e.g. an exponential-backoff delay)
     /// to simulated time.
     #[must_use]
-    pub fn bits64_to_time(&self, bits: u64) -> SimDuration {
+    pub(crate) fn bits64_to_time(&self, bits: u64) -> SimDuration {
         SimDuration::from_secs_f64(bits as f64 / self.bit_rate_hz)
     }
 
     /// Duration of one frame on a lane under the current wiring.
     #[must_use]
-    pub fn frame_time(&self) -> SimDuration {
+    pub(crate) fn frame_time(&self) -> SimDuration {
         self.bits_to_time(self.wiring.frame_bit_periods())
     }
 
@@ -373,7 +353,7 @@ impl BusParams {
     /// chain position `hops`: TX frame, chain traversal, turnaround, RX
     /// frame, chain traversal back, inter-transaction gap.
     #[must_use]
-    pub fn transaction_bits(&self, hops: u32) -> u32 {
+    pub(crate) fn transaction_bits(&self, hops: u32) -> u32 {
         let frame = self.wiring.frame_bit_periods();
         2 * frame + 2 * hops * self.hop_delay_bits + self.turnaround_bits + self.gap_bits
     }
@@ -388,7 +368,7 @@ impl BusParams {
     /// Duration of a broadcast transaction on a chain of `chain_len`
     /// slaves: one TX frame to the end of the chain, no RX, plus the gap.
     #[must_use]
-    pub fn broadcast_time(&self, chain_len: u32) -> SimDuration {
+    pub(crate) fn broadcast_time(&self, chain_len: u32) -> SimDuration {
         let bits =
             self.wiring.frame_bit_periods() + chain_len * self.hop_delay_bits + self.gap_bits;
         self.bits_to_time(bits)
@@ -402,7 +382,7 @@ impl BusParams {
     /// * the burst proper: one command frame, `k` back-to-back data frames,
     ///   chain traversal, turnaround, and a single block acknowledge.
     #[must_use]
-    pub fn dma_burst_bits(&self, k: u32, hops: u32) -> u32 {
+    pub(crate) fn dma_burst_bits(&self, k: u32, hops: u32) -> u32 {
         let frame = self.wiring.frame_bit_periods();
         let arming = 3 * self.transaction_bits(hops);
         arming
@@ -414,25 +394,25 @@ impl BusParams {
 
     /// Duration of a `k`-byte DMA burst with the slave at position `hops`.
     #[must_use]
-    pub fn dma_burst_time(&self, k: u32, hops: u32) -> SimDuration {
+    pub(crate) fn dma_burst_time(&self, k: u32, hops: u32) -> SimDuration {
         self.bits_to_time(self.dma_burst_bits(k, hops))
     }
 
     /// How long the master waits for an RX frame before retrying.
     #[must_use]
-    pub fn response_timeout(&self) -> SimDuration {
+    pub(crate) fn response_timeout(&self) -> SimDuration {
         self.bits_to_time(self.response_timeout_bits)
     }
 
     /// The slave self-reset timeout as a duration.
     #[must_use]
-    pub fn reset_timeout(&self) -> SimDuration {
+    pub(crate) fn reset_timeout(&self) -> SimDuration {
         self.bits_to_time(RESET_TIMEOUT_BITS)
     }
 
     /// The slave reset pulse length as a duration.
     #[must_use]
-    pub fn reset_active(&self) -> SimDuration {
+    pub(crate) fn reset_active(&self) -> SimDuration {
         self.bits_to_time(RESET_ACTIVE_BITS)
     }
 }
@@ -457,7 +437,7 @@ impl Default for BusParams {
 /// impossible (there is nowhere to go); [`evacuate`](WirePlan::evacuate)
 /// returns an empty move list and leaves the plan untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WirePlan {
+pub(crate) struct WirePlan {
     lanes: u8,
     /// Home lane per 0-based chain position.
     home: Vec<u8>,
@@ -475,7 +455,7 @@ impl WirePlan {
     ///
     /// Panics if `lanes` is zero.
     #[must_use]
-    pub fn striped(lanes: u8, slaves: usize) -> Self {
+    pub(crate) fn striped(lanes: u8, slaves: usize) -> Self {
         assert!(lanes > 0, "a wire plan needs at least one lane");
         let home: Vec<u8> = (0..slaves)
             .map(|i| (i % usize::from(lanes)) as u8)
@@ -490,38 +470,38 @@ impl WirePlan {
 
     /// Number of lanes.
     #[must_use]
-    pub fn lanes(&self) -> u8 {
+    pub(crate) fn lanes(&self) -> u8 {
         self.lanes
     }
 
     /// Number of chain positions covered.
     #[must_use]
-    pub fn positions(&self) -> usize {
+    pub(crate) fn positions(&self) -> usize {
         self.home.len()
     }
 
     /// The lane position `pos` is currently served on.
     #[must_use]
-    pub fn lane_of(&self, pos: usize) -> u8 {
+    pub(crate) fn lane_of(&self, pos: usize) -> u8 {
         self.current[pos]
     }
 
     /// The lane position `pos` homes on.
     #[must_use]
-    pub fn home_lane_of(&self, pos: usize) -> u8 {
+    pub(crate) fn home_lane_of(&self, pos: usize) -> u8 {
         self.home[pos]
     }
 
     /// Whether `lane` is currently evacuated.
     #[must_use]
-    pub fn is_evacuated(&self, lane: u8) -> bool {
+    pub(crate) fn is_evacuated(&self, lane: u8) -> bool {
         self.evacuated[usize::from(lane)]
     }
 
     /// Whether any lane is currently evacuated (the bus is in degraded
     /// mode).
     #[must_use]
-    pub fn any_evacuated(&self) -> bool {
+    pub(crate) fn any_evacuated(&self) -> bool {
         self.evacuated.iter().any(|&e| e)
     }
 
@@ -530,7 +510,7 @@ impl WirePlan {
     /// the lanes that are neither `lane` nor already evacuated. Returns the
     /// `(position, new_lane)` moves, empty — with the plan untouched — when
     /// no survivor exists or the lane is already evacuated.
-    pub fn evacuate(&mut self, lane: u8) -> Vec<(usize, u8)> {
+    pub(crate) fn evacuate(&mut self, lane: u8) -> Vec<(usize, u8)> {
         if self.is_evacuated(lane) {
             return Vec::new();
         }
@@ -558,7 +538,7 @@ impl WirePlan {
     /// on it returns there. Positions homed on *other* (still-evacuated)
     /// lanes keep their current assignment. Returns the `(position, lane)`
     /// moves; empty if `lane` was not evacuated.
-    pub fn restore(&mut self, lane: u8) -> Vec<(usize, u8)> {
+    pub(crate) fn restore(&mut self, lane: u8) -> Vec<(usize, u8)> {
         if !self.is_evacuated(lane) {
             return Vec::new();
         }
@@ -578,7 +558,7 @@ impl WirePlan {
     /// non-evacuated lane, and positions on healthy home lanes were not
     /// gratuitously moved.
     #[must_use]
-    pub fn conserves_assignment(&self) -> bool {
+    pub(crate) fn conserves_assignment(&self) -> bool {
         self.current.iter().enumerate().all(|(pos, &lane)| {
             lane < self.lanes
                 && !self.is_evacuated(lane)
@@ -595,7 +575,6 @@ mod tests {
     fn single_wire_frames_are_16_bits() {
         assert_eq!(Wiring::Single.frame_bit_periods(), 16);
         assert_eq!(Wiring::Single.lanes(), 1);
-        assert_eq!(Wiring::Single.line_count(), 1);
     }
 
     #[test]
@@ -614,7 +593,6 @@ mod tests {
         let w = Wiring::parallel_buses(4).expect("valid");
         assert_eq!(w.frame_bit_periods(), 16);
         assert_eq!(w.lanes(), 4);
-        assert_eq!(w.line_count(), 4);
     }
 
     #[test]
@@ -716,9 +694,6 @@ mod tests {
         let p = p.with_burst_error(burst).with_retry_policy(retry);
         assert_eq!(p.burst_error, Some(burst));
         assert_eq!(p.retry.for_class(FrameClass::StreamRead).max_retries, 5);
-
-        let p = p.with_max_retries(7);
-        assert_eq!(p.retry, RetryPolicy::immediate(7));
     }
 
     #[test]

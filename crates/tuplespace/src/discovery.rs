@@ -15,7 +15,7 @@ use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
 
 /// First field of every service-registration tuple.
-pub const SERVICE_TAG: &str = "__service";
+pub(crate) const SERVICE_TAG: &str = "__service";
 
 /// Registers `provider` as offering `service` (the registration lives until
 /// unregistered, or until `lease` runs out — leased registrations give

@@ -40,14 +40,10 @@ pub mod discovery;
 mod space;
 mod template;
 mod tuple;
-mod txn;
 mod value;
 
-pub use space::{
-    AuditRecord, EntryId, EventKind, Lease, Notification, Space, SpaceStats, SubscriptionId,
-    WaitKind,
-};
+pub use space::{AuditRecord, EntryId, Notification, SpaceStats};
+pub use space::{EventKind, Lease, Space, SubscriptionId, WaitKind};
 pub use template::{IntoPattern, Pattern, Template};
 pub use tuple::Tuple;
-pub use txn::{TxnId, UnknownTxn};
 pub use value::{Value, ValueType};

@@ -14,18 +14,11 @@ use tsbus_obs::{CounterId, Registry, Tracer};
 
 use crate::template::{Pattern, Template};
 use crate::tuple::Tuple;
-use crate::txn::{HeldEntry, TxnRegistry};
 use crate::value::Value;
 
 /// Identifies an entry while it lives in a space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntryId(u64);
-
-impl EntryId {
-    pub(crate) fn from_seq(seq: u64) -> Self {
-        EntryId(seq)
-    }
-}
 
 impl fmt::Display for EntryId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -77,7 +70,7 @@ impl Lease {
     /// Whether the lease is still alive at `now` (expiry is exclusive: an
     /// entry leased *until* t is gone *at* t).
     #[must_use]
-    pub fn is_alive(&self, now: SimTime) -> bool {
+    pub(crate) fn is_alive(&self, now: SimTime) -> bool {
         match self {
             Lease::Forever => true,
             Lease::Until(deadline) => now < *deadline,
@@ -116,7 +109,6 @@ struct Entry {
     id: EntryId,
     tuple: Tuple,
     lease: Lease,
-    written_at: SimTime,
 }
 
 /// A subscription or a parked one-shot read or take.
@@ -144,7 +136,7 @@ pub struct SpaceStats {
     /// Entries that expired before being taken.
     pub expirations: u64,
     /// Entries whose lease was extended by a renewal.
-    pub renewals: u64,
+    pub(crate) renewals: u64,
 }
 
 /// The space's instrument set: one registry with a handle per operation
@@ -221,7 +213,7 @@ pub struct AuditRecord {
 /// arrival order: subscriptions ([`subscribe`](Space::subscribe)) and
 /// parked reads and takes ([`park`](Space::park)). A write matches only
 /// the new tuple against them: a read or take parks only when nothing
-/// matches it, and only writes (and transaction aborts) add entries.
+/// matches it, and only writes add entries.
 ///
 /// # Examples
 ///
@@ -251,7 +243,6 @@ pub struct Space {
     next_entry: u64,
     next_subscription: u64,
     obs: SpaceInstruments,
-    txns: TxnRegistry,
     /// The lifecycle audit stream: disabled by default, switched to an
     /// unbounded tracer by [`enable_audit`](Space::enable_audit) so
     /// downstream invariant checkers never observe a gap.
@@ -313,7 +304,6 @@ impl Space {
             next_entry: 0,
             next_subscription: 0,
             obs: SpaceInstruments::default(),
-            txns: TxnRegistry::default(),
             audit: Tracer::disabled(),
             indexed: true,
             value_index: Vec::new(),
@@ -329,12 +319,6 @@ impl Space {
         let mut space = Self::new();
         space.indexed = false;
         space
-    }
-
-    /// Whether indexed matching is on.
-    #[must_use]
-    pub fn is_indexed(&self) -> bool {
-        self.indexed
     }
 
     /// Switches indexed matching on or off, rebuilding (or dropping) the
@@ -476,23 +460,18 @@ impl Space {
         self.entries.len()
     }
 
-    /// Whether no live entries remain at `now`.
-    #[must_use]
-    pub fn is_empty(&mut self, now: SimTime) -> bool {
-        self.len(now) == 0
-    }
-
     /// Operation counters, read back from the registry.
     #[must_use]
     pub fn stats(&self) -> SpaceStats {
         self.obs.stats()
     }
 
-    /// Captures the space's operation registry (paths under `op/`) at
-    /// instant `now`.
+    /// Captures the space's operation registry (paths under `op/`). No
+    /// instrument is time-parameterized, so `_now` is unused; it stays so
+    /// existing callers keep compiling.
     #[must_use]
-    pub fn metrics(&self, now: SimTime) -> tsbus_obs::Snapshot {
-        self.obs.registry.snapshot(now)
+    pub fn metrics(&self, _now: SimTime) -> tsbus_obs::Snapshot {
+        self.obs.registry.snapshot()
     }
 
     /// Turns on the audit trail: from now on every Written/Taken/Expired
@@ -576,12 +555,7 @@ impl Space {
         if parked && self.wake_parked(id, &tuple, now) {
             return id;
         }
-        let entry = Entry {
-            id,
-            tuple,
-            lease,
-            written_at: now,
-        };
+        let entry = Entry { id, tuple, lease };
         self.index_entry(seq, &entry);
         self.entries.insert(seq, entry);
         id
@@ -650,29 +624,10 @@ impl Space {
         Some(entry.tuple)
     }
 
-    /// Removes and returns up to `limit` live tuples matching `template`,
-    /// oldest first (the JavaSpaces05-style bulk take).
-    pub fn take_all(&mut self, template: &Template, now: SimTime, limit: usize) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        while out.len() < limit {
-            match self.take(template, now) {
-                Some(tuple) => out.push(tuple),
-                None => break,
-            }
-        }
-        out
-    }
-
     /// Counts live entries matching `template`.
     pub fn count(&mut self, template: &Template, now: SimTime) -> usize {
         self.expire(now);
         self.matching(template).count()
-    }
-
-    /// The write instant of a live entry, if it is still present.
-    #[must_use]
-    pub fn written_at(&self, id: EntryId) -> Option<SimTime> {
-        self.entries.get(&id.0).map(|e| e.written_at)
     }
 
     /// Purges entries whose leases have run out, emitting `Expired`
@@ -789,60 +744,9 @@ impl Space {
         std::mem::take(&mut self.woken)
     }
 
-    pub(crate) fn txns(&self) -> &TxnRegistry {
-        &self.txns
-    }
-
-    pub(crate) fn txns_mut(&mut self) -> &mut TxnRegistry {
-        &mut self.txns
-    }
-
-    /// Takes the oldest live match on behalf of a transaction: like
-    /// [`take`](Space::take), but returns the full entry (for possible
-    /// reinstatement) and defers the `Taken` notification to commit.
-    pub(crate) fn take_entry_for_txn(
-        &mut self,
-        template: &Template,
-        now: SimTime,
-    ) -> Option<HeldEntry> {
-        self.expire(now);
-        let (seq, _) = self.matching(template).next()?;
-        let entry = self.remove_entry(seq);
-        self.obs.registry.inc(self.obs.takes);
-        Some(HeldEntry {
-            seq,
-            tuple: entry.tuple,
-            lease: entry.lease,
-            written_at: entry.written_at,
-        })
-    }
-
-    /// Puts an aborted transaction's held entry back, original timestamp
-    /// order preserved, where parked waits see it like a write. If its
-    /// lease ran out while held, it expires instead (with the usual
-    /// notification stamped at the deadline).
-    pub(crate) fn reinstate_entry(&mut self, held: HeldEntry, now: SimTime) {
-        // The provisional take never officially happened, so takes must not
-        // count it; undo the counter bump from the txn take.
-        self.obs.registry.sub(self.obs.takes, 1);
-        let id = EntryId(held.seq);
-        if !held.lease.is_alive(now) {
-            self.note_expired(id, &held.tuple, held.lease, now);
-        } else if !self.wake_parked(id, &held.tuple, now) {
-            let entry = Entry {
-                id,
-                tuple: held.tuple,
-                lease: held.lease,
-                written_at: held.written_at,
-            };
-            self.index_entry(held.seq, &entry);
-            self.entries.insert(held.seq, entry);
-        }
-    }
-
     /// Records `kind` in the audit trail and notifies the subscriptions
-    /// it matches; transaction commits call it for their deferred takes.
-    pub(crate) fn notify(&mut self, kind: EventKind, entry: EntryId, tuple: &Tuple, at: SimTime) {
+    /// it matches.
+    fn notify(&mut self, kind: EventKind, entry: EntryId, tuple: &Tuple, at: SimTime) {
         // Build the record only when it is kept: `emit` takes it by value,
         // so an unguarded call would clone every tuple for nothing.
         if self.audit.is_enabled() {
@@ -922,21 +826,6 @@ mod tests {
         space.write(tuple!["v"], Lease::Forever, t(0));
         assert!(space.read(&template!["v"], t(1_000_000)).is_some());
         assert_eq!(space.stats().expirations, 0);
-    }
-
-    #[test]
-    fn take_all_drains_up_to_the_limit_in_order() {
-        let mut space = Space::new();
-        for i in 0..5 {
-            space.write(tuple!["b", i], Lease::Forever, t(0));
-        }
-        let tpl = template!["b", ValueType::Int];
-        let first = space.take_all(&tpl, t(1), 3);
-        assert_eq!(first, vec![tuple!["b", 0], tuple!["b", 1], tuple!["b", 2]]);
-        let rest = space.take_all(&tpl, t(1), 100);
-        assert_eq!(rest.len(), 2);
-        assert!(space.take_all(&tpl, t(1), 100).is_empty());
-        assert_eq!(space.stats().takes, 5);
     }
 
     #[test]
@@ -1070,15 +959,6 @@ mod tests {
         assert_eq!(trail[1].at, t(10), "stamped at the lease deadline");
     }
 
-    #[test]
-    fn written_at_reports_timestamp_while_live() {
-        let mut space = Space::new();
-        let id = space.write(tuple![1], Lease::Forever, t(7));
-        assert_eq!(space.written_at(id), Some(t(7)));
-        let _ = space.take(&template![1], t(8));
-        assert_eq!(space.written_at(id), None);
-    }
-
     /// Runs the same op sequence against an indexed and an unindexed space
     /// and asserts every observable output is identical.
     fn assert_index_equivalent(ops: impl Fn(&mut Space) -> Vec<String>) {
@@ -1138,7 +1018,9 @@ mod tests {
             ));
             out.push(format!(
                 "{:?}",
-                space.take_all(&Template::any(2), t(12), 10)
+                std::iter::from_fn(|| space.take(&Template::any(2), t(12)))
+                    .take(10)
+                    .collect::<Vec<_>>()
             ));
             out.push(format!("{:?}", space.next_deadline()));
             out
@@ -1168,7 +1050,7 @@ mod tests {
             space.expire(t(6));
             // Non-key position, alone and with the key.
             let class_1 = template!["obj", ValueType::Int, 1, Pattern::Wildcard];
-            probe(space, &mut out, class_1.clone(), t(6));
+            probe(space, &mut out, class_1, t(6));
             probe(
                 space,
                 &mut out,
@@ -1199,13 +1081,6 @@ mod tests {
                 let tpl = template!["obj", ValueType::Int, ValueType::Int, value];
                 probe(space, &mut out, tpl, t(6));
             }
-            // A transaction takes by class and aborts: the entry comes back
-            // into every index with its original timestamp.
-            let txn = space.txn_begin();
-            out.push(format!("{:?}", space.txn_take(txn, &class_1, t(7))));
-            probe(space, &mut out, class_1.clone(), t(7));
-            space.txn_abort(txn, t(8)).expect("open");
-            probe(space, &mut out, class_1, t(8));
             out.push(format!("{:?}", space.read_all(&Template::any(4), t(8))));
             out
         });
@@ -1217,7 +1092,7 @@ mod tests {
         space.write(tuple!["a", 1], Lease::Until(t(10)), t(0));
         space.write(tuple!["a", 2], Lease::Forever, t(0));
         space.set_indexed(true);
-        assert!(space.is_indexed());
+        assert!(space.indexed);
         assert_eq!(space.next_deadline(), Some(t(10)));
         assert_eq!(space.read(&template!["a", 1], t(1)), Some(tuple!["a", 1]));
         space.set_indexed(false);

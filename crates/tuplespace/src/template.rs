@@ -25,7 +25,7 @@ pub enum Pattern {
 impl Pattern {
     /// Whether this pattern accepts `value`.
     #[must_use]
-    pub fn accepts(&self, value: &Value) -> bool {
+    pub(crate) fn accepts(&self, value: &Value) -> bool {
         match self {
             Pattern::Exact(expected) => expected == value,
             Pattern::AnyOfType(vt) => value.type_of() == *vt,

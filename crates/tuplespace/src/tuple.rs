@@ -52,18 +52,6 @@ impl Tuple {
         self.fields.get(index)
     }
 
-    /// All fields in order.
-    #[must_use]
-    pub fn fields(&self) -> &[Value] {
-        &self.fields
-    }
-
-    /// Consumes the tuple, returning its fields.
-    #[must_use]
-    pub fn into_fields(self) -> Vec<Value> {
-        self.fields
-    }
-
     /// Iterates over the fields.
     pub fn iter(&self) -> std::slice::Iter<'_, Value> {
         self.fields.iter()
@@ -164,7 +152,6 @@ mod tests {
         assert_eq!(t.arity(), 3);
         let values: Vec<Value> = t.clone().into_iter().collect();
         assert_eq!(values.len(), 3);
-        assert_eq!(t.into_fields().len(), 3);
     }
 
     #[test]

@@ -102,29 +102,11 @@ impl Value {
         }
     }
 
-    /// The float inside, if this is a [`Value::Float`].
-    #[must_use]
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The string inside, if this is a [`Value::Str`].
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The boolean inside, if this is a [`Value::Bool`].
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(v) => Some(*v),
             _ => None,
         }
     }
@@ -258,9 +240,9 @@ mod tests {
     fn accessors_return_only_their_variant() {
         let v = Value::Int(7);
         assert_eq!(v.as_int(), Some(7));
-        assert_eq!(v.as_float(), None);
+        assert_eq!(v.as_str(), None);
         assert_eq!(Value::from("s").as_str(), Some("s"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
+        assert_eq!(Value::Bool(true).as_int(), None);
         assert_eq!(Value::Bytes(vec![9]).as_bytes(), Some(&[9u8][..]));
     }
 

@@ -11,9 +11,9 @@ use crate::dom::XmlElement;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseXmlError {
     /// Byte offset into the input where the problem was detected.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ParseXmlError {

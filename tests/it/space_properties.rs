@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 use tsbus_des::{SimDuration, SimTime};
-use tsbus_tuplespace::{
-    template, tuple, Lease, Pattern, Space, Template, Tuple, TxnId, Value, ValueType,
-};
+use tsbus_tuplespace::{template, tuple, Lease, Pattern, Space, Template, Tuple, Value, ValueType};
 
 /// One step of a generated workload.
 #[derive(Debug, Clone)]
@@ -251,12 +249,6 @@ enum XOp {
         lease_secs: u8,
     },
     AdvanceAndExpire(u8),
-    /// Takes under the open transaction, beginning one if none is open.
-    TxnTake(Probe),
-    /// Ends the open transaction (if any): commit, or abort and reinstate.
-    TxnEnd {
-        commit: bool,
-    },
     /// Switches the subject space's index off or on (the oracle stays a
     /// scan).
     SetIndexed(bool),
@@ -301,16 +293,13 @@ fn xop_strategy() -> impl Strategy<Value = XOp> {
         (probe_strategy(), 1u8..20)
             .prop_map(|(probe, lease_secs)| XOp::Renew { probe, lease_secs }),
         (1u8..8).prop_map(XOp::AdvanceAndExpire),
-        probe_strategy().prop_map(XOp::TxnTake),
-        any::<bool>().prop_map(|commit| XOp::TxnEnd { commit }),
         any::<bool>().prop_map(XOp::SetIndexed),
     ]
 }
 
-/// A space under test plus its open transaction and clock.
+/// A space under test plus its clock.
 struct Subject {
     space: Space,
-    txn: Option<TxnId>,
     now: SimTime,
 }
 
@@ -319,7 +308,7 @@ struct Subject {
 /// `SetIndexed` reaches only a space that started indexed, so the scan
 /// oracle never changes mode.
 fn apply_xop(subject: &mut Subject, op: &XOp, oracle: bool) -> String {
-    let Subject { space, txn, now } = subject;
+    let Subject { space, now } = subject;
     let mut out = match op {
         XOp::Write { tuple, lease_secs } => {
             let lease = match lease_secs {
@@ -341,15 +330,6 @@ fn apply_xop(subject: &mut Subject, op: &XOp, oracle: bool) -> String {
             space.expire(*now);
             format!("expired@{:?}", *now)
         }
-        XOp::TxnTake(probe) => {
-            let id = *txn.get_or_insert_with(|| space.txn_begin());
-            format!("{:?}", space.txn_take(id, &probe.template(), *now))
-        }
-        XOp::TxnEnd { commit } => match txn.take() {
-            Some(id) if *commit => format!("{:?}", space.txn_commit(id, *now)),
-            Some(id) => format!("{:?}", space.txn_abort(id, *now)),
-            None => "no txn".to_owned(),
-        },
         XOp::SetIndexed(on) => {
             if !oracle {
                 space.set_indexed(*on);
@@ -368,14 +348,14 @@ proptest! {
     /// scan-only space agree on every observable of every op sequence —
     /// results, notification streams, audit trails, stats, deadlines —
     /// across mixed arities, float fields compared by bits, indexes first
-    /// built mid-run, index toggling and aborted transaction takes.
+    /// built mid-run and index toggling.
     #[test]
     fn indexed_space_is_equivalent_to_scan_space(
         ops in proptest::collection::vec(xop_strategy(), 0..60)
     ) {
         use tsbus_tuplespace::EventKind;
-        let mut subject = Subject { space: Space::new(), txn: None, now: SimTime::ZERO };
-        let mut oracle = Subject { space: Space::unindexed(), txn: None, now: SimTime::ZERO };
+        let mut subject = Subject { space: Space::new(), now: SimTime::ZERO };
+        let mut oracle = Subject { space: Space::unindexed(), now: SimTime::ZERO };
         for s in [&mut subject, &mut oracle] {
             s.space.enable_audit();
             for arity in 2..=4 {
@@ -390,10 +370,7 @@ proptest! {
             let b = apply_xop(&mut oracle, op, true);
             prop_assert_eq!(a, b, "step {} ({:?}) diverged", step, op);
         }
-        // Close any open transaction, then a terminal sweep and a
-        // full-state comparison.
-        let end = XOp::TxnEnd { commit: false };
-        prop_assert_eq!(apply_xop(&mut subject, &end, false), apply_xop(&mut oracle, &end, true));
+        // A terminal sweep and a full-state comparison.
         let (indexed, scan) = (&mut subject.space, &mut oracle.space);
         let now = subject.now + SimDuration::from_secs(100);
         indexed.expire(now);
