@@ -36,7 +36,7 @@ use tsbus_bench::supervision::{run_supervision_sweep, supervision_axis_from_args
 use tsbus_bench::workload::{
     burst_bus, burst_channel, patient_policy, run_stream_workload, Outcome, REFERENCE_SEED,
 };
-use tsbus_faults::{Backoff, RetryParams, RetryPolicy};
+use tsbus_faults::{Backoff, RetryPolicy};
 use tsbus_lab::{run_campaign, Campaign, Metrics, PointResult};
 
 const MESSAGES: u64 = 30;
@@ -134,20 +134,20 @@ fn main() {
         ("immediate x3 (seed)", RetryPolicy::immediate(3)),
         (
             "fixed 64 bits x3",
-            RetryPolicy::uniform(RetryParams {
+            RetryPolicy {
                 max_retries: 3,
                 backoff: Backoff::Fixed { bits: 64 },
-            }),
+            },
         ),
         (
             "exponential 256..1024 x3",
-            RetryPolicy::uniform(RetryParams {
+            RetryPolicy {
                 max_retries: 3,
                 backoff: Backoff::Exponential {
                     base_bits: 256,
                     cap_bits: 1024,
                 },
-            }),
+            },
         ),
     ];
     let campaign = Campaign::new("fig_fault_sweep_policy", policies);

@@ -11,9 +11,9 @@
 //!
 //! Runs as a `tsbus-lab` campaign over the (shards × replication) grid
 //! (accepting `--threads` / `--seeds` / `--seed` / `--cache-dir`). Each
-//! point's cache key embeds [`ShardConfig::canonical_key`], so cached
-//! results invalidate whenever the partition scheme itself changes.
-//! Output is byte-identical across thread counts and cache states.
+//! point's cache key is its grid coordinates, shards and replication
+//! factor, which together fix the partition map. Output is
+//! byte-identical across thread counts and cache states.
 
 use tsbus_bench::render_table;
 use tsbus_des::SimDuration;
@@ -74,16 +74,7 @@ fn main() {
     let report = run_campaign(
         &campaign,
         &args.exec_opts(),
-        // The canonical config key carries every placement-relevant
-        // parameter (ring size, key field, quorum…): a change to the
-        // partition scheme re-keys — and thus re-simulates — every point.
-        |point| {
-            format!(
-                "{},cfg[{}]",
-                point.key(),
-                shard_config(point).canonical_key()
-            )
-        },
+        GridPoint::key,
         |point, ctx| {
             let trial = trial_config(shard_config(point));
             let result = run_shard_trial(&trial, ctx.seed);

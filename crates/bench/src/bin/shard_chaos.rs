@@ -104,7 +104,7 @@ fn main() {
         seeds.len(),
         supervised.shards,
         supervised.replicas,
-        supervised.shard_config().replication.write_quorum,
+        supervised.shard_config().replication.write_quorum(),
     );
 
     println!("replicated + exactly-once + supervision (the shipping configuration):");

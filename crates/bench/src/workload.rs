@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use tsbus_core::BusCbrSink;
 use tsbus_des::{ComponentId, SimDuration, SimTime, Simulator};
-use tsbus_faults::{Backoff, BurstParams, RetryParams, RetryPolicy};
+use tsbus_faults::{Backoff, BurstParams, RetryPolicy};
 use tsbus_tpwire::{BusParams, NodeId, SendStream, StreamEndpoint, TpWireBus};
 
 /// The simulator seed the historical `fig_fault_sweep` tables use.
@@ -172,11 +172,11 @@ pub fn burst_channel(mean_good: f64) -> BurstParams {
 /// window, while still outliving the 160-bit mean bursts many times over.
 #[must_use]
 pub fn patient_policy() -> RetryPolicy {
-    RetryPolicy::uniform(RetryParams {
+    RetryPolicy {
         max_retries: 12,
         backoff: Backoff::Exponential {
             base_bits: 32,
             cap_bits: 128,
         },
-    })
+    }
 }

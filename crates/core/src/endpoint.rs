@@ -74,8 +74,6 @@ pub struct TpwireEndpoint {
     /// never interleave chunks of a single message, but two sources may
     /// alternate whole chunks).
     assemblers: HashMap<StreamEndpoint, MessageAssembler>,
-    sent_messages: u64,
-    delivered_messages: u64,
 }
 
 impl TpwireEndpoint {
@@ -88,8 +86,6 @@ impl TpwireEndpoint {
             node,
             costs,
             assemblers: HashMap::new(),
-            sent_messages: 0,
-            delivered_messages: 0,
         }
     }
 }
@@ -99,7 +95,6 @@ impl Component for TpwireEndpoint {
         let msg = match msg.downcast::<NetSend>() {
             Ok(send) => {
                 let NetSend { to, payload } = *send;
-                self.sent_messages += 1;
                 ctx.schedule_self_in(self.costs.send_overhead, OutboundReady { to, payload });
                 return;
             }
@@ -149,7 +144,6 @@ impl Component for TpwireEndpoint {
         let msg = match msg.downcast::<InboundReady>() {
             Ok(ready) => {
                 let InboundReady { from, payload } = *ready;
-                self.delivered_messages += 1;
                 let app = self.app;
                 ctx.send(app, NetDeliver { from, payload });
                 return;

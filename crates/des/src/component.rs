@@ -4,8 +4,8 @@
 //! a traffic generator, a server model, …) registered with the
 //! [`Simulator`](crate::Simulator). All of its interaction with the rest of
 //! the simulation happens through the [`Context`] it receives with every
-//! event: reading the clock, scheduling and cancelling events, drawing random
-//! numbers, and writing trace records.
+//! event: reading the clock, scheduling and cancelling events, and drawing
+//! random numbers.
 
 use core::any::Any;
 use core::fmt;

@@ -8,7 +8,6 @@ use crate::event::{EventId, Message};
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceLog;
 
 /// Ceiling on recycled boxes retained per concrete message type. Keeps the
 /// pool bounded if a scenario recycles far more of one type than it ever
@@ -62,7 +61,6 @@ pub(crate) struct SimCore {
     pub(crate) now: SimTime,
     pub(crate) queue: EventQueue,
     pub(crate) rng: SimRng,
-    pub(crate) trace: TraceLog,
     next_seq: u64,
     names: Vec<String>,
     events_processed: u64,
@@ -118,10 +116,7 @@ impl SimCore {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.queue.push(time, seq, target, msg);
-        let id = EventId { seq, slot };
-        self.trace
-            .record(self.now, target, "sched", format_args!("{id} @ {time}"));
-        id
+        EventId { seq, slot }
     }
 
     pub(crate) fn cancel(&mut self, id: EventId) {
@@ -144,7 +139,7 @@ impl SimCore {
 ///
 /// Determinism contract: with the same seed, the same component registration
 /// order and the same scheduling calls, two runs produce identical event
-/// orders, identical RNG draws and identical traces.
+/// orders and identical RNG draws.
 ///
 /// # Examples
 ///
@@ -189,7 +184,6 @@ impl Simulator {
                 now: SimTime::ZERO,
                 queue: EventQueue::default(),
                 rng: SimRng::seeded(0),
-                trace: TraceLog::disabled(),
                 next_seq: 0,
                 names: Vec::new(),
                 events_processed: 0,
@@ -291,19 +285,6 @@ impl Simulator {
         f(&mut ctx)
     }
 
-    /// Enables in-memory tracing with the given capacity (older records are
-    /// dropped once full).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.core.trace = TraceLog::enabled(capacity);
-    }
-
-    /// The trace log (empty unless [`enable_trace`](Self::enable_trace) was
-    /// called).
-    #[must_use]
-    pub fn trace(&self) -> &TraceLog {
-        &self.core.trace
-    }
-
     /// Direct access to the deterministic RNG, for scenario-level draws.
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.core.rng
@@ -350,12 +331,8 @@ impl Simulator {
         self.core.now = event.time;
         self.core.events_processed += 1;
         let target = event.target;
-        let id = event.id();
-        self.core
-            .trace
-            .record(event.time, target, "fire", format_args!("{id}"));
         let Some(slot) = self.components.get_mut(target.index()) else {
-            panic!("event {id} targets unknown component {target}");
+            panic!("event {} targets unknown component {target}", event.id());
         };
         let mut component = slot
             .take()
@@ -573,15 +550,25 @@ mod tests {
         });
     }
 
-    /// Re-arms itself `remaining` times, recycling every delivered box.
+    /// Re-arms itself `remaining` times, recycling every delivered box and
+    /// logging the id of every event it schedules.
+    #[derive(Default)]
     struct RecyclingTicker {
         remaining: u32,
         fired: u32,
+        scheduled: Vec<(SimTime, EventId)>,
+    }
+
+    impl RecyclingTicker {
+        fn arm(&mut self, ctx: &mut Context<'_>) {
+            let id = ctx.schedule_self_in(SimDuration::from_nanos(1), Num(u64::from(self.fired)));
+            self.scheduled.push((ctx.now(), id));
+        }
     }
 
     impl Component for RecyclingTicker {
         fn start(&mut self, ctx: &mut Context<'_>) {
-            ctx.schedule_self_in(SimDuration::from_nanos(1), Num(0));
+            self.arm(ctx);
         }
 
         fn handle(&mut self, ctx: &mut Context<'_>, msg: Box<dyn Message>) {
@@ -590,7 +577,7 @@ mod tests {
             ctx.recycle_box(num);
             if self.remaining > 0 {
                 self.remaining -= 1;
-                ctx.schedule_self_in(SimDuration::from_nanos(1), Num(u64::from(self.fired)));
+                self.arm(ctx);
             }
         }
     }
@@ -605,28 +592,33 @@ mod tests {
                 "tick",
                 RecyclingTicker {
                     remaining: 40,
-                    fired: 0,
+                    ..RecyclingTicker::default()
                 },
             );
-            sim.enable_trace(4096);
-            sim.with_context(|ctx| {
-                for i in 0..50u64 {
-                    let doomed = ctx.schedule_in(SimDuration::from_nanos(i * 3), rec, Num(i));
-                    if i % 3 == 0 {
-                        // Cancelled boxes go back through the pool too.
-                        ctx.cancel(doomed);
-                    }
-                }
+            let ids: Vec<EventId> = sim.with_context(|ctx| {
+                (0..50u64)
+                    .map(|i| {
+                        let doomed = ctx.schedule_in(SimDuration::from_nanos(i * 3), rec, Num(i));
+                        if i % 3 == 0 {
+                            // Cancelled boxes go back through the pool too.
+                            ctx.cancel(doomed);
+                        }
+                        doomed
+                    })
+                    .collect()
             });
             sim.run(1_000);
-            let _ = tick;
             let seen = sim
                 .component::<Recorder>(rec)
                 .expect("registered")
                 .seen
                 .clone();
-            let trace = sim.trace().to_text();
-            (seen, trace, sim.events_processed())
+            let ticks = sim
+                .component::<RecyclingTicker>(tick)
+                .expect("registered")
+                .scheduled
+                .clone();
+            (seen, ids, ticks, sim.events_processed())
         };
         assert_eq!(run(true), run(false));
     }
@@ -638,7 +630,7 @@ mod tests {
             "tick",
             RecyclingTicker {
                 remaining: 500,
-                fired: 0,
+                ..RecyclingTicker::default()
             },
         );
         sim.run(10_000);

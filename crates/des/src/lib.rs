@@ -11,8 +11,7 @@
 //! binary heap ordered by time, then scheduling order), and a registry of
 //! [`Component`]s. Components react to [`Message`]s and use their
 //! [`Context`] to schedule further events and draw deterministic random
-//! numbers ([`SimRng`]); [`Simulator::enable_trace`] logs every schedule
-//! and dispatch.
+//! numbers ([`SimRng`]).
 //!
 //! ## Determinism
 //!
@@ -70,11 +69,9 @@ mod queue;
 mod rng;
 pub mod stats;
 mod time;
-mod trace;
 
 pub use component::{Component, ComponentId, Context};
 pub use event::{EventId, Message, MessageExt};
 pub use kernel::Simulator;
 pub use rng::{derive_stream, derive_stream_seed, splitmix64_finalize, SimRng, SplitMix64};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceLog, TraceRecord};

@@ -11,8 +11,9 @@
 //!   (good/bad with geometric sojourns), evaluated in continuous simulated
 //!   time so backoff actually rides out bursts.
 //! * [`RetryPolicy`] / [`Backoff`] / [`FrameClass`] — the master's resend
-//!   strategy, extracted from hard-coded counts into per-class policies
-//!   with fixed or exponential backoff measured in bit periods.
+//!   strategy, extracted from a hard-coded count into one retry budget
+//!   with fixed or exponential backoff measured in bit periods, and the
+//!   frame classes retries are counted under.
 //! * [`FaultSchedule`] / [`FaultDriver`] / [`FaultCommand`] — timed fault
 //!   events (slave crash/revive/reset, daisy-chain break/heal) delivered to
 //!   a target component by a small driver [`Component`](tsbus_des::Component).
@@ -36,7 +37,7 @@ mod schedule;
 mod supervise;
 
 pub use burst::{BurstParams, GilbertElliott};
-pub use retry::{Backoff, FrameClass, RetryParams, RetryPolicy};
+pub use retry::{Backoff, FrameClass, RetryPolicy};
 pub use schedule::FaultEvent;
 pub use schedule::{FaultCommand, FaultDriver, FaultKind, FaultSchedule};
 pub use supervise::{Admission, BreakerState, CircuitBreaker, SupervisionConfig, Transition};

@@ -2,7 +2,7 @@
 //!
 //! The TpWIRE spec only says the master resends "a predetermined number of
 //! times"; the seed implementation hard-coded an immediate-resend counter.
-//! This module turns that into data: per-class retry budgets with backoff
+//! This module turns that into data: one retry budget with backoff
 //! measured in bit periods, so a sweep can ask whether waiting out a burst
 //! beats hammering into it.
 
@@ -70,17 +70,19 @@ impl SaturatingShl for u64 {
     }
 }
 
-/// One class's retry budget and backoff schedule.
+/// The master's retry policy: one resend budget and backoff schedule for
+/// every frame class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryParams {
+pub struct RetryPolicy {
     /// Maximum number of *resends* after the initial attempt.
     pub max_retries: u8,
     /// Delay schedule between attempts.
     pub backoff: Backoff,
 }
 
-impl RetryParams {
-    /// Immediate resends, `max_retries` times — the seed behaviour.
+impl RetryPolicy {
+    /// Immediate resends, `max_retries` times — the seed behaviour
+    /// (historically `BusParams::max_retries`).
     #[must_use]
     pub const fn immediate(max_retries: u8) -> Self {
         Self {
@@ -116,7 +118,7 @@ impl RetryParams {
     /// sum can never exceed the budget. Policies already inside the budget
     /// come back untouched.
     #[must_use]
-    pub(crate) fn clamped_to_backoff_budget(self, budget_bits: u64) -> (Self, bool) {
+    pub fn clamped_to_watchdog(self, budget_bits: u64) -> (Self, bool) {
         if self.worst_case_backoff_bits() <= budget_bits {
             return (self, false);
         }
@@ -130,107 +132,11 @@ impl RetryParams {
             },
         };
         (
-            RetryParams {
+            RetryPolicy {
                 max_retries: self.max_retries,
                 backoff,
             },
             true,
-        )
-    }
-}
-
-impl Default for RetryParams {
-    fn default() -> Self {
-        Self::immediate(3)
-    }
-}
-
-/// Frame classification for per-class retry overrides.
-///
-/// Stream reads are idempotent on the bus (the alternating-bit toggle makes
-/// re-reads safe) while writes consume FIFO space on the slave, so the two
-/// directions may warrant different budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FrameClass {
-    /// Node selection, pointer setup, discovery, and other control frames.
-    Control,
-    /// Data reads from the stream FIFO (alternating-bit protected).
-    StreamRead,
-    /// Data writes into the stream FIFO.
-    StreamWrite,
-}
-
-/// The master's complete retry policy: a default plus optional per-class
-/// overrides for the two stream directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Applied to any class without an override.
-    pub(crate) default: RetryParams,
-    /// Override for [`FrameClass::StreamRead`].
-    pub(crate) stream_read: Option<RetryParams>,
-    /// Override for [`FrameClass::StreamWrite`].
-    pub(crate) stream_write: Option<RetryParams>,
-}
-
-impl RetryPolicy {
-    /// Uniform immediate-resend policy (the seed behaviour, historically
-    /// `BusParams::max_retries`).
-    #[must_use]
-    pub const fn immediate(max_retries: u8) -> Self {
-        Self {
-            default: RetryParams::immediate(max_retries),
-            stream_read: None,
-            stream_write: None,
-        }
-    }
-
-    /// Uniform policy with the given parameters for every class.
-    #[must_use]
-    pub const fn uniform(params: RetryParams) -> Self {
-        Self {
-            default: params,
-            stream_read: None,
-            stream_write: None,
-        }
-    }
-
-    /// The effective parameters for one frame class.
-    #[must_use]
-    pub fn for_class(&self, class: FrameClass) -> RetryParams {
-        match class {
-            FrameClass::Control => self.default,
-            FrameClass::StreamRead => self.stream_read.unwrap_or(self.default),
-            FrameClass::StreamWrite => self.stream_write.unwrap_or(self.default),
-        }
-    }
-
-    /// Returns a copy in which every class's worst-case cumulative backoff
-    /// fits within `budget_bits`, plus whether any class was clamped. Each
-    /// class's per-attempt delay is capped at `budget_bits / max_retries`.
-    #[must_use]
-    pub fn clamped_to_watchdog(self, budget_bits: u64) -> (Self, bool) {
-        let (default, c0) = self.default.clamped_to_backoff_budget(budget_bits);
-        let (stream_read, c1) = match self.stream_read {
-            Some(p) => {
-                let (p, c) = p.clamped_to_backoff_budget(budget_bits);
-                (Some(p), c)
-            }
-            None => (None, false),
-        };
-        let (stream_write, c2) = match self.stream_write {
-            Some(p) => {
-                let (p, c) = p.clamped_to_backoff_budget(budget_bits);
-                (Some(p), c)
-            }
-            None => (None, false),
-        };
-        (
-            RetryPolicy {
-                default,
-                stream_read,
-                stream_write,
-            },
-            c0 || c1 || c2,
         )
     }
 }
@@ -240,6 +146,18 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self::immediate(3)
     }
+}
+
+/// Frame classification for retry accounting: each retry is counted and
+/// traced under the class of the frame it re-sends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FrameClass {
+    /// Node selection, pointer setup, discovery, and other control frames.
+    Control,
+    /// Data reads from the stream FIFO (alternating-bit protected).
+    StreamRead,
+    /// Data writes into the stream FIFO.
+    StreamWrite,
 }
 
 #[cfg(test)]
@@ -307,7 +225,7 @@ mod tests {
     #[test]
     fn worst_case_cumulative_backoff_sums_the_schedule() {
         // 32 + 64 + 128 + 128 = 352.
-        let p = RetryParams {
+        let p = RetryPolicy {
             max_retries: 4,
             backoff: Backoff::Exponential {
                 base_bits: 32,
@@ -315,8 +233,8 @@ mod tests {
             },
         };
         assert_eq!(p.worst_case_backoff_bits(), 352);
-        assert_eq!(RetryParams::immediate(200).worst_case_backoff_bits(), 0);
-        let saturating = RetryParams {
+        assert_eq!(RetryPolicy::immediate(200).worst_case_backoff_bits(), 0);
+        let saturating = RetryPolicy {
             max_retries: 255,
             backoff: Backoff::Fixed { bits: u64::MAX },
         };
@@ -325,20 +243,20 @@ mod tests {
 
     #[test]
     fn watchdog_clamp_is_idempotent_and_fits() {
-        let too_patient = RetryPolicy::uniform(RetryParams {
+        let too_patient = RetryPolicy {
             max_retries: 8,
             backoff: Backoff::Exponential {
                 base_bits: 256,
                 cap_bits: 4096,
             },
-        });
-        assert!(too_patient.default.worst_case_backoff_bits() > 2048);
+        };
+        assert!(too_patient.worst_case_backoff_bits() > 2048);
         let (clamped, changed) = too_patient.clamped_to_watchdog(2048);
         assert!(changed);
-        assert!(clamped.default.worst_case_backoff_bits() <= 2048);
+        assert!(clamped.worst_case_backoff_bits() <= 2048);
         // Per-attempt cap = 2048 / 8 = 256 bits.
         assert_eq!(
-            clamped.default.backoff,
+            clamped.backoff,
             Backoff::Exponential {
                 base_bits: 256,
                 cap_bits: 256,
@@ -350,39 +268,9 @@ mod tests {
     }
 
     #[test]
-    fn class_overrides_resolve() {
-        let policy = RetryPolicy {
-            stream_read: Some(RetryParams {
-                max_retries: 8,
-                backoff: Backoff::Exponential {
-                    base_bits: 16,
-                    cap_bits: 512,
-                },
-            }),
-            ..RetryPolicy::immediate(3)
-        };
-        assert_eq!(
-            policy.for_class(FrameClass::Control),
-            RetryParams::immediate(3)
-        );
-        assert_eq!(
-            policy.for_class(FrameClass::StreamWrite),
-            RetryParams::immediate(3)
-        );
-        assert_eq!(policy.for_class(FrameClass::StreamRead).max_retries, 8);
-    }
-
-    #[test]
     fn default_matches_seed_behaviour() {
         let policy = RetryPolicy::default();
-        for class in [
-            FrameClass::Control,
-            FrameClass::StreamRead,
-            FrameClass::StreamWrite,
-        ] {
-            let p = policy.for_class(class);
-            assert_eq!(p.max_retries, 3);
-            assert_eq!(p.backoff, Backoff::None);
-        }
+        assert_eq!(policy.max_retries, 3);
+        assert_eq!(policy.backoff, Backoff::None);
     }
 }

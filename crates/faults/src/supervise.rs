@@ -79,29 +79,6 @@ impl SupervisionConfig {
             probe_budget: 2,
         }
     }
-
-    /// Validates the numeric ranges, panicking loudly on nonsense (the
-    /// fault layer's house rule: reject garbage upstream of the draws).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ewma_alpha` is outside `(0, 1]`, `trip_error_rate` is not
-    /// a probability, or `probe_budget`/`trip_consecutive` is zero.
-    #[must_use]
-    pub fn validated(self) -> Self {
-        assert!(
-            self.ewma_alpha.is_finite() && self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "ewma_alpha must be in (0, 1], got {}",
-            self.ewma_alpha
-        );
-        let _ = crate::validate_probability("trip_error_rate", self.trip_error_rate);
-        assert!(self.probe_budget > 0, "probe budget must be at least 1");
-        assert!(
-            self.trip_consecutive > 0,
-            "trip_consecutive must be at least 1"
-        );
-        self
-    }
 }
 
 impl Default for SupervisionConfig {
@@ -222,7 +199,7 @@ impl CircuitBreaker {
     #[must_use]
     pub fn new(cfg: SupervisionConfig, open_period: SimDuration) -> Self {
         CircuitBreaker {
-            cfg: cfg.validated(),
+            cfg,
             open_period,
             health: SlaveHealth::new(),
             state: BreakerState::Closed,
@@ -452,26 +429,6 @@ mod tests {
         assert_eq!(b.record(t, false), None);
         assert_eq!(b.health.samples, samples + 1);
         assert_eq!(b.state(), BreakerState::Open);
-    }
-
-    #[test]
-    #[should_panic(expected = "probe budget must be at least 1")]
-    fn zero_probe_budget_is_rejected() {
-        let cfg = SupervisionConfig {
-            probe_budget: 0,
-            ..SupervisionConfig::conservative()
-        };
-        let _ = CircuitBreaker::new(cfg, SimDuration::from_micros(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "ewma_alpha must be in (0, 1]")]
-    fn bad_alpha_is_rejected() {
-        let cfg = SupervisionConfig {
-            ewma_alpha: 0.0,
-            ..SupervisionConfig::conservative()
-        };
-        let _ = cfg.validated();
     }
 }
 

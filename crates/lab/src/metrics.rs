@@ -151,7 +151,7 @@ impl Metrics {
 /// Flattens a registry [`Snapshot`](tsbus_obs::Snapshot) into a
 /// [`Metrics`] record, one entry per flattened metric path in the
 /// snapshot's deterministic order. Exact integers stay `u64`; derived
-/// scalars (gauges, means, percentiles) become `f64`. This is the bridge
+/// scalars (summary means, minima and maxima) become `f64`. This is the bridge
 /// that lets a campaign cache, emit, and summarise a whole-stack registry
 /// capture the same way it handles hand-picked per-run metrics.
 #[must_use]
@@ -210,12 +210,22 @@ mod tests {
         let mut reg = tsbus_obs::Registry::new();
         let txns = reg.counter("txn/total");
         reg.add(txns, 3);
-        let depth = reg.gauge("queue/depth");
-        reg.set_gauge(depth, 1.5);
+        let depth = reg.summary("queue/depth");
+        reg.observe(depth, 1.5);
         let m = snapshot_to_metrics(&reg.snapshot());
         assert_eq!(m.get_i64("txn/total"), 3);
-        assert!((m.get_f64("queue/depth") - 1.5).abs() < f64::EPSILON);
-        assert_eq!(m.names(), ["queue/depth", "txn/total"]);
+        assert_eq!(m.get_i64("queue/depth/n"), 1);
+        assert!((m.get_f64("queue/depth/mean") - 1.5).abs() < f64::EPSILON);
+        assert_eq!(
+            m.names(),
+            [
+                "queue/depth/n",
+                "queue/depth/mean",
+                "queue/depth/min",
+                "queue/depth/max",
+                "txn/total"
+            ]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   update them on the hot path with plain vector indexing — no hashing,
 //!   no string formatting.
 //! * [`Snapshot`] — a deterministic, path-sorted capture of a registry.
-//!   Snapshots merge (with a per-component prefix), diff, and flatten to
+//!   Snapshots merge (with a per-component prefix) and flatten to
 //!   scalar rows, so the same bytes come out regardless of thread count or
 //!   harvest order.
 //! * [`Tracer`] / [`TraceEvent`] — a bounded (or unbounded) typed event
@@ -49,9 +49,8 @@ mod registry;
 mod snapshot;
 mod trace;
 
+pub use registry::SummaryId;
 pub use registry::{BusyId, CounterId, Registry};
-pub use registry::{GaugeId, SummaryId};
 pub use snapshot::MetricValue;
 pub use snapshot::{FlatValue, Snapshot};
-pub use trace::RetryClass;
 pub use trace::{DedupDecision, TraceEvent, Tracer, TupleOpKind};

@@ -26,8 +26,6 @@ macro_rules! handles {
 handles! {
     /// Handle to a registered [`Counter`].
     CounterId,
-    /// Handle to a registered gauge (a plain `f64` level).
-    GaugeId,
     /// Handle to a registered [`Summary`].
     SummaryId,
     /// Handle to a registered [`BusyTime`] accumulator.
@@ -37,7 +35,6 @@ handles! {
 #[derive(Debug, Clone)]
 enum Instrument {
     Counter(Counter),
-    Gauge(f64),
     Summary(Summary),
     Busy(BusyTime),
 }
@@ -125,11 +122,6 @@ impl Registry {
         CounterId(self.register(path, Instrument::Counter(Counter::new())))
     }
 
-    /// Registers a gauge: a plain instantaneous `f64` level.
-    pub fn gauge(&mut self, path: &str) -> GaugeId {
-        GaugeId(self.register(path, Instrument::Gauge(0.0)))
-    }
-
     /// Registers a running [`Summary`] of samples.
     pub fn summary(&mut self, path: &str) -> SummaryId {
         SummaryId(self.register(path, Instrument::Summary(Summary::new())))
@@ -161,14 +153,6 @@ impl Registry {
         match &self.slots[id.0].instrument {
             Instrument::Counter(c) => c.count(),
             other => unreachable!("handle type guarantees a counter, found {other:?}"),
-        }
-    }
-
-    /// Sets a gauge's level.
-    pub fn set_gauge(&mut self, id: GaugeId, value: f64) {
-        match &mut self.slots[id.0].instrument {
-            Instrument::Gauge(g) => *g = value,
-            other => unreachable!("handle type guarantees a gauge, found {other:?}"),
         }
     }
 
@@ -212,7 +196,6 @@ impl Registry {
             .map(|slot| {
                 let value = match &slot.instrument {
                     Instrument::Counter(c) => MetricValue::Count(c.count()),
-                    Instrument::Gauge(g) => MetricValue::Gauge(*g),
                     Instrument::Summary(s) => MetricValue::Summary(*s),
                     Instrument::Busy(b) => MetricValue::Duration(b.total()),
                 };
@@ -228,15 +211,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_round_trip() {
+    fn counters_and_summaries_round_trip() {
         let mut reg = Registry::new();
         let c = reg.counter("a/count");
-        let g = reg.gauge("a/level");
+        let s = reg.summary("a/level");
         reg.inc(c);
         reg.add(c, 2);
-        reg.set_gauge(g, 0.75);
+        reg.observe(s, 0.75);
         assert_eq!(reg.count(c), 3);
-        assert_eq!(reg.snapshot().to_text(), "a/count 3\na/level 0.75\n");
+        assert_eq!(
+            reg.snapshot().to_text(),
+            "a/count 3\na/level/n 1\na/level/mean 0.75\na/level/min 0.75\na/level/max 0.75\n"
+        );
     }
 
     #[test]
@@ -244,7 +230,7 @@ mod tests {
     fn duplicate_paths_rejected() {
         let mut reg = Registry::new();
         let _ = reg.counter("x");
-        let _ = reg.gauge("x");
+        let _ = reg.summary("x");
     }
 
     #[test]

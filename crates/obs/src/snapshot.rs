@@ -18,8 +18,6 @@ use tsbus_des::SimDuration;
 pub enum MetricValue {
     /// A monotonic event count.
     Count(u64),
-    /// An instantaneous or time-averaged level.
-    Gauge(f64),
     /// An accumulated busy span.
     Duration(SimDuration),
     /// A full sample summary (n / mean / min / max / variance).
@@ -159,12 +157,9 @@ impl Snapshot {
     /// Flattens every row to scalar entries, in path order:
     ///
     /// * counts → one `U64` at the row's path;
-    /// * gauges → one `F64`;
     /// * durations → one `U64` of nanoseconds at `path/ns`;
     /// * summaries → `path/n`, `path/mean`, `path/min`, `path/max`
-    ///   (`0` when empty);
-    /// * histograms → `path/count`, `path/underflow`, `path/overflow`,
-    ///   `path/p50`, `path/p95` (quantiles `0` when empty).
+    ///   (`0` when empty).
     ///
     /// The flattening is the contract the `tsbus-lab` bridge and the
     /// golden snapshot files rely on: same simulation, same scalars, same
@@ -175,7 +170,6 @@ impl Snapshot {
         for (path, value) in &self.rows {
             match value {
                 MetricValue::Count(v) => out.push((path.clone(), FlatValue::U64(*v))),
-                MetricValue::Gauge(v) => out.push((path.clone(), FlatValue::F64(*v))),
                 MetricValue::Duration(d) => {
                     out.push((format!("{path}/ns"), FlatValue::U64(d.as_nanos())));
                 }
@@ -219,11 +213,9 @@ mod tests {
     fn sample() -> Snapshot {
         let mut reg = Registry::new();
         let c = reg.counter("retries");
-        let g = reg.gauge("level");
         let s = reg.summary("lat");
         let b = reg.busy_time("busy");
         reg.add(c, 4);
-        reg.set_gauge(g, 0.5);
         reg.observe(s, 1.0);
         reg.observe(s, 2.0);
         reg.add_busy(b, SimDuration::from_micros(7));
@@ -238,7 +230,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(paths, sorted);
         assert_eq!(snap.count("retries"), 4);
-        assert_eq!(snap.get("level"), Some(&MetricValue::Gauge(0.5)));
         assert!(matches!(snap.get("lat"), Some(MetricValue::Summary(s)) if s.len() == 2));
         assert_eq!(snap.duration("busy"), SimDuration::from_micros(7));
         assert!(snap.get("absent").is_none());

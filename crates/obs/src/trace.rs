@@ -1,37 +1,15 @@
 //! Typed trace events and the bounded ring that collects them.
 //!
-//! [`Tracer`] replaces the stringly-typed per-component records that used
-//! to go through `tsbus_des::trace::TraceLog` (which remains the kernel's
-//! own scheduling trace). A tracer is generic over its event type: the
-//! cross-layer [`TraceEvent`] taxonomy covers bus, middleware and link
-//! activity, while layers with richer payloads (the tuplespace audit, for
-//! one) instantiate `Tracer` with their own event type.
+//! [`Tracer`] is the workspace's one trace spine. A tracer is generic
+//! over its event type: the cross-layer [`TraceEvent`] taxonomy covers
+//! bus, middleware and shard activity, while layers with richer payloads
+//! (the tuplespace audit, for one) instantiate `Tracer` with their own
+//! event type.
 
 use std::collections::VecDeque;
 
 use tsbus_des::SimTime;
 use tsbus_faults::{BreakerState, FaultKind, FrameClass};
-
-/// Which protocol class a bus frame (and hence a retry) belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryClass {
-    /// Selection, pointer, system-register and other command frames.
-    Control,
-    /// Stream-read data frames.
-    StreamRead,
-    /// Stream-write data frames.
-    StreamWrite,
-}
-
-impl From<FrameClass> for RetryClass {
-    fn from(class: FrameClass) -> RetryClass {
-        match class {
-            FrameClass::Control => RetryClass::Control,
-            FrameClass::StreamRead => RetryClass::StreamRead,
-            FrameClass::StreamWrite => RetryClass::StreamWrite,
-        }
-    }
-}
 
 /// What the server's duplicate-suppression layer decided about a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +48,7 @@ pub enum TraceEvent {
         /// Addressed node.
         node: u8,
         /// Protocol class of the frame.
-        class: RetryClass,
+        class: FrameClass,
         /// Whether the transaction succeeded (vs. entered retry/failure).
         ok: bool,
     },
@@ -81,7 +59,7 @@ pub enum TraceEvent {
         /// Addressed node.
         node: u8,
         /// Protocol class being retried.
-        class: RetryClass,
+        class: FrameClass,
     },
     /// The retry policy backed off before reissuing.
     Backoff {

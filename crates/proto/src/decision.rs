@@ -7,14 +7,14 @@
 //!   breaker (the *breaker-admission* input, computed by the
 //!   supervision layer), retries with the policy's backoff while
 //!   attempts remain, or gives up. The backoff schedule comes from
-//!   [`tsbus_faults::RetryParams`], already clamped against the reset
+//!   [`tsbus_faults::RetryPolicy`], already clamped against the reset
 //!   watchdog by the bus.
 //! * [`request_step`] — the request-level budget of the client and the
 //!   shard router, whose re-issues are spaced by a fixed policy delay
 //!   rather than wire-bit backoff: retry while total sends stay under
 //!   the budget, give up after.
 
-use tsbus_faults::RetryParams;
+use tsbus_faults::RetryPolicy;
 
 /// What the wire-level ladder decided for a failed transaction attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub enum FrameStep {
 /// `attempts` sends. `fenced` is the breaker-admission input: whether
 /// the supervision layer holds the target's breaker Open.
 #[must_use]
-pub fn frame_step(attempts: u8, fenced: bool, params: &RetryParams) -> FrameStep {
+pub fn frame_step(attempts: u8, fenced: bool, params: &RetryPolicy) -> FrameStep {
     if fenced {
         return FrameStep::FastFail;
     }
@@ -80,14 +80,14 @@ mod tests {
 
     #[test]
     fn fenced_targets_fast_fail_regardless_of_budget() {
-        let params = RetryParams::immediate(3);
+        let params = RetryPolicy::immediate(3);
         assert_eq!(frame_step(0, true, &params), FrameStep::FastFail);
         assert_eq!(frame_step(3, true, &params), FrameStep::FastFail);
     }
 
     #[test]
     fn ladder_walks_the_backoff_schedule_then_gives_up() {
-        let params = RetryParams {
+        let params = RetryPolicy {
             max_retries: 2,
             backoff: Backoff::Exponential {
                 base_bits: 64,
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn immediate_retries_report_zero_delay() {
-        let params = RetryParams::immediate(1);
+        let params = RetryPolicy::immediate(1);
         assert_eq!(
             frame_step(0, false, &params),
             FrameStep::Retry {

@@ -209,7 +209,7 @@ pub fn check_shard_invariants(
 ) -> Vec<ShardViolation> {
     let shard_cfg = cfg.shard_config();
     let map = PartitionMap::new(&shard_cfg).expect("valid config");
-    let quorum = u64::from(shard_cfg.replication.write_quorum);
+    let quorum = u64::from(shard_cfg.replication.write_quorum());
     let mut violations = Vec::new();
     for item in 0..cfg.n_items {
         let tuple = item_tuple(item);

@@ -6,12 +6,12 @@
 //! segment, behind a client-side [`ShardRouter`] that keeps the
 //! single-space programming model intact.
 //!
-//! * [`ShardConfig`]/[`ReplicationConfig`] — validated shard counts,
-//!   replication factor R and write quorum W, serialized into a
-//!   canonical key so lab campaign caches stay correct.
+//! * [`ShardConfig`]/[`ReplicationConfig`] — validated shard counts and
+//!   replication factor R, with the majority write quorum W = R/2 + 1.
 //! * [`PartitionMap`] — a deterministic FNV-1a hash ring (virtual
 //!   nodes) mapping each tuple's shard-key field to an owner shard and
-//!   a replica set; keyless templates follow a configurable policy.
+//!   a replica set; keyless tuples hash whole and keyless templates
+//!   scatter to every shard.
 //! * [`ShardRouter`] — quorum writes over the replica set, single-owner
 //!   takes, owner-first keyed reads with replica fallback, and
 //!   scatter-gather reads with per-shard deadlines and read-repair, all
@@ -43,7 +43,7 @@ pub use cluster::{
     ShardTrialResult,
 };
 pub use config::ShardConfigError;
-pub use config::{DegradedWritePolicy, KeylessPolicy, ReplicationConfig, ShardConfig, MAX_SHARDS};
+pub use config::{ReplicationConfig, ShardConfig, MAX_SHARDS};
 pub use partition::{hash_tuple, hash_value, PartitionMap};
 pub use router::RouterPolicy;
 pub use router::{ShardOp, ShardOpDone, ShardRouter};

@@ -2,20 +2,20 @@
 //! key to an owner shard and a replica set.
 //!
 //! Placement is a pure function of the [`ShardConfig`] — the same
-//! canonical key always reproduces the same ring, across runs, threads,
-//! and platforms. The hash is a self-contained FNV-1a over canonical
-//! value bytes (no `std::hash`, whose output is not pinned across
-//! releases), finished with SplitMix64's finaliser: raw FNV-1a diffuses
-//! trailing-byte differences poorly, so consecutive integer keys would
-//! land in one narrow band of the ring, and thus on one shard. Lab
-//! campaign caches keyed on
-//! [`ShardConfig::canonical_key`] stay valid for as long as the map's
+//! shard count and replication factor always reproduce the same ring,
+//! across runs, threads, and platforms. The hash is a self-contained
+//! FNV-1a over canonical value bytes (no `std::hash`, whose output is
+//! not pinned across releases), finished with SplitMix64's finaliser:
+//! raw FNV-1a diffuses trailing-byte differences poorly, so consecutive
+//! integer keys would land in one narrow band of the ring, and thus on
+//! one shard. Lab campaign caches keyed on the shard count and
+//! replication factor stay valid for as long as the map's
 //! [`assignment_hash`](PartitionMap::assignment_hash) golden holds.
 
 use tsbus_des::splitmix64_finalize;
 use tsbus_tuplespace::{Pattern, Template, Tuple, Value};
 
-use crate::config::{KeylessPolicy, ShardConfig, ShardConfigError};
+use crate::config::{ShardConfig, ShardConfigError, KEY_FIELD, VNODES};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -78,15 +78,13 @@ pub(crate) enum Route {
     Scatter,
 }
 
-/// The hash-ring partition map: `vnodes` virtual nodes per shard, keys
+/// The hash-ring partition map: 128 virtual nodes per shard, keys
 /// assigned to the first vnode clockwise from their hash, replicas on
 /// the next `R - 1` shards in index order.
 #[derive(Debug, Clone)]
 pub struct PartitionMap {
     shards: u8,
     replicas: u8,
-    key_field: usize,
-    keyless: KeylessPolicy,
     /// Sorted `(vnode hash, shard)` ring.
     ring: Vec<(u64, u8)>,
 }
@@ -95,9 +93,9 @@ impl PartitionMap {
     /// Builds the ring for a configuration (validating it first).
     pub fn new(cfg: &ShardConfig) -> Result<Self, ShardConfigError> {
         cfg.validate()?;
-        let mut ring = Vec::with_capacity(usize::from(cfg.shards) * usize::from(cfg.vnodes));
+        let mut ring = Vec::with_capacity(usize::from(cfg.shards) * usize::from(VNODES));
         for shard in 0..cfg.shards {
-            for vnode in 0..cfg.vnodes {
+            for vnode in 0..VNODES {
                 let mut hash = FNV_OFFSET;
                 fnv1a(&mut hash, b"vnode");
                 fnv1a(&mut hash, &[shard]);
@@ -111,8 +109,6 @@ impl PartitionMap {
         Ok(PartitionMap {
             shards: cfg.shards,
             replicas: cfg.replication.replicas,
-            key_field: cfg.key_field,
-            keyless: cfg.keyless,
             ring,
         })
     }
@@ -121,12 +117,6 @@ impl PartitionMap {
     #[must_use]
     pub(crate) fn shards(&self) -> u8 {
         self.shards
-    }
-
-    /// The tuple field index carrying the shard key.
-    #[must_use]
-    pub(crate) fn key_field(&self) -> usize {
-        self.key_field
     }
 
     fn owner_of_hash(&self, hash: u64) -> u8 {
@@ -142,16 +132,13 @@ impl PartitionMap {
         self.owner_of_hash(hash_value(key))
     }
 
-    /// The owner shard of a tuple: its key field if present, the keyless
-    /// policy otherwise.
+    /// The owner shard of a tuple: by its key field if present, by the
+    /// whole tuple's hash otherwise.
     #[must_use]
     pub(crate) fn owner_of_tuple(&self, tuple: &Tuple) -> u8 {
-        match tuple.field(self.key_field) {
+        match tuple.field(KEY_FIELD) {
             Some(key) => self.owner_of_value(key),
-            None => match self.keyless {
-                KeylessPolicy::HashWholeTuple => self.owner_of_hash(hash_tuple(tuple)),
-                KeylessPolicy::Fixed(shard) => shard,
-            },
+            None => self.owner_of_hash(hash_tuple(tuple)),
         }
     }
 
@@ -159,23 +146,20 @@ impl PartitionMap {
     /// [`Pattern::Exact`].
     #[must_use]
     pub(crate) fn template_key<'a>(&self, template: &'a Template) -> Option<&'a Value> {
-        match template.patterns().get(self.key_field) {
+        match template.patterns().get(KEY_FIELD) {
             Some(Pattern::Exact(value)) => Some(value),
             _ => None,
         }
     }
 
     /// Where a template-addressed operation routes: to the key's owner
-    /// when the template pins the key field exactly, otherwise per the
-    /// keyless policy (a fixed shard, or scatter-gather).
+    /// when the template pins the key field exactly, otherwise
+    /// scatter-gather.
     #[must_use]
     pub(crate) fn route_of_template(&self, template: &Template) -> Route {
         match self.template_key(template) {
             Some(key) => Route::Owner(self.owner_of_value(key)),
-            None => match self.keyless {
-                KeylessPolicy::HashWholeTuple => Route::Scatter,
-                KeylessPolicy::Fixed(shard) => Route::Owner(shard),
-            },
+            None => Route::Scatter,
         }
     }
 
@@ -262,18 +246,6 @@ mod tests {
             Pattern::AnyOfType(tsbus_tuplespace::ValueType::Int),
         ]);
         assert_eq!(m.route_of_template(&keyless), Route::Scatter);
-    }
-
-    #[test]
-    fn fixed_keyless_policy_pins_everything() {
-        let cfg = ShardConfig::new(4, ReplicationConfig::none())
-            .expect("valid")
-            .with_keyless(KeylessPolicy::Fixed(3));
-        let m = PartitionMap::new(&cfg).expect("valid");
-        let keyless_tuple = Tuple::new(vec![Value::from("solo")]);
-        assert_eq!(m.owner_of_tuple(&keyless_tuple), 3);
-        let keyless_template = Template::new(vec![Pattern::Wildcard]);
-        assert_eq!(m.route_of_template(&keyless_template), Route::Owner(3));
     }
 
     #[test]

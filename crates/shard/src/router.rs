@@ -25,9 +25,8 @@
 //!   rather than re-applied).
 //! * **supervision integration**: a shard whose bus fast-fails against
 //!   an Open breaker is marked degraded. Reads keep being served by
-//!   replicas; writes either park in a per-shard queue flushed on a
-//!   probe timer, or fail fast, per
-//!   [`DegradedWritePolicy`].
+//!   replicas; writes park in a per-shard queue flushed on a probe
+//!   timer.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,7 +42,7 @@ use tsbus_xmlwire::{
     ServerMessage, WireFormat,
 };
 
-use crate::config::{DegradedWritePolicy, ShardConfig};
+use crate::config::{ShardConfig, KEY_FIELD};
 use crate::partition::{hash_tuple, hash_value, PartitionMap, Route};
 
 /// The router's exactly-once client id: every sub-request it issues is
@@ -268,7 +267,6 @@ pub struct ShardRouter {
     map: PartitionMap,
     format: WireFormat,
     policy: RouterPolicy,
-    degraded_writes: DegradedWritePolicy,
     write_quorum: u8,
     /// The engine's outstanding-request table: seq allocation, the
     /// cumulative-ack settlement watermark, and one epoch-timed entry
@@ -316,8 +314,7 @@ impl ShardRouter {
             map,
             format: WireFormat::Xml,
             policy: RouterPolicy::default(),
-            degraded_writes: cfg.degraded_writes,
-            write_quorum: cfg.replication.write_quorum,
+            write_quorum: cfg.replication.write_quorum(),
             table: RequestTable::new(),
             ops: BTreeMap::new(),
             degraded: vec![false; n],
@@ -427,7 +424,7 @@ impl ShardRouter {
     /// The stable hash of a tuple's routing key (its key field when
     /// present, the whole tuple otherwise).
     fn key_hash_of(&self, tuple: &Tuple) -> u64 {
-        match tuple.field(self.map.key_field()) {
+        match tuple.field(KEY_FIELD) {
             Some(key) => hash_value(key),
             None => hash_tuple(tuple),
         }
@@ -695,10 +692,7 @@ impl ShardRouter {
             entry.payload.role,
             SubRole::Write { .. } | SubRole::Take | SubRole::Erase | SubRole::Repair
         );
-        if self.degraded[shard]
-            && parkable
-            && matches!(self.degraded_writes, DegradedWritePolicy::Queue)
-        {
+        if self.degraded[shard] && parkable {
             self.park(ctx, seq);
         } else if matches!(
             request_step(attempts, self.policy.max_attempts),
@@ -1190,10 +1184,7 @@ impl ShardRouter {
                     }
                 }
                 SubRole::KeyedRead { .. } => self.sub_failed(ctx, seq),
-                _ if error.fast => match self.degraded_writes {
-                    DegradedWritePolicy::Queue => self.park(ctx, seq),
-                    DegradedWritePolicy::FastFail => self.sub_failed(ctx, seq),
-                },
+                _ if error.fast => self.park(ctx, seq),
                 _ => self.maybe_retry(ctx, seq),
             }
         }
@@ -1253,10 +1244,7 @@ impl ShardRouter {
             )
         };
         // The shard may have degraded while the retry delay ran.
-        if self.degraded[shard]
-            && parkable
-            && matches!(self.degraded_writes, DegradedWritePolicy::Queue)
-        {
+        if self.degraded[shard] && parkable {
             self.park(ctx, seq);
             return;
         }

@@ -1050,8 +1050,7 @@ impl TpWireBus {
                 // against the 2048-bit watchdog — the breaker-admission
                 // input of the shared ladder.
                 let fenced = pos.is_some_and(|p| self.breaker_open(p));
-                let retry = self.params.retry.for_class(class);
-                match frame_step(attempts, fenced, &retry) {
+                match frame_step(attempts, fenced, &self.params.retry) {
                     FrameStep::Retry {
                         attempt,
                         delay_bits,

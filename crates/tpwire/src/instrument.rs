@@ -243,7 +243,7 @@ impl BusInstruments {
         self.tracer.emit(TraceEvent::Frame {
             at,
             node,
-            class: class.into(),
+            class,
             ok: true,
         });
     }
@@ -257,11 +257,7 @@ impl BusInstruments {
             FrameClass::StreamWrite => self.retry_stream_write,
         };
         self.registry.inc(per_class);
-        self.tracer.emit(TraceEvent::Retry {
-            at,
-            node,
-            class: class.into(),
-        });
+        self.tracer.emit(TraceEvent::Retry { at, node, class });
     }
 
     /// Books one backoff wait of `bits` bit periods.

@@ -101,7 +101,6 @@ pub struct SlaveDevice {
     command_reg: u8,
     dma_counter: u8,
     spi: u8,
-    pending_interrupt: bool,
     outbound: VecDeque<u8>,
     inbound: VecDeque<u8>,
     resets: u64,
@@ -127,7 +126,6 @@ impl SlaveDevice {
             command_reg: 0,
             dma_counter: 0,
             spi: 0,
-            pending_interrupt: false,
             outbound: VecDeque::new(),
             inbound: VecDeque::new(),
             resets: 0,
@@ -152,11 +150,10 @@ impl SlaveDevice {
     }
 
     /// Whether the slave currently has a pending interrupt (it raises one
-    /// whenever its outbound stream is non-empty, or while its interrupt
-    /// latch is set).
+    /// whenever its outbound stream is non-empty).
     #[must_use]
     pub(crate) fn pending_interrupt(&self) -> bool {
-        self.pending_interrupt || !self.outbound.is_empty()
+        !self.outbound.is_empty()
     }
 
     /// Number of self-resets the slave has performed.
@@ -200,13 +197,11 @@ impl SlaveDevice {
     }
 
     /// Performs the self-reset of one line interface: clears its selection
-    /// and pointer, clears the shared command/DMA registers and drops the
-    /// pending-interrupt latch. Stream FIFOs and memory survive (they
-    /// belong to the attachment side).
+    /// and pointer, and clears the shared command/DMA registers. Stream
+    /// FIFOs and memory survive (they belong to the attachment side).
     fn reset(&mut self, port: usize, now: SimTime, watchdog: Watchdog) {
         self.command_reg = 0;
         self.dma_counter = 0;
-        self.pending_interrupt = false;
         self.resets += 1;
         let p = &mut self.ports[port];
         p.selected = None;
@@ -315,10 +310,6 @@ impl SlaveDevice {
             Command::ReadFlags => RxFrame::new(false, RxType::Flags, self.flags()),
             Command::WriteCommand => {
                 self.command_reg = frame.data;
-                if frame.data & 0x01 != 0 {
-                    // Command bit 0: acknowledge/clear the interrupt latch.
-                    self.pending_interrupt = false;
-                }
                 RxFrame::status_ack(self.node, self.pending_interrupt(), false)
             }
             Command::ReadSpi => RxFrame::new(false, RxType::Spi, self.spi),
@@ -622,17 +613,6 @@ mod tests {
             .on_tx(&TxFrame::new(Command::ReadFlags, 0), 0, t, watchdog())
             .expect("flags reply");
         assert_eq!(r.data & 0b101, 0b101, "INT + outbound bits set");
-    }
-
-    #[test]
-    fn write_command_clears_interrupt_latch() {
-        let mut dev = slave(1);
-        let t = SimTime::from_nanos(10);
-        dev.pending_interrupt = true;
-        assert!(dev.pending_interrupt());
-        select(&mut dev, 1, false, t);
-        dev.on_tx(&TxFrame::new(Command::WriteCommand, 0x01), 0, t, watchdog());
-        assert!(!dev.pending_interrupt());
     }
 
     #[test]

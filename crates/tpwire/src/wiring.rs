@@ -315,12 +315,10 @@ impl BusParams {
         self
     }
 
-    /// Returns a copy with the supervision layer enabled under `cfg`
-    /// (validated eagerly so a bad configuration fails at build time, not
-    /// mid-simulation).
+    /// Returns a copy with the supervision layer enabled under `cfg`.
     #[must_use]
     pub fn with_supervision(mut self, cfg: SupervisionConfig) -> Self {
-        self.supervision = Some(cfg.validated());
+        self.supervision = Some(cfg);
         self
     }
 
@@ -677,23 +675,23 @@ mod tests {
 
     #[test]
     fn fault_knobs_default_off_and_compose() {
-        use tsbus_faults::{Backoff, FrameClass, RetryParams};
+        use tsbus_faults::Backoff;
 
         let p = BusParams::theseus_default();
         assert_eq!(p.burst_error, None);
         assert_eq!(p.retry, RetryPolicy::immediate(3));
 
         let burst = BurstParams::with_mean_lengths(100.0, 10.0, 0.0, 0.5);
-        let retry = RetryPolicy::uniform(RetryParams {
+        let retry = RetryPolicy {
             max_retries: 5,
             backoff: Backoff::Exponential {
                 base_bits: 32,
                 cap_bits: 1024,
             },
-        });
+        };
         let p = p.with_burst_error(burst).with_retry_policy(retry);
         assert_eq!(p.burst_error, Some(burst));
-        assert_eq!(p.retry.for_class(FrameClass::StreamRead).max_retries, 5);
+        assert_eq!(p.retry.max_retries, 5);
     }
 
     #[test]

@@ -735,35 +735,6 @@ fn stream_integrity_across_the_configuration_matrix() {
 }
 
 #[test]
-fn kernel_trace_captures_bus_activity() {
-    let mut sim = Simulator::with_seed(42);
-    sim.enable_trace(4096);
-    let bus_id = ComponentId::from_raw(0);
-    let bus = TpWireBus::new(BusParams::theseus_default(), vec![node(1), node(2)]);
-    let actual = sim.add_component("bus", bus);
-    assert_eq!(actual, bus_id);
-    sim.with_context(|ctx| {
-        ctx.send(
-            bus_id,
-            SendStream {
-                from: node(1),
-                to: StreamEndpoint::Slave(node(2)),
-                payload: Bytes::from_static(b"traced"),
-            },
-        );
-    });
-    sim.run_until(SimTime::from_micros(500));
-    let trace = sim.trace();
-    assert!(trace.is_enabled());
-    let scheds = trace.with_label("sched").count();
-    let fires = trace.with_label("fire").count();
-    assert!(scheds > 10, "bus transactions schedule events ({scheds})");
-    assert!(fires > 10, "and they fire ({fires})");
-    let text = trace.to_text();
-    assert!(text.lines().count() > 20);
-}
-
-#[test]
 fn regression_mode_b_single_flow_does_not_livelock() {
     // Two lanes + a single relay flow between two slaves: eager INT-polls
     // from the idle lane once transiently owned the endpoints the parked
@@ -800,7 +771,7 @@ mod combined_faults {
     use bytes::Bytes;
     use proptest::prelude::*;
     use tsbus_des::{SimDuration, SimTime};
-    use tsbus_faults::{Backoff, BurstParams, FaultCommand, FaultKind, RetryParams, RetryPolicy};
+    use tsbus_faults::{Backoff, BurstParams, FaultCommand, FaultKind, RetryPolicy};
     use tsbus_tpwire::{BusParams, SendStream, StreamEndpoint, TpWireBus};
 
     proptest! {
@@ -812,10 +783,10 @@ mod combined_faults {
         ) {
             let params = BusParams::theseus_default()
                 .with_burst_error(BurstParams::with_mean_lengths(200.0, mean_bad_x10 as f64 / 10.0, 0.0, 1.0))
-                .with_retry_policy(RetryPolicy::uniform(RetryParams {
+                .with_retry_policy(RetryPolicy {
                     max_retries: 6,
                     backoff: Backoff::Exponential { base_bits: 32, cap_bits: 128 },
-                }));
+                });
             let (mut sim, bus, recs, _) = build(params, 2);
             let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             sim.with_context(|ctx| {

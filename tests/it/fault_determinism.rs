@@ -7,9 +7,7 @@
 use bytes::Bytes;
 use tsbus_core::BusCbrSink;
 use tsbus_des::{SimDuration, SimTime, Simulator};
-use tsbus_faults::{
-    Backoff, BurstParams, FaultDriver, FaultKind, FaultSchedule, RetryParams, RetryPolicy,
-};
+use tsbus_faults::{Backoff, BurstParams, FaultDriver, FaultKind, FaultSchedule, RetryPolicy};
 use tsbus_tpwire::{BusParams, BusStats, NodeId, SendStream, StreamEndpoint, TpWireBus};
 
 fn node(id: u8) -> NodeId {
@@ -34,13 +32,13 @@ fn run(seed: u64) -> (BusStats, u64, u64) {
     let params = BusParams::theseus_default()
         .with_frame_error_rate(0.002)
         .with_burst_error(BurstParams::with_mean_lengths(200.0, 8.0, 0.0, 1.0))
-        .with_retry_policy(RetryPolicy::uniform(RetryParams {
+        .with_retry_policy(RetryPolicy {
             max_retries: 6,
             backoff: Backoff::Exponential {
                 base_bits: 32,
                 cap_bits: 256,
             },
-        }));
+        });
     let mut bus = TpWireBus::new(params, vec![node(1), node(2), node(3)]);
     bus.attach(node(3), sink);
     let bus_id = sim.add_component("bus", bus);

@@ -28,7 +28,7 @@ use tsbus_bench::workload::{
 };
 use tsbus_core::{run_chaos_trial, ChaosConfig};
 use tsbus_des::SimDuration;
-use tsbus_faults::{Backoff, RetryParams, RetryPolicy, SupervisionConfig};
+use tsbus_faults::{Backoff, RetryPolicy, SupervisionConfig};
 use tsbus_shard::{
     run_shard_chaos_trial, run_shard_trial, ReplicationConfig, ShardChaosConfig, ShardConfig,
     ShardTrialConfig,
@@ -76,20 +76,20 @@ fn golden_text() -> String {
         ("immediate", RetryPolicy::immediate(3)),
         (
             "fixed64",
-            RetryPolicy::uniform(RetryParams {
+            RetryPolicy {
                 max_retries: 3,
                 backoff: Backoff::Fixed { bits: 64 },
-            }),
+            },
         ),
         (
             "exp256-1024",
-            RetryPolicy::uniform(RetryParams {
+            RetryPolicy {
                 max_retries: 3,
                 backoff: Backoff::Exponential {
                     base_bits: 256,
                     cap_bits: 1024,
                 },
-            }),
+            },
         ),
     ];
     for (name, policy) in policies {

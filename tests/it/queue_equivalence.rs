@@ -3,7 +3,8 @@
 //! Two families of generated programs run on the kernel with the event-box
 //! pool on and off. Every recorder's delivery log must equal the log an
 //! oracle derives without the kernel, and the two pooling settings must
-//! agree byte for byte on logs, trace text and event counts.
+//! agree on logs, on every `EventId` that scheduling returned and on event
+//! counts.
 //!
 //! - Flat programs: schedule, cancel and re-arm once, run to completion.
 //!   The oracle computes the logs in closed form.
@@ -50,6 +51,8 @@ struct Evt {
 #[derive(Debug, Default)]
 struct Recorder {
     log: Vec<(SimTime, u64)>,
+    /// Ids of the follow-ups this recorder scheduled.
+    scheduled: Vec<EventId>,
 }
 
 impl Component for Recorder {
@@ -61,46 +64,53 @@ impl Component for Recorder {
                 tag: evt.tag + FOLLOW_UP_TAG,
                 rearm: false,
             };
-            ctx.schedule_self_in(SimDuration::from_nanos(REARM_NS), follow_up);
+            let id = ctx.schedule_self_in(SimDuration::from_nanos(REARM_NS), follow_up);
+            self.scheduled.push(id);
         }
         ctx.recycle_box(evt);
     }
 }
 
-/// Everything a run exposes: per-recorder delivery logs, the kernel trace
-/// text, and the dispatched-event count.
-type Observed = (Vec<Vec<(SimTime, u64)>>, String, u64);
+/// Everything a run exposes: per-recorder delivery logs, the ids every
+/// schedule call returned (initial events, then each recorder's
+/// follow-ups), and the dispatched-event count.
+type Observed = (Vec<Vec<(SimTime, u64)>>, Vec<EventId>, u64);
 
 /// Replays `program` on a fresh simulator, returning every observable.
 fn run_program(program: &[Instr], pooling: bool) -> Observed {
     let mut sim = Simulator::with_seed(42);
     sim.set_pooling(pooling);
-    sim.enable_trace(1 << 16);
     let ids: Vec<_> = (0..RECORDERS)
         .map(|r| sim.add_component(format!("rec{r}"), Recorder::default()))
         .collect();
-    sim.with_context(|ctx| {
-        for (tag, instr) in program.iter().enumerate() {
-            let target = ids[usize::from(instr.target) % RECORDERS];
-            let evt = Evt {
-                tag: tag as u64,
-                rearm: instr.rearm,
-            };
-            let id = ctx.schedule_in(SimDuration::from_nanos(instr.delay_ns), target, evt);
-            if instr.cancel {
-                ctx.cancel(id);
-            }
-        }
+    let mut scheduled: Vec<EventId> = sim.with_context(|ctx| {
+        program
+            .iter()
+            .enumerate()
+            .map(|(tag, instr)| {
+                let target = ids[usize::from(instr.target) % RECORDERS];
+                let evt = Evt {
+                    tag: tag as u64,
+                    rearm: instr.rearm,
+                };
+                let id = ctx.schedule_in(SimDuration::from_nanos(instr.delay_ns), target, evt);
+                if instr.cancel {
+                    ctx.cancel(id);
+                }
+                id
+            })
+            .collect()
     });
     sim.run_until(SimTime::from_secs(1));
     let logs = ids
         .iter()
         .map(|&id| {
             let rec: &Recorder = sim.component(id).expect("registered");
+            scheduled.extend_from_slice(&rec.scheduled);
             rec.log.clone()
         })
         .collect();
-    (logs, sim.trace().to_text(), sim.events_processed())
+    (logs, scheduled, sim.events_processed())
 }
 
 /// The expected per-recorder logs and event count, derived from the
@@ -158,7 +168,7 @@ fn instr_strategy() -> impl Strategy<Value = Instr> {
 
 proptest! {
     /// Dispatch order and times match the oracle, and pooling is
-    /// byte-invisible to logs, traces and event counts.
+    /// invisible to logs, returned event ids and event counts.
     #[test]
     fn dispatch_matches_oracle_with_and_without_pooling(
         program in proptest::collection::vec(instr_strategy(), 0..120)
@@ -169,7 +179,7 @@ proptest! {
         prop_assert_eq!(pooled.2, expected_events, "event count differs from the oracle");
         let unpooled = run_program(&program, false);
         prop_assert_eq!(&pooled.0, &unpooled.0, "delivery logs diverged with pooling off");
-        prop_assert_eq!(&pooled.1, &unpooled.1, "kernel traces diverged with pooling off");
+        prop_assert_eq!(&pooled.1, &unpooled.1, "event ids diverged with pooling off");
         prop_assert_eq!(pooled.2, unpooled.2, "event counts diverged with pooling off");
     }
 }
@@ -283,6 +293,8 @@ struct Planner {
     log: Vec<(SimTime, u64)>,
     /// The far-future event this recorder scheduled last.
     last_far: Option<EventId>,
+    /// Ids of every child this recorder scheduled.
+    scheduled: Vec<EventId>,
 }
 
 impl Component for Planner {
@@ -304,6 +316,7 @@ impl Component for Planner {
             };
             let target = ComponentId::from_raw(child.target);
             let id = ctx.schedule_in(SimDuration::from_nanos(child.delay_ns), target, next);
+            self.scheduled.push(id);
             if child.horizon == Horizon::Far {
                 self.last_far = Some(id);
             }
@@ -334,33 +347,44 @@ impl FanOut {
 /// Per-recorder `(slice, time, tag)` delivery logs.
 type SlicedLogs = Vec<Vec<(usize, SimTime, u64)>>;
 
+/// A fan-out run's delivery logs, the ids every schedule call returned
+/// (initial events, then each recorder's children) and the
+/// dispatched-event count.
+type FanOutObserved = (SlicedLogs, Vec<EventId>, u64);
+
 /// Runs `program` slice by slice, checking each slice's bound as it goes.
-fn run_fan_out(program: &FanOut, pooling: bool) -> Result<(SlicedLogs, String, u64), String> {
+fn run_fan_out(program: &FanOut, pooling: bool) -> Result<FanOutObserved, String> {
     let mut sim = Simulator::with_seed(42);
     sim.set_pooling(pooling);
-    sim.enable_trace(1 << 16);
     let ids: Vec<_> = (0..RECORDERS)
         .map(|r| {
             let planner = Planner {
                 salt: program.salt,
                 log: Vec::new(),
                 last_far: None,
+                scheduled: Vec::new(),
             };
             sim.add_component(format!("planner{r}"), planner)
         })
         .collect();
-    sim.with_context(|ctx| {
-        for (tag, &(delay_ns, target, cancel)) in program.initial.iter().enumerate() {
-            let evt = PlannedEvt {
-                tag: tag as u64,
-                depth: 0,
-            };
-            let target = ids[usize::from(target) % RECORDERS];
-            let id = ctx.schedule_in(SimDuration::from_nanos(delay_ns), target, evt);
-            if cancel {
-                ctx.cancel(id);
-            }
-        }
+    let mut scheduled: Vec<EventId> = sim.with_context(|ctx| {
+        program
+            .initial
+            .iter()
+            .enumerate()
+            .map(|(tag, &(delay_ns, target, cancel))| {
+                let evt = PlannedEvt {
+                    tag: tag as u64,
+                    depth: 0,
+                };
+                let target = ids[usize::from(target) % RECORDERS];
+                let id = ctx.schedule_in(SimDuration::from_nanos(delay_ns), target, evt);
+                if cancel {
+                    ctx.cancel(id);
+                }
+                id
+            })
+            .collect()
     });
     let mut logs: SlicedLogs = vec![Vec::new(); RECORDERS];
     for (slice, bound) in program.slices().into_iter().enumerate() {
@@ -381,7 +405,11 @@ fn run_fan_out(program: &FanOut, pooling: bool) -> Result<(SlicedLogs, String, u
             }
         }
     }
-    Ok((logs, sim.trace().to_text(), sim.events_processed()))
+    for &id in &ids {
+        let planner: &Planner = sim.component(id).expect("registered");
+        scheduled.extend_from_slice(&planner.scheduled);
+    }
+    Ok((logs, scheduled, sim.events_processed()))
 }
 
 /// The fan-out oracle: the same program on a plain list of pending
@@ -462,7 +490,7 @@ fn fan_out_strategy() -> impl Strategy<Value = FanOut> {
 proptest! {
     /// Fan-out, in-handler cancels and `run_until` slices: every slice
     /// stops at its bound with the clock on it, deliveries match the
-    /// oracle, and pooling is byte-invisible.
+    /// oracle, and pooling is invisible to logs, event ids and counts.
     #[test]
     fn sliced_fan_out_with_cancels_matches_oracle(program in fan_out_strategy()) {
         let (expected_logs, expected_events) = fan_out_oracle(&program);
@@ -473,7 +501,7 @@ proptest! {
         prop_assert_eq!(pooled.2, expected_events, "event count differs from the oracle");
         let unpooled = run_fan_out(&program, false).expect("same program, same bounds");
         prop_assert_eq!(&pooled.0, &unpooled.0, "delivery logs diverged with pooling off");
-        prop_assert_eq!(&pooled.1, &unpooled.1, "kernel traces diverged with pooling off");
+        prop_assert_eq!(&pooled.1, &unpooled.1, "event ids diverged with pooling off");
         prop_assert_eq!(pooled.2, unpooled.2, "event counts diverged with pooling off");
     }
 }
