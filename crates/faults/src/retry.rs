@@ -141,13 +141,6 @@ impl RetryPolicy {
     }
 }
 
-impl Default for RetryPolicy {
-    /// Matches the seed's hard-coded behaviour: three immediate resends.
-    fn default() -> Self {
-        Self::immediate(3)
-    }
-}
-
 /// Frame classification for retry accounting: each retry is counted and
 /// traced under the class of the frame it re-sends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -265,12 +258,5 @@ mod tests {
         let (again, changed_again) = clamped.clamped_to_watchdog(2048);
         assert_eq!(again, clamped);
         assert!(!changed_again, "a fitting policy passes through untouched");
-    }
-
-    #[test]
-    fn default_matches_seed_behaviour() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.max_retries, 3);
-        assert_eq!(policy.backoff, Backoff::None);
     }
 }

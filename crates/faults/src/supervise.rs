@@ -81,12 +81,6 @@ impl SupervisionConfig {
     }
 }
 
-impl Default for SupervisionConfig {
-    fn default() -> Self {
-        Self::conservative()
-    }
-}
-
 /// The circuit-breaker state of one supervised slave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BreakerState {

@@ -4,10 +4,9 @@
 
 use core::fmt;
 
-use tsbus_tuplespace::{EventKind, Pattern, Template, Tuple, Value, ValueType};
+use tsbus_tuplespace::{EventKind, Pattern, Template, Tuple, Value};
 
-use crate::dom::XmlElement;
-use crate::parser::{parse, ParseXmlError};
+use crate::reader::ParseXmlError;
 
 /// A client-assigned identity for one logical operation: `(client, seq)`.
 ///
@@ -181,36 +180,13 @@ fn kind_name(kind: EventKind) -> &'static str {
     }
 }
 
-fn kind_from_name(name: &str) -> Option<EventKind> {
+pub(crate) fn kind_from_name(name: &str) -> Option<EventKind> {
     match name {
         "written" => Some(EventKind::Written),
         "taken" => Some(EventKind::Taken),
         "expired" => Some(EventKind::Expired),
         _ => None,
     }
-}
-
-/// Decodes an `<event>` element.
-fn decode_event(el: &XmlElement) -> Result<WireEvent, DecodeWireError> {
-    if el.name() != "event" {
-        return Err(shape(format!("expected <event>, found <{}>", el.name())));
-    }
-    let subscription = el
-        .attr("sub")
-        .ok_or_else(|| shape("event without sub"))?
-        .parse::<u64>()
-        .map_err(|e| shape(format!("bad sub id: {e}")))?;
-    let kind_raw = el.attr("kind").ok_or_else(|| shape("event without kind"))?;
-    let kind = kind_from_name(kind_raw)
-        .ok_or_else(|| shape(format!("unknown event kind {kind_raw:?}")))?;
-    let tuple = el
-        .child_named("tuple")
-        .ok_or_else(|| shape("event without tuple"))?;
-    Ok(WireEvent {
-        subscription,
-        kind,
-        tuple: decode_tuple(tuple)?,
-    })
 }
 
 /// Any document a client can receive: a reply to its pending request, or
@@ -228,36 +204,6 @@ pub enum ServerMessage {
     },
     /// A pushed notification.
     Event(WireEvent),
-}
-
-/// Parses whatever the server sent, dispatching on the root element.
-pub(crate) fn server_message_from_xml(text: &str) -> Result<ServerMessage, DecodeWireError> {
-    let el = parse(text)?;
-    match el.name() {
-        "event" => Ok(ServerMessage::Event(decode_event(&el)?)),
-        _ => Ok(ServerMessage::Response {
-            re: decode_request_id_attrs(&el)?,
-            response: decode_response(&el)?,
-        }),
-    }
-}
-
-/// Reads the optional `client`/`seq` identity attributes off an element
-/// (both present → an id; neither → `None`; one alone is malformed).
-fn decode_request_id_attrs(el: &XmlElement) -> Result<Option<RequestId>, DecodeWireError> {
-    let parse_attr = |name: &str| -> Result<Option<u64>, DecodeWireError> {
-        el.attr(name)
-            .map(|raw| {
-                raw.parse::<u64>()
-                    .map_err(|e| shape(format!("bad {name} {raw:?}: {e}")))
-            })
-            .transpose()
-    };
-    match (parse_attr("client")?, parse_attr("seq")?) {
-        (Some(client), Some(seq)) => Ok(Some(RequestId { client, seq })),
-        (None, None) => Ok(None),
-        _ => Err(shape("client/seq attributes must appear together")),
-    }
 }
 
 /// Why a document failed to decode as a protocol message.
@@ -287,231 +233,6 @@ impl std::error::Error for DecodeWireError {
     }
 }
 
-impl From<ParseXmlError> for DecodeWireError {
-    fn from(e: ParseXmlError) -> Self {
-        DecodeWireError::Xml(e)
-    }
-}
-
-fn shape(message: impl Into<String>) -> DecodeWireError {
-    DecodeWireError::Shape(message.into())
-}
-
-// ---------------------------------------------------------------------
-// Values / tuples / templates
-// ---------------------------------------------------------------------
-
-/// Decodes a `<field>` element.
-fn decode_value(el: &XmlElement) -> Result<Value, DecodeWireError> {
-    if el.name() != "field" {
-        return Err(shape(format!("expected <field>, found <{}>", el.name())));
-    }
-    let type_name = el.attr("type").ok_or_else(|| shape("field without type"))?;
-    let vt = ValueType::from_name(type_name)
-        .ok_or_else(|| shape(format!("unknown field type {type_name:?}")))?;
-    let text = el.text_cow();
-    match vt {
-        ValueType::Int => text
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|e| shape(format!("bad int {text:?}: {e}"))),
-        ValueType::Float => text
-            .parse::<f64>()
-            .map(Value::Float)
-            .map_err(|e| shape(format!("bad float {text:?}: {e}"))),
-        ValueType::Str => Ok(Value::Str(text.into_owned())),
-        ValueType::Bool => match &*text {
-            "true" => Ok(Value::Bool(true)),
-            "false" => Ok(Value::Bool(false)),
-            other => Err(shape(format!("bad bool {other:?}"))),
-        },
-        ValueType::Bytes => hex_decode(&text)
-            .map(Value::Bytes)
-            .map_err(|m| shape(format!("bad bytes field: {m}"))),
-    }
-}
-
-/// Decodes a `<tuple>` element.
-fn decode_tuple(el: &XmlElement) -> Result<Tuple, DecodeWireError> {
-    if el.name() != "tuple" {
-        return Err(shape(format!("expected <tuple>, found <{}>", el.name())));
-    }
-    el.child_elements().map(decode_value).collect()
-}
-
-/// Decodes a `<template>` element.
-fn decode_template(el: &XmlElement) -> Result<Template, DecodeWireError> {
-    if el.name() != "template" {
-        return Err(shape(format!("expected <template>, found <{}>", el.name())));
-    }
-    let mut patterns = Vec::new();
-    for child in el.child_elements() {
-        if child.name() != "pattern" {
-            return Err(shape(format!(
-                "expected <pattern>, found <{}>",
-                child.name()
-            )));
-        }
-        let kind = child
-            .attr("kind")
-            .ok_or_else(|| shape("pattern without kind"))?;
-        let pattern = match kind {
-            "exact" => {
-                let field = child
-                    .child_named("field")
-                    .ok_or_else(|| shape("exact pattern without field"))?;
-                Pattern::Exact(decode_value(field)?)
-            }
-            "type" => {
-                let name = child
-                    .attr("type")
-                    .ok_or_else(|| shape("type pattern without type"))?;
-                Pattern::AnyOfType(
-                    ValueType::from_name(name)
-                        .ok_or_else(|| shape(format!("unknown pattern type {name:?}")))?,
-                )
-            }
-            "any" => Pattern::Wildcard,
-            other => return Err(shape(format!("unknown pattern kind {other:?}"))),
-        };
-        patterns.push(pattern);
-    }
-    Ok(Template::new(patterns))
-}
-
-// ---------------------------------------------------------------------
-// Requests / responses
-// ---------------------------------------------------------------------
-
-/// Parses a request-envelope document: an `<op>` element together with
-/// its optional identity attributes.
-pub(crate) fn request_envelope_from_xml(text: &str) -> Result<RequestEnvelope, DecodeWireError> {
-    let el = parse(text)?;
-    let id = decode_request_id_attrs(&el)?;
-    let ack = match el.attr("ack") {
-        Some(raw) => raw
-            .parse::<u64>()
-            .map_err(|e| shape(format!("bad ack {raw:?}: {e}")))?,
-        None => 0,
-    };
-    Ok(RequestEnvelope {
-        id,
-        ack,
-        request: decode_request(&el)?,
-    })
-}
-
-/// Decodes an `<op>` element.
-fn decode_request(el: &XmlElement) -> Result<Request, DecodeWireError> {
-    if el.name() != "op" {
-        return Err(shape(format!("expected <op>, found <{}>", el.name())));
-    }
-    let kind = el.attr("type").ok_or_else(|| shape("op without type"))?;
-    let parse_u64 = |name: &str| -> Result<Option<u64>, DecodeWireError> {
-        el.attr(name)
-            .map(|raw| {
-                raw.parse::<u64>()
-                    .map_err(|e| shape(format!("bad {name} {raw:?}: {e}")))
-            })
-            .transpose()
-    };
-    let template = || -> Result<Template, DecodeWireError> {
-        let t = el
-            .child_named("template")
-            .ok_or_else(|| shape(format!("{kind} op without template")))?;
-        decode_template(t)
-    };
-    match kind {
-        "write" => {
-            let tuple = el
-                .child_named("tuple")
-                .ok_or_else(|| shape("write op without tuple"))?;
-            Ok(Request::Write {
-                tuple: decode_tuple(tuple)?,
-                lease_ns: parse_u64("lease-ns")?,
-            })
-        }
-        "read" => Ok(Request::Read {
-            template: template()?,
-            timeout_ns: parse_u64("timeout-ns")?,
-        }),
-        "take" => Ok(Request::Take {
-            template: template()?,
-            timeout_ns: parse_u64("timeout-ns")?,
-        }),
-        "read-if-exists" => Ok(Request::ReadIfExists {
-            template: template()?,
-        }),
-        "take-if-exists" => Ok(Request::TakeIfExists {
-            template: template()?,
-        }),
-        "count" => Ok(Request::Count {
-            template: template()?,
-        }),
-        "subscribe" => {
-            let raw = el.attr("kinds").unwrap_or("");
-            let mut kinds = Vec::new();
-            for name in raw.split(',').filter(|s| !s.is_empty()) {
-                kinds.push(
-                    kind_from_name(name)
-                        .ok_or_else(|| shape(format!("unknown event kind {name:?}")))?,
-                );
-            }
-            Ok(Request::Subscribe {
-                template: template()?,
-                kinds,
-            })
-        }
-        "unsubscribe" => {
-            let raw = el
-                .attr("sub")
-                .ok_or_else(|| shape("unsubscribe op without sub"))?;
-            Ok(Request::Unsubscribe {
-                id: raw
-                    .parse::<u64>()
-                    .map_err(|e| shape(format!("bad sub id: {e}")))?,
-            })
-        }
-        "renew" => Ok(Request::Renew {
-            template: template()?,
-            lease_ns: parse_u64("lease-ns")?,
-        }),
-        other => Err(shape(format!("unknown op type {other:?}"))),
-    }
-}
-
-/// Decodes a `<resp>` element.
-fn decode_response(el: &XmlElement) -> Result<Response, DecodeWireError> {
-    if el.name() != "resp" {
-        return Err(shape(format!("expected <resp>, found <{}>", el.name())));
-    }
-    let kind = el.attr("type").ok_or_else(|| shape("resp without type"))?;
-    match kind {
-        "ack" => Ok(Response::WriteAck),
-        "entry" => Ok(Response::Entry {
-            tuple: el.child_named("tuple").map(decode_tuple).transpose()?,
-        }),
-        "count" => {
-            let raw = el.attr("n").ok_or_else(|| shape("count resp without n"))?;
-            Ok(Response::Count {
-                count: raw
-                    .parse::<u64>()
-                    .map_err(|e| shape(format!("bad count {raw:?}: {e}")))?,
-            })
-        }
-        "error" => Ok(Response::Error { message: el.text() }),
-        "sub-ack" => {
-            let raw = el.attr("sub").ok_or_else(|| shape("sub-ack without sub"))?;
-            Ok(Response::SubscriptionAck {
-                id: raw
-                    .parse::<u64>()
-                    .map_err(|e| shape(format!("bad sub id: {e}")))?,
-            })
-        }
-        other => Err(shape(format!("unknown resp type {other:?}"))),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Direct XML writer
 // ---------------------------------------------------------------------
@@ -525,6 +246,20 @@ fn decode_response(el: &XmlElement) -> Result<Response, DecodeWireError> {
 // string field is `<field type="str"/>`. Attribute values are protocol
 // names and decimal numbers, which never need escaping; character data
 // is escaped.
+
+/// Appends `text` to `out` with the five predefined entities escaped.
+pub(crate) fn escape_into(text: &str, out: &mut String) {
+    for c in text.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            '\'' => out.push_str("&apos;"),
+            other => out.push(other),
+        }
+    }
+}
 
 fn push_attr(out: &mut String, key: &str, value: &str) {
     out.push(' ');
@@ -555,7 +290,7 @@ fn write_value(value: &Value, out: &mut String) {
         }
         Value::Str(v) => {
             out.push('>');
-            crate::dom::escape_into(v, out);
+            escape_into(v, out);
         }
         Value::Int(v) => {
             let _ = write!(out, ">{v}");
@@ -713,7 +448,7 @@ pub(crate) fn write_response(response: &Response, re: Option<RequestId>, out: &m
         // An error always carries a text node, even an empty one.
         Response::Error { message } => {
             out.push('>');
-            crate::dom::escape_into(message, out);
+            escape_into(message, out);
             out.push_str("</resp>");
         }
         _ => out.push_str("/>"),
@@ -734,7 +469,7 @@ pub(crate) fn write_event(event: &WireEvent, out: &mut String) {
 // Hex helpers (bytes fields)
 // ---------------------------------------------------------------------
 
-fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
+pub(crate) fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
     if !text.len().is_multiple_of(2) {
         return Err("odd-length hex string".to_owned());
     }
@@ -753,7 +488,9 @@ fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::{request_envelope, server_message};
     use proptest::prelude::*;
+    use tsbus_tuplespace::ValueType;
     use tsbus_tuplespace::{template, tuple};
 
     fn request_to_xml(request: &Request) -> String {
@@ -789,11 +526,32 @@ mod tests {
     }
 
     fn request_from_xml(text: &str) -> Result<Request, DecodeWireError> {
-        decode_request(&parse(text)?)
+        request_envelope(text).map(|envelope| envelope.request)
     }
 
     fn response_from_xml(text: &str) -> Result<Response, DecodeWireError> {
-        decode_response(&parse(text)?)
+        match server_message(text)? {
+            ServerMessage::Response { response, .. } => Ok(response),
+            ServerMessage::Event(event) => panic!("expected a response, got {event:?}"),
+        }
+    }
+
+    /// `tuple` written and read back through the text.
+    fn tuple_roundtrip(tuple: &Tuple) -> Tuple {
+        let request = Request::Write {
+            tuple: tuple.clone(),
+            lease_ns: None,
+        };
+        match request_from_xml(&request_to_xml(&request)).expect("own encoding decodes") {
+            Request::Write { tuple, .. } => tuple,
+            other => panic!("expected a write, got {other:?}"),
+        }
+    }
+
+    /// `value` written and read back through the text.
+    fn value_roundtrip(value: &Value) -> Value {
+        let tuple = tuple_roundtrip(&Tuple::new(vec![value.clone()]));
+        tuple.into_iter().next().expect("one field")
     }
 
     #[test]
@@ -808,30 +566,25 @@ mod tests {
             Value::Bytes(vec![0, 255, 16]),
             Value::Bytes(Vec::new()),
         ] {
-            let mut xml = String::new();
-            write_value(&v, &mut xml);
-            let parsed = crate::parser::parse(&xml).expect("valid xml");
-            let decoded = decode_value(&parsed).expect("own encoding decodes");
-            assert_eq!(decoded, v, "value {v:?}");
+            assert_eq!(value_roundtrip(&v), v, "value {v:?}");
         }
     }
 
     #[test]
     fn tuple_roundtrip_through_text() {
         let t = tuple!["sensor", 42, 23.5, true, vec![1u8, 2, 3]];
-        let mut xml = String::new();
-        write_tuple(&t, &mut xml);
-        let parsed = crate::parser::parse(&xml).expect("valid xml");
-        assert_eq!(decode_tuple(&parsed).expect("decodes"), t);
+        assert_eq!(tuple_roundtrip(&t), t);
     }
 
     #[test]
     fn template_roundtrip_with_all_pattern_kinds() {
-        let tpl = template!["tag", ValueType::Int, Pattern::Wildcard];
-        let mut xml = String::new();
-        write_template(&tpl, &mut xml);
-        let parsed = crate::parser::parse(&xml).expect("valid xml");
-        assert_eq!(decode_template(&parsed).expect("decodes"), tpl);
+        let req = Request::Count {
+            template: template!["tag", ValueType::Int, Pattern::Wildcard],
+        };
+        assert_eq!(
+            request_from_xml(&request_to_xml(&req)).expect("decodes"),
+            req
+        );
     }
 
     #[test]
@@ -926,12 +679,12 @@ mod tests {
             tuple: tuple!["alert", "overtemp"],
         };
         let text = event_to_xml(&event);
-        match server_message_from_xml(&text).expect("decodes") {
+        match server_message(&text).expect("decodes") {
             ServerMessage::Event(back) => assert_eq!(back, event),
             ServerMessage::Response { .. } => panic!("events must dispatch as events"),
         }
         // Plain responses still dispatch as responses (with no identity).
-        match server_message_from_xml(&response_to_xml(&Response::WriteAck)).expect("decodes") {
+        match server_message(&response_to_xml(&Response::WriteAck)).expect("decodes") {
             ServerMessage::Response {
                 re: None,
                 response: Response::WriteAck,
@@ -967,7 +720,7 @@ mod tests {
         let enveloped = RequestEnvelope::identified(id, 2, req.clone());
         let xml = request_envelope_to_xml(&enveloped);
         assert!(xml.contains("client=\"7\"") && xml.contains("seq=\"3\""));
-        assert_eq!(request_envelope_from_xml(&xml).expect("decodes"), enveloped);
+        assert_eq!(request_envelope(&xml).expect("decodes"), enveloped);
 
         let bare = RequestEnvelope::bare(req.clone());
         assert_eq!(
@@ -975,7 +728,7 @@ mod tests {
             request_to_xml(&req),
             "an id-less envelope is byte-identical to the legacy form"
         );
-        let back = request_envelope_from_xml(&request_to_xml(&req)).expect("decodes");
+        let back = request_envelope(&request_to_xml(&req)).expect("decodes");
         assert_eq!(back, bare);
     }
 
@@ -986,7 +739,7 @@ mod tests {
             tuple: Some(tuple!["x", 1]),
         };
         let xml = correlated_response_to_xml(Some(id), &resp);
-        match server_message_from_xml(&xml).expect("decodes") {
+        match server_message(&xml).expect("decodes") {
             ServerMessage::Response { re, response } => {
                 assert_eq!(re, Some(id));
                 assert_eq!(response, resp);
@@ -1002,7 +755,7 @@ mod tests {
 
     #[test]
     fn lone_identity_attributes_are_rejected() {
-        let err = server_message_from_xml("<resp type=\"ack\" client=\"1\"/>").expect_err("bad");
+        let err = server_message("<resp type=\"ack\" client=\"1\"/>").expect_err("bad");
         assert!(err.to_string().contains("together"), "{err}");
     }
 
@@ -1054,10 +807,7 @@ mod tests {
         /// equality holds by bit comparison of the canonical NaN).
         #[test]
         fn arbitrary_values_roundtrip(v in value_strategy()) {
-            let mut xml = String::new();
-            write_value(&v, &mut xml);
-            let parsed = crate::parser::parse(&xml).expect("valid xml");
-            let back = decode_value(&parsed).expect("decodes");
+            let back = value_roundtrip(&v);
             match (&v, &back) {
                 (Value::Float(a), Value::Float(b)) => {
                     // Text round-trip preserves the numeric value; NaN
@@ -1079,10 +829,7 @@ mod tests {
         ) {
             prop_assume!(fields.iter().all(|f| !matches!(f, Value::Float(x) if x.is_nan())));
             let t = Tuple::new(fields);
-            let mut xml = String::new();
-            write_tuple(&t, &mut xml);
-            let parsed = crate::parser::parse(&xml).expect("valid xml");
-            prop_assert_eq!(decode_tuple(&parsed).expect("decodes"), t);
+            prop_assert_eq!(tuple_roundtrip(&t), t);
         }
     }
 }

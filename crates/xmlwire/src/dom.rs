@@ -1,10 +1,13 @@
 //! A small XML document model: elements with attributes, text and child
 //! elements — the subset the wire protocol needs (no namespaces, CDATA or
-//! processing instructions beyond the prolog). The parser builds it and the
-//! decoders walk it; the builder and serializer exist for tests only (the
-//! wire writer in [`crate::codec`] writes text directly).
+//! processing instructions beyond the prolog). Test-only: the reference
+//! parser builds it and the reference walk reads it (the decoders' oracle),
+//! and the reference encoder builds it and serializes it (the writer's
+//! oracle).
 
 use std::borrow::Cow;
+
+use crate::codec::escape_into;
 
 /// A node in an element's child list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +33,6 @@ impl XmlElement {
     ///
     /// Panics if `name` is not a valid XML name (must start with a letter
     /// or `_`, continue with letters, digits, `-`, `_`, `.`).
-    #[cfg(test)]
     pub(crate) fn new(name: impl Into<String>) -> Self {
         let name = name.into();
         assert!(is_valid_name(&name), "invalid XML element name {name:?}");
@@ -66,12 +68,21 @@ impl XmlElement {
         &self.name
     }
 
+    /// The attributes, in document order.
+    pub(crate) fn attributes(&self) -> &[(String, String)] {
+        &self.attributes
+    }
+
+    /// The child nodes, in document order.
+    pub(crate) fn children(&self) -> &[XmlNode] {
+        &self.children
+    }
+
     /// Adds an attribute (builder style).
     ///
     /// # Panics
     ///
     /// Panics if `key` is not a valid XML name.
-    #[cfg(test)]
     pub(crate) fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         let key = key.into();
         assert!(is_valid_name(&key), "invalid XML attribute name {key:?}");
@@ -80,14 +91,12 @@ impl XmlElement {
     }
 
     /// Adds a child element (builder style).
-    #[cfg(test)]
     pub(crate) fn with_child(mut self, child: XmlElement) -> Self {
         self.children.push(XmlNode::Element(child));
         self
     }
 
     /// Adds a text child (builder style).
-    #[cfg(test)]
     pub(crate) fn with_text(mut self, text: impl Into<String>) -> Self {
         self.children.push(XmlNode::Text(text.into()));
         self
@@ -142,14 +151,12 @@ impl XmlElement {
     }
 
     /// Serializes to a compact XML string (no whitespace between tags).
-    #[cfg(test)]
     pub(crate) fn to_xml(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out);
         out
     }
 
-    #[cfg(test)]
     fn write_into(&self, out: &mut String) {
         out.push('<');
         out.push_str(&self.name);
@@ -177,24 +184,8 @@ impl XmlElement {
     }
 }
 
-/// Appends `text` to `out` with the five predefined entities escaped —
-/// the serializers' allocation-free workhorse.
-pub(crate) fn escape_into(text: &str, out: &mut String) {
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
-        }
-    }
-}
-
 /// Whether `name` is acceptable as an element or attribute name in this
 /// subset (the grammar the parser lexes names with).
-#[cfg(test)]
 fn is_valid_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {

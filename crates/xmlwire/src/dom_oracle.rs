@@ -113,7 +113,7 @@ fn encode_request(request: &Request) -> XmlElement {
     }
 }
 
-fn encode_request_envelope(envelope: &RequestEnvelope) -> XmlElement {
+pub(crate) fn encode_request_envelope(envelope: &RequestEnvelope) -> XmlElement {
     let mut el = encode_request(&envelope.request);
     if let Some(id) = envelope.id {
         el = el
@@ -146,7 +146,7 @@ fn encode_response(response: &Response) -> XmlElement {
     }
 }
 
-fn encode_correlated_response(re: Option<RequestId>, response: &Response) -> XmlElement {
+pub(crate) fn encode_correlated_response(re: Option<RequestId>, response: &Response) -> XmlElement {
     let mut el = encode_response(response);
     if let Some(id) = re {
         el = el
@@ -156,7 +156,7 @@ fn encode_correlated_response(re: Option<RequestId>, response: &Response) -> Xml
     el
 }
 
-fn encode_event(event: &WireEvent) -> XmlElement {
+pub(crate) fn encode_event(event: &WireEvent) -> XmlElement {
     XmlElement::new("event")
         .with_attr("sub", event.subscription.to_string())
         .with_attr("kind", kind_name(event.kind))
@@ -222,7 +222,7 @@ fn kind_strategy() -> impl Strategy<Value = EventKind> {
     ]
 }
 
-fn request_strategy() -> impl Strategy<Value = Request> {
+pub(crate) fn request_strategy() -> impl Strategy<Value = Request> {
     let ns = || proptest::option::of(any::<u64>());
     prop_oneof![
         (tuple_strategy(), ns()).prop_map(|(tuple, lease_ns)| Request::Write { tuple, lease_ns }),
@@ -248,7 +248,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
     ]
 }
 
-fn response_strategy() -> impl Strategy<Value = Response> {
+pub(crate) fn response_strategy() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::WriteAck),
         proptest::option::of(tuple_strategy()).prop_map(|tuple| Response::Entry { tuple }),
@@ -258,7 +258,17 @@ fn response_strategy() -> impl Strategy<Value = Response> {
     ]
 }
 
-fn request_id_strategy() -> impl Strategy<Value = Option<RequestId>> {
+pub(crate) fn event_strategy() -> impl Strategy<Value = WireEvent> {
+    (any::<u64>(), kind_strategy(), tuple_strategy()).prop_map(|(subscription, kind, tuple)| {
+        WireEvent {
+            subscription,
+            kind,
+            tuple,
+        }
+    })
+}
+
+pub(crate) fn request_id_strategy() -> impl Strategy<Value = Option<RequestId>> {
     proptest::option::of(
         (any::<u64>(), any::<u64>()).prop_map(|(client, seq)| RequestId { client, seq }),
     )
@@ -332,13 +342,8 @@ proptest! {
 
     /// Every event writes the oracle's bytes.
     #[test]
-    fn event_writer_matches_dom_oracle(
-        subscription in any::<u64>(),
-        kind in kind_strategy(),
-        tuple in tuple_strategy(),
-    ) {
+    fn event_writer_matches_dom_oracle(event in event_strategy()) {
         let (mut fresh, mut stale) = (EncodeScratch::new(), dirty());
-        let event = WireEvent { subscription, kind, tuple };
         let oracle = encode_event(&event).to_xml();
         prop_assert_eq!(text(fresh.event(&event, XML)), oracle.as_str());
         prop_assert_eq!(text(stale.event(&event, XML)), oracle.as_str());

@@ -1,32 +1,13 @@
-//! A recursive-descent parser for the XML subset used on the wire:
-//! an optional `<?xml …?>` prolog, comments, nested elements with single- or
-//! double-quoted attributes, character data with the five predefined
-//! entities, and self-closing tags.
-
-use core::fmt;
+//! The reference parser for the pull reader in [`crate::reader`]: a
+//! recursive descent over the same XML subset (an optional `<?xml …?>`
+//! prolog, comments, nested elements with single- or double-quoted
+//! attributes, character data with the five predefined entities and
+//! character references, and self-closing tags) that builds the whole
+//! document as an [`XmlElement`] tree. Test-only: with the walk in
+//! [`crate::dom_walker`] it is the decoders' oracle.
 
 use crate::dom::XmlElement;
-
-/// Why a document failed to parse, with the byte offset of the problem.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseXmlError {
-    /// Byte offset into the input where the problem was detected.
-    pub(crate) offset: usize,
-    /// What went wrong.
-    pub(crate) message: String,
-}
-
-impl fmt::Display for ParseXmlError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "xml parse error at byte {}: {}",
-            self.offset, self.message
-        )
-    }
-}
-
-impl std::error::Error for ParseXmlError {}
+use crate::reader::ParseXmlError;
 
 /// Parses a complete document into its root element.
 ///

@@ -9,6 +9,22 @@ use tsbus_tpwire::{BusParams, NodeId, TpWireBus};
 use tsbus_tuplespace::{template, tuple, EventKind, ValueType};
 use tsbus_xmlwire::Request;
 
+/// Kernel events after which a run counts as stalled and fails (a clean
+/// run takes well under a tenth of this).
+const EVENT_CAP: u64 = 200_000;
+
+/// Runs `sim` up to `until`. Stepped rather than `Simulator::run_until`, so
+/// a run that livelocks at one simulated instant fails at the event cap
+/// instead of hanging the test.
+fn run_until(sim: &mut Simulator, until: SimTime) {
+    while sim.now() < until && sim.events_processed() < EVENT_CAP && sim.step() {}
+    assert!(
+        sim.events_processed() < EVENT_CAP,
+        "stalled: {EVENT_CAP} events by {} ns",
+        sim.now().as_nanos()
+    );
+}
+
 fn node(id: u8) -> NodeId {
     NodeId::new(id).expect("valid test id")
 }
@@ -98,7 +114,7 @@ fn written_events_cross_the_bus() {
         }),
     ];
     let (mut sim, monitor_app, _) = build(monitor_script, producer_script);
-    sim.run_until(SimTime::from_millis(200));
+    run_until(&mut sim, SimTime::from_millis(200));
     let monitor: &ScriptedClient = sim.component(monitor_app).expect("registered");
     assert!(monitor.is_finished(), "subscribe acknowledged");
     assert!(
@@ -127,7 +143,7 @@ fn expiry_events_arrive_without_further_traffic() {
         }),
     ];
     let (mut sim, monitor_app, _) = build(monitor_script, producer_script);
-    sim.run_until(SimTime::from_millis(500));
+    run_until(&mut sim, SimTime::from_millis(500));
     let monitor: &ScriptedClient = sim.component(monitor_app).expect("registered");
     let events = monitor.notifications();
     assert_eq!(events.len(), 1, "the lease expiry must be pushed");
@@ -169,7 +185,7 @@ fn unsubscribe_stops_the_events() {
         }),
     ];
     let (mut sim, monitor_app, _) = build(monitor_script, producer_script);
-    sim.run_until(SimTime::from_millis(500));
+    run_until(&mut sim, SimTime::from_millis(500));
     let monitor: &ScriptedClient = sim.component(monitor_app).expect("registered");
     let events = monitor.notifications();
     assert_eq!(events.len(), 1, "only the pre-unsubscribe write notifies");
@@ -195,7 +211,7 @@ fn notify_works_in_binary_format_too() {
         producer_script,
         tsbus_xmlwire::WireFormat::Binary,
     );
-    sim.run_until(SimTime::from_millis(200));
+    run_until(&mut sim, SimTime::from_millis(200));
     let monitor: &ScriptedClient = sim.component(monitor_app).expect("registered");
     let events = monitor.notifications();
     assert_eq!(events.len(), 1);
@@ -220,7 +236,7 @@ fn service_discovery_works_over_the_wire() {
         }),
     ];
     let (mut sim, client_app, _) = build(client_script, provider_script);
-    sim.run_until(SimTime::from_millis(200));
+    run_until(&mut sim, SimTime::from_millis(200));
     let client: &ScriptedClient = sim.component(client_app).expect("registered");
     assert!(client.is_finished());
     let lookup = &client.records()[0];

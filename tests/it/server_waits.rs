@@ -555,7 +555,12 @@ struct Observed {
     live: Vec<Tuple>,
 }
 
-/// Sends the schedule to a fresh server built by `build` and runs it dry.
+/// Kernel events after which a run counts as stalled and fails (a clean
+/// run takes well under a tenth of this).
+const EVENT_CAP: u64 = 10_000;
+
+/// Sends the schedule to a fresh server built by `build` and runs it dry,
+/// failing at the event cap instead of hanging if the run never dries up.
 fn run(
     steps: &[Step],
     build: impl FnOnce(&mut Simulator, ComponentId) -> ComponentId,
@@ -589,7 +594,12 @@ fn run(
         let from = NodeId::new(step.node).expect("valid node id");
         sim.with_context(|ctx| ctx.schedule_in(at, server, NetDeliver { from, payload }));
     }
-    sim.run(u64::MAX);
+    let dispatched = sim.run(EVENT_CAP);
+    assert!(
+        dispatched < EVENT_CAP,
+        "stalled: {EVENT_CAP} events by {} ns",
+        sim.now().as_nanos()
+    );
     (sim, endpoint, server)
 }
 
