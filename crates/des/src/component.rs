@@ -10,7 +10,7 @@
 use core::any::Any;
 use core::fmt;
 
-use crate::event::{EventId, Message};
+use crate::event::{EventId, Message, Payload};
 use crate::kernel::SimCore;
 use crate::time::{SimDuration, SimTime};
 
@@ -96,7 +96,9 @@ pub trait Component: Any {
     /// their first timer here.
     fn start(&mut self, _ctx: &mut Context<'_>) {}
 
-    /// Delivers a message previously scheduled for this component.
+    /// Delivers a message previously scheduled for this component. A tag
+    /// event ([`Context::schedule_tag_in`]) arrives here too, as a
+    /// [`SelfTag`](crate::SelfTag) with its value in [`Context::tag`].
     fn handle(&mut self, ctx: &mut Context<'_>, msg: Box<dyn Message>);
 }
 
@@ -108,6 +110,8 @@ pub trait Component: Any {
 pub struct Context<'a> {
     pub(crate) core: &'a mut SimCore,
     pub(crate) self_id: ComponentId,
+    /// The tag of the tag event being handled.
+    tag: Option<u64>,
 }
 
 impl<'a> Context<'a> {
@@ -132,7 +136,7 @@ impl<'a> Context<'a> {
     ) -> EventId {
         let time = self.core.now.saturating_add(delay);
         let msg = self.core.alloc_msg(msg);
-        self.core.schedule(time, target, msg)
+        self.core.schedule(time, target, Payload::Msg(msg))
     }
 
     /// Schedules `msg` for `target` at the absolute instant `time`.
@@ -153,7 +157,7 @@ impl<'a> Context<'a> {
             self.core.now
         );
         let msg = self.core.alloc_msg(msg);
-        self.core.schedule(time, target, msg)
+        self.core.schedule(time, target, Payload::Msg(msg))
     }
 
     /// Delivers `msg` to `target` at the current time (after all events
@@ -167,6 +171,25 @@ impl<'a> Context<'a> {
     pub fn schedule_self_in(&mut self, delay: SimDuration, msg: impl Message) -> EventId {
         let target = self.self_id;
         self.schedule_in(delay, target, msg)
+    }
+
+    /// Schedules a tag event back to this component after `delay`: a
+    /// self-event that carries only `tag` and allocates nothing.
+    ///
+    /// It takes its place in the `(time, scheduling order)` sequence like
+    /// any event, its [`EventId`] cancels it the same way, and it arrives
+    /// through [`Component::handle`] as a [`SelfTag`](crate::SelfTag)
+    /// message, with [`tag`](Self::tag) returning `Some(tag)`.
+    pub fn schedule_tag_in(&mut self, delay: SimDuration, tag: u64) -> EventId {
+        let time = self.core.now.saturating_add(delay);
+        self.core.schedule(time, self.self_id, Payload::Tag(tag))
+    }
+
+    /// The tag of the event being handled: `Some` while handling a tag
+    /// event, `None` for a boxed message, a start hook or scenario code.
+    #[must_use]
+    pub fn tag(&self) -> Option<u64> {
+        self.tag
     }
 
     /// Cancels a pending event. A no-op if the event already fired or was
@@ -201,6 +224,10 @@ impl fmt::Debug for Context<'_> {
 }
 
 /// Internal helper so `SimCore` can build contexts without exposing fields.
-pub(crate) fn make_context(core: &mut SimCore, self_id: ComponentId) -> Context<'_> {
-    Context { core, self_id }
+pub(crate) fn make_context(
+    core: &mut SimCore,
+    self_id: ComponentId,
+    tag: Option<u64>,
+) -> Context<'_> {
+    Context { core, self_id, tag }
 }

@@ -115,6 +115,26 @@ impl fmt::Display for EventId {
     }
 }
 
+/// The message a tag event delivers to [`Component::handle`]. The tag
+/// itself is read with [`Context::tag`].
+///
+/// [`Context::schedule_tag_in`] stores the tag inline in the pending-event
+/// set and the kernel delivers it as a `Box<SelfTag>`, which never
+/// allocates (`SelfTag` is zero-sized). A component that wraps another and
+/// forwards `handle` therefore forwards tag events unchanged.
+///
+/// [`Component::handle`]: crate::Component::handle
+/// [`Context::tag`]: crate::Context::tag
+/// [`Context::schedule_tag_in`]: crate::Context::schedule_tag_in
+#[derive(Debug)]
+pub struct SelfTag;
+
+/// What an event delivers: a boxed message, or a tag stored inline.
+pub(crate) enum Payload {
+    Msg(Box<dyn Message>),
+    Tag(u64),
+}
+
 /// An event taken from the pending-event set for dispatch.
 pub(crate) struct ScheduledEvent {
     pub(crate) time: SimTime,
@@ -123,7 +143,7 @@ pub(crate) struct ScheduledEvent {
     /// The slab slot it was pending in.
     pub(crate) slot: u32,
     pub(crate) target: ComponentId,
-    pub(crate) msg: Box<dyn Message>,
+    pub(crate) payload: Payload,
 }
 
 impl ScheduledEvent {

@@ -4,7 +4,7 @@
 use std::any::{Any, TypeId};
 
 use crate::component::{make_context, Component, ComponentId, Context};
-use crate::event::{EventId, Message};
+use crate::event::{EventId, Message, Payload, SelfTag};
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -111,17 +111,18 @@ impl SimCore {
         &mut self,
         time: SimTime,
         target: ComponentId,
-        msg: Box<dyn Message>,
+        payload: Payload,
     ) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.queue.push(time, seq, target, msg);
+        let slot = self.queue.push(time, seq, target, payload);
         EventId { seq, slot }
     }
 
     pub(crate) fn cancel(&mut self, id: EventId) {
         // A cancelled event's box never reaches a component; reclaim it
-        // for the next schedule of the same message type.
+        // for the next schedule of the same message type. A tag event has
+        // no box, so it leaves the pool alone.
         if let Some(msg) = self.queue.cancel(id.seq, id.slot) {
             self.recycle_msg(msg);
         }
@@ -281,7 +282,7 @@ impl Simulator {
     /// one past the last registered component.
     pub fn with_context<R>(&mut self, f: impl FnOnce(&mut Context<'_>) -> R) -> R {
         let env_id = ComponentId::from_raw(self.components.len());
-        let mut ctx = make_context(&mut self.core, env_id);
+        let mut ctx = make_context(&mut self.core, env_id, None);
         f(&mut ctx)
     }
 
@@ -295,7 +296,7 @@ impl Simulator {
             .take()
             .expect("component present and not re-entered");
         {
-            let mut ctx = make_context(&mut self.core, id);
+            let mut ctx = make_context(&mut self.core, id, None);
             component.start(&mut ctx);
         }
         self.components[id.index()] = Some(component);
@@ -337,9 +338,15 @@ impl Simulator {
         let mut component = slot
             .take()
             .unwrap_or_else(|| panic!("component {target} re-entered during its own dispatch"));
+        // A tag travels beside a zero-sized `SelfTag` box, which does not
+        // allocate, through the one `handle` entry point.
+        let (msg, tag): (Box<dyn Message>, _) = match event.payload {
+            Payload::Msg(msg) => (msg, None),
+            Payload::Tag(tag) => (Box::new(SelfTag), Some(tag)),
+        };
         {
-            let mut ctx = make_context(&mut self.core, target);
-            component.handle(&mut ctx, event.msg);
+            let mut ctx = make_context(&mut self.core, target, tag);
+            component.handle(&mut ctx, msg);
         }
         self.components[target.index()] = Some(component);
         // Pops the dispatched event's key unless the handler's first
@@ -636,6 +643,105 @@ mod tests {
         sim.run(10_000);
         let t: &RecyclingTicker = sim.component(id).expect("registered");
         assert_eq!(t.fired, 501);
+    }
+
+    /// Arms a mix of tag events and boxed `Num`s on start and logs every
+    /// delivery as `(time, tag, was a SelfTag)`.
+    #[derive(Default)]
+    struct TagLogger {
+        log: Vec<(SimTime, Option<u64>, bool)>,
+    }
+
+    impl Component for TagLogger {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            assert_eq!(ctx.tag(), None, "a start hook carries no tag");
+            ctx.schedule_tag_in(SimDuration::from_nanos(5), 7);
+            ctx.schedule_self_in(SimDuration::from_nanos(5), Num(1));
+            ctx.schedule_tag_in(SimDuration::from_nanos(3), u64::MAX);
+            ctx.schedule_tag_in(SimDuration::from_nanos(5), 0);
+        }
+
+        fn handle(&mut self, ctx: &mut Context<'_>, msg: Box<dyn Message>) {
+            self.log.push((ctx.now(), ctx.tag(), msg.is::<SelfTag>()));
+        }
+    }
+
+    fn tag_log(sim: &mut Simulator) -> Vec<(SimTime, Option<u64>, bool)> {
+        sim.run(100);
+        let ns = SimTime::from_nanos;
+        assert_eq!(sim.events_processed(), 4);
+        vec![
+            (ns(3), Some(u64::MAX), true),
+            (ns(5), Some(7), true),
+            (ns(5), None, false),
+            (ns(5), Some(0), true),
+        ]
+    }
+
+    #[test]
+    fn tag_events_arrive_through_handle_as_self_tags() {
+        let mut sim = Simulator::new();
+        let id = sim.add_component("tags", TagLogger::default());
+        let expected = tag_log(&mut sim);
+        let logger: &TagLogger = sim.component(id).expect("registered");
+        assert_eq!(logger.log, expected);
+    }
+
+    /// A shell of the shape benchmark timing wrappers take: it forwards
+    /// `start` and `handle` and nothing else.
+    struct Forward<C>(C);
+
+    impl<C: Component> Component for Forward<C> {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            self.0.start(ctx);
+        }
+
+        fn handle(&mut self, ctx: &mut Context<'_>, msg: Box<dyn Message>) {
+            self.0.handle(ctx, msg);
+        }
+    }
+
+    #[test]
+    fn forwarding_wrappers_deliver_tags_unchanged() {
+        let mut sim = Simulator::new();
+        let id = sim.add_component("wrapped", Forward(Forward(TagLogger::default())));
+        let expected = tag_log(&mut sim);
+        let wrapped: &Forward<Forward<TagLogger>> = sim.component(id).expect("registered");
+        assert_eq!(wrapped.0 .0.log, expected);
+    }
+
+    /// Arms a tag event and cancels it twice, then does the same with a
+    /// boxed `Num` when `boxed_too`.
+    struct CancelsOnStart {
+        boxed_too: bool,
+    }
+
+    impl Component for CancelsOnStart {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            let tag = ctx.schedule_tag_in(SimDuration::from_nanos(5), 3);
+            ctx.cancel(tag);
+            ctx.cancel(tag);
+            if self.boxed_too {
+                let boxed = ctx.schedule_self_in(SimDuration::from_nanos(5), Num(1));
+                ctx.cancel(boxed);
+            }
+        }
+
+        fn handle(&mut self, _ctx: &mut Context<'_>, msg: Box<dyn Message>) {
+            panic!("cancelled event {msg:?} fired");
+        }
+    }
+
+    #[test]
+    fn cancelled_tag_events_never_fire_nor_enter_the_pool() {
+        for boxed_too in [false, true] {
+            let mut sim = Simulator::new();
+            sim.add_component("cancels", CancelsOnStart { boxed_too });
+            assert_eq!(sim.run(100), 0);
+            // Only a cancelled box goes back to the pool.
+            assert_eq!(sim.core.pool.pooled, usize::from(boxed_too));
+            assert_eq!(sim.core.pool.free.len(), usize::from(boxed_too));
+        }
     }
 
     #[test]

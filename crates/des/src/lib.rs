@@ -11,7 +11,9 @@
 //! binary heap ordered by time, then scheduling order), and a registry of
 //! [`Component`]s. Components react to [`Message`]s and use their
 //! [`Context`] to schedule further events and draw deterministic random
-//! numbers ([`SimRng`]).
+//! numbers ([`SimRng`]). A component's own timers can be tag events
+//! ([`Context::schedule_tag_in`]): a `u64` kept inline in the pending-event
+//! set and delivered as a [`SelfTag`], so they allocate nothing.
 //!
 //! ## Determinism
 //!
@@ -71,7 +73,7 @@ pub mod stats;
 mod time;
 
 pub use component::{Component, ComponentId, Context};
-pub use event::{EventId, Message, MessageExt};
+pub use event::{EventId, Message, MessageExt, SelfTag};
 pub use kernel::Simulator;
 pub use rng::{derive_stream, derive_stream_seed, splitmix64_finalize, SimRng, SplitMix64};
 pub use time::{SimDuration, SimTime};

@@ -7,13 +7,14 @@
 //! so that order is total: it does not depend on the heap's shape, and any
 //! valid heap over the same keys hands out the same sequence.
 //!
-//! The heap moves only 24-byte keys. An event's target and message box
-//! stay put in a slab slot, named by the key, from scheduling to dispatch.
-//! An [`EventId`](crate::EventId) names the slot and the event's `seq`, so
-//! cancelling an event takes its box out of the slot in place, and its key
-//! is discarded when it reaches the root. A fired event's slot holds no box
-//! and, once reused, a different `seq`, so cancelling an event that
-//! already fired changes nothing.
+//! The heap moves only 24-byte keys. An event's target and payload stay
+//! put in a slab slot, named by the key, from scheduling to dispatch. The
+//! payload is a message box or a plain `u64` tag, stored inline, so a tag
+//! event allocates nothing. An [`EventId`](crate::EventId) names the slot
+//! and the event's `seq`, so cancelling an event takes its payload out of
+//! the slot in place, and its key is discarded when it reaches the root. A
+//! fired event's slot holds no payload and, once reused, a different
+//! `seq`, so cancelling an event that already fired changes nothing.
 //!
 //! Dispatch is a two-step contract. [`EventQueue::take_next`] hands out
 //! the earliest event's payload but leaves its key at the root, *spent*.
@@ -26,7 +27,7 @@
 //! writing it at the root and sifting down leaves a valid heap.
 
 use crate::component::ComponentId;
-use crate::event::{Message, ScheduledEvent};
+use crate::event::{Message, Payload, ScheduledEvent};
 use crate::time::SimTime;
 
 /// A heap entry: the execution key and the slab slot of its payload.
@@ -46,13 +47,13 @@ impl Key {
     }
 }
 
-/// One slab slot: the event last stored in it. `msg` is `None` once that
-/// event fired or was cancelled; a heap key naming such a slot is a
+/// One slab slot: the event last stored in it. `payload` is `None` once
+/// that event fired or was cancelled; a heap key naming such a slot is a
 /// cancelled event's.
 struct Entry {
     seq: u64,
     target: ComponentId,
-    msg: Option<Box<dyn Message>>,
+    payload: Option<Payload>,
 }
 
 /// Key heap plus payload slab (`O(log n)` push and pop; see the module
@@ -76,12 +77,12 @@ impl EventQueue {
         time: SimTime,
         seq: u64,
         target: ComponentId,
-        msg: Box<dyn Message>,
+        payload: Payload,
     ) -> u32 {
         let entry = Entry {
             seq,
             target,
-            msg: Some(msg),
+            payload: Some(payload),
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -105,13 +106,17 @@ impl EventQueue {
     }
 
     /// Cancels the event `seq` in `slot` if it is still pending, returning
-    /// its message box. `None` if it already fired or was cancelled.
+    /// its message box. `None` if it already fired or was cancelled, or if
+    /// it was a tag event (there is no box to hand back).
     pub(crate) fn cancel(&mut self, seq: u64, slot: u32) -> Option<Box<dyn Message>> {
         let entry = self.slab.get_mut(slot as usize)?;
         if entry.seq != seq {
             return None;
         }
-        entry.msg.take()
+        match entry.payload.take()? {
+            Payload::Msg(msg) => Some(msg),
+            Payload::Tag(_) => None,
+        }
     }
 
     /// Takes the earliest pending event if it fires no later than `bound`,
@@ -126,19 +131,19 @@ impl EventQueue {
         loop {
             let root = *self.heap.first()?;
             let entry = &mut self.slab[root.slot as usize];
-            if entry.msg.is_some() && root.time > bound {
+            if entry.payload.is_some() && root.time > bound {
                 return None;
             }
             self.free.push(root.slot);
             self.root_spent = true;
-            match entry.msg.take() {
-                Some(msg) => {
+            match entry.payload.take() {
+                Some(payload) => {
                     return Some(ScheduledEvent {
                         time: root.time,
                         seq: root.seq,
                         slot: root.slot,
                         target: entry.target,
-                        msg,
+                        payload,
                     })
                 }
                 None => self.settle(),
@@ -237,7 +242,7 @@ mod tests {
             SimTime::from_nanos(time_ns),
             seq,
             ComponentId::from_raw(seq as usize),
-            Box::new(()),
+            Payload::Msg(Box::new(())),
         )
     }
 

@@ -42,14 +42,17 @@
 //! Each lane has at most one transaction in flight: one TX frame, or one
 //! DMA burst (arming plus block, folded into one cost). Both kinds go
 //! through one `issue`, which books the lane busy, computes the attempt's
-//! cost and outcome, and schedules one `TxnComplete` for the lane. The
-//! completion runs the shared `frame_step` retry ladder for both kinds;
-//! a backoff keeps the transaction on the lane and wakes it with a
-//! `Retry` that carries only the lane index. Only a lost acknowledge of a
-//! write-class frame skips the ladder (the command executed). Per-kind
-//! RNG draws keep their order: a frame draws its TX corruption, then its
-//! RX corruption if a slave replied; a burst draws the burst channel's
-//! rate (`per_frame_error_rate`), then body corruption, then the block
+//! cost and outcome, stores both on the lane and schedules a kernel tag
+//! event carrying the lane index (`Context::schedule_tag_in`: no message
+//! box, no allocation). That lane event runs the shared `frame_step`
+//! retry ladder for both kinds; a backoff keeps the transaction on the
+//! lane without an outcome, and the next lane event resends it. The
+//! bus-wide poll timer is a tag event too, so the bus allocates nothing
+//! per transaction. Only a lost acknowledge of a write-class frame skips
+//! the ladder (the command executed). Per-kind RNG draws keep their
+//! order: a frame draws its TX corruption, then its RX corruption if a
+//! slave replied; a burst draws the burst channel's rate
+//! (`per_frame_error_rate`), then body corruption, then the block
 //! acknowledge.
 
 use std::collections::VecDeque;
@@ -275,8 +278,13 @@ enum Activity {
     Broadcast { pending_command: Option<u8> },
     /// Keep-alive / discovery poll of the slave at `pos`.
     Poll { pos: usize },
-    /// Reading the 3-byte relay header from the slave at `src_pos`.
-    Discover { src_pos: usize, header: Vec<u8> },
+    /// Reading the 3-byte relay header from the slave at `src_pos`; `read`
+    /// bytes of it have arrived.
+    Discover {
+        src_pos: usize,
+        header: [u8; STREAM_HEADER_BYTES],
+        read: usize,
+    },
     /// Relaying a stream payload.
     Job(RelayJob),
 }
@@ -301,6 +309,16 @@ impl Lane {
     /// Neither running an activity nor holding a transaction.
     fn is_idle(&self) -> bool {
         self.activity.is_none() && self.in_flight.is_none()
+    }
+
+    /// Stores the lane's transaction until its next lane event. The slot
+    /// is empty (that event's handler took the last one out), so the old
+    /// `None` is forgotten: a plain store would call the out-of-line drop
+    /// of `Option<InFlight>` on every transaction.
+    fn hold(&mut self, in_flight: InFlight) {
+        let empty = self.in_flight.replace(in_flight);
+        debug_assert!(empty.is_none(), "a lane holds one transaction at a time");
+        std::mem::forget(empty);
     }
 }
 
@@ -334,19 +352,17 @@ impl Txn {
     }
 }
 
+/// A lane's transaction, between its issue and its completion event.
 #[derive(Debug)]
 struct InFlight {
     txn: Txn,
     attempts: u8,
+    /// The attempt's outcome, which its completion event applies; `None`
+    /// while the transaction waits out a retry backoff.
+    outcome: Option<Outcome>,
 }
 
-/// Outcome of one transaction attempt, delivered as a self-message.
-#[derive(Debug)]
-struct TxnComplete {
-    lane: usize,
-    outcome: Outcome,
-}
-
+/// Outcome of one transaction attempt.
 #[derive(Debug)]
 enum Outcome {
     /// A valid RX arrived.
@@ -361,15 +377,10 @@ enum Outcome {
     BadRx,
 }
 
-/// The periodic poll timer.
-#[derive(Debug)]
-struct PollTimer;
-
-/// Self-message: a backoff delay elapsed, resend the lane's transaction.
-#[derive(Debug)]
-struct Retry {
-    lane: usize,
-}
+/// The tag of the bus-wide poll timer. Every other bus tag event is a lane
+/// index: the lane's one pending transaction event, which completes the
+/// attempt in flight or, after a retry backoff, resends it.
+const POLL_TAG: u64 = u64::MAX;
 
 /// The TpWIRE bus as a simulation component.
 ///
@@ -825,14 +836,12 @@ impl TpWireBus {
                 self.burst_attempt(ctx, lane_idx, &txn, *pos, bytes.len(), Some(bytes))
             }
         };
-        self.lanes[lane_idx].in_flight = Some(InFlight { txn, attempts });
-        ctx.schedule_self_in(
-            cost,
-            TxnComplete {
-                lane: lane_idx,
-                outcome,
-            },
-        );
+        self.lanes[lane_idx].hold(InFlight {
+            txn,
+            attempts,
+            outcome: Some(outcome),
+        });
+        ctx.schedule_tag_in(cost, lane_idx as u64);
     }
 
     /// One attempt of `frame` on `lane`: its wire cost and outcome.
@@ -988,13 +997,33 @@ impl TpWireBus {
         (total, Outcome::BurstOk(block))
     }
 
-    /// Handles a completed transaction attempt: booking, the retry ladder,
-    /// then activity advancement.
-    fn on_txn_complete(&mut self, ctx: &mut Context<'_>, lane_idx: usize, outcome: Outcome) {
-        let InFlight { txn, attempts } = self.lanes[lane_idx]
+    /// Handles the lane's transaction event: completes the attempt in
+    /// flight or, once its backoff elapsed, resends it.
+    fn on_lane_event(&mut self, ctx: &mut Context<'_>, lane_idx: usize) {
+        let InFlight {
+            txn,
+            attempts,
+            outcome,
+        } = self.lanes[lane_idx]
             .in_flight
             .take()
-            .expect("completion without an in-flight transaction");
+            .expect("lane event without an in-flight transaction");
+        match outcome {
+            Some(outcome) => self.on_txn_complete(ctx, lane_idx, txn, attempts, outcome),
+            None => self.issue(ctx, lane_idx, txn, attempts),
+        }
+    }
+
+    /// Handles a completed transaction attempt: booking, the retry ladder,
+    /// then activity advancement.
+    fn on_txn_complete(
+        &mut self,
+        ctx: &mut Context<'_>,
+        lane_idx: usize,
+        txn: Txn,
+        attempts: u8,
+        outcome: Outcome,
+    ) {
         let now = ctx.now();
         let (node, pos) = self.target(lane_idx, &txn);
         let class = txn.class();
@@ -1060,15 +1089,16 @@ impl TpWireBus {
                             self.issue(ctx, lane_idx, txn, attempt);
                         } else {
                             // The lane keeps the transaction through the
-                            // backoff; `Retry` resends it.
+                            // backoff; its next lane event resends it.
                             self.obs.backoff(now, delay_bits);
-                            self.lanes[lane_idx].in_flight = Some(InFlight {
+                            self.lanes[lane_idx].hold(InFlight {
                                 txn,
                                 attempts: attempt,
+                                outcome: None,
                             });
-                            ctx.schedule_self_in(
+                            ctx.schedule_tag_in(
                                 self.params.bits64_to_time(delay_bits),
-                                Retry { lane: lane_idx },
+                                lane_idx as u64,
                             );
                         }
                     }
@@ -1188,7 +1218,8 @@ impl TpWireBus {
                     {
                         self.lanes[lane_idx].activity = Some(Activity::Discover {
                             src_pos: pos,
-                            header: Vec::with_capacity(STREAM_HEADER_BYTES),
+                            header: [0; STREAM_HEADER_BYTES],
+                            read: 0,
                         });
                         self.continue_discover(ctx, lane_idx, pos);
                         return;
@@ -1200,6 +1231,7 @@ impl TpWireBus {
             Activity::Discover {
                 src_pos,
                 mut header,
+                mut read,
             } => {
                 let Some(rx) = rx else {
                     // Give up; the slave's interrupt stays pending and a
@@ -1215,13 +1247,18 @@ impl TpWireBus {
                     ..
                 }) = txn
                 {
-                    header.push(rx.data);
+                    header[read] = rx.data;
+                    read += 1;
                     self.read_toggles[lane_idx][src_pos] = !self.read_toggles[lane_idx][src_pos];
                 }
-                if header.len() == STREAM_HEADER_BYTES {
-                    self.finish_discovery(ctx, lane_idx, src_pos, &header);
+                if read == STREAM_HEADER_BYTES {
+                    self.finish_discovery(ctx, lane_idx, src_pos, header);
                 } else {
-                    self.lanes[lane_idx].activity = Some(Activity::Discover { src_pos, header });
+                    self.lanes[lane_idx].activity = Some(Activity::Discover {
+                        src_pos,
+                        header,
+                        read,
+                    });
                     self.continue_discover(ctx, lane_idx, src_pos);
                 }
             }
@@ -1294,7 +1331,7 @@ impl TpWireBus {
         ctx: &mut Context<'_>,
         lane_idx: usize,
         src_pos: usize,
-        header: &[u8],
+        header: [u8; STREAM_HEADER_BYTES],
     ) {
         let src_node = self.chain[src_pos].node();
         let dst_byte = header[0];
@@ -1486,12 +1523,11 @@ impl TpWireBus {
                     dst_pos,
                     end_of_message,
                 } => {
-                    let arrived = self.chain[dst_pos].take_inbound();
-                    if !arrived.is_empty() {
+                    if let Some(bytes) = self.chain[dst_pos].take_inbound() {
                         let delivered = StreamDelivered {
                             from,
                             to,
-                            bytes: Bytes::from(arrived),
+                            bytes,
                             end_of_message,
                         };
                         self.notify(ctx, to, delivered);
@@ -1715,9 +1751,8 @@ impl TpWireBus {
                 .filter(|&l| self.lanes[l].is_idle())
                 .map(|l| self.lane_poll_due[l])
                 .min();
-            let due = earliest.expect("this lane is idle").max(ctx.now());
-            let self_id = ctx.self_id();
-            ctx.schedule_at(due, self_id, PollTimer);
+            let due = earliest.expect("this lane is idle");
+            ctx.schedule_tag_in(due.saturating_duration_since(ctx.now()), POLL_TAG);
         }
     }
 
@@ -1798,33 +1833,16 @@ impl Component for TpWireBus {
     }
 
     fn handle(&mut self, ctx: &mut Context<'_>, msg: Box<dyn Message>) {
-        let msg = match msg.downcast::<TxnComplete>() {
-            Ok(done) => {
-                let TxnComplete { lane, outcome } = *done;
-                self.on_txn_complete(ctx, lane, outcome);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<PollTimer>() {
-            Ok(_) => {
+        // Nearly every bus event is one of its own tag events.
+        if let Some(tag) = ctx.tag() {
+            if tag == POLL_TAG {
                 self.poll_timer_armed = false;
                 self.kick_idle_lanes(ctx);
-                return;
+            } else {
+                self.on_lane_event(ctx, tag as usize);
             }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<Retry>() {
-            Ok(retry) => {
-                let InFlight { txn, attempts } = self.lanes[retry.lane]
-                    .in_flight
-                    .take()
-                    .expect("retry without a pending transaction");
-                self.issue(ctx, retry.lane, txn, attempts);
-                return;
-            }
-            Err(m) => m,
-        };
+            return;
+        }
         let msg = match msg.downcast::<FaultCommand>() {
             Ok(cmd) => {
                 self.apply_fault(ctx, cmd.0);
@@ -1899,13 +1917,6 @@ mod tests {
     use std::collections::HashMap;
 
     use super::*;
-
-    #[test]
-    fn engine_self_messages_stay_small() {
-        // One boxed `TxnComplete` per transaction: keep it within 32 bytes.
-        assert!(std::mem::size_of::<TxnComplete>() <= 32);
-        assert_eq!(std::mem::size_of::<Retry>(), std::mem::size_of::<usize>());
-    }
 
     #[test]
     fn node_tables_resolve_like_a_map() {

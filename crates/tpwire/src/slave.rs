@@ -19,6 +19,7 @@
 
 use std::collections::VecDeque;
 
+use bytes::Bytes;
 use tsbus_des::{SimDuration, SimTime};
 
 use crate::frame::{Command, RxFrame, RxType, TxFrame};
@@ -174,10 +175,16 @@ impl SlaveDevice {
         self.outbound.extend(bytes);
     }
 
-    /// Drains bytes the master has written for the attachment.
+    /// Drains bytes the master has written for the attachment, `None` if
+    /// there are none. The FIFO keeps its buffer for the next bytes.
     #[must_use]
-    pub(crate) fn take_inbound(&mut self) -> Vec<u8> {
-        self.inbound.drain(..).collect()
+    pub(crate) fn take_inbound(&mut self) -> Option<Bytes> {
+        if self.inbound.is_empty() {
+            return None;
+        }
+        let bytes = Bytes::copy_from_slice(self.inbound.make_contiguous());
+        self.inbound.clear();
+        Some(bytes)
     }
 
     /// The command register's current value (last `WRITE_COMMAND` or
@@ -570,8 +577,9 @@ mod tests {
             dev.on_tx(&TxFrame::new(Command::WriteData, byte), 0, t, watchdog());
         }
         assert_eq!(dev.inbound.len(), 3);
-        assert_eq!(dev.take_inbound(), vec![1, 2, 3]);
+        assert_eq!(dev.take_inbound().as_deref(), Some(&[1, 2, 3][..]));
         assert_eq!(dev.inbound.len(), 0);
+        assert_eq!(dev.take_inbound(), None);
     }
 
     #[test]

@@ -13,10 +13,15 @@
 //!   inside its handler, and the run advances in `run_until` slices at
 //!   random bounds. The oracle replays the program on a plain list, taking
 //!   the earliest `(time, schedule order)` entry by linear scan.
+//! - Mixed fan-out programs: the fan-out programs again, but a child a
+//!   recorder schedules for itself may be a tag event
+//!   (`Context::schedule_tag_in`) instead of a boxed message. Tags and
+//!   boxes share one `(time, schedule order)` sequence, so the same oracle
+//!   applies, and each delivery must also arrive in the form it was sent.
 
 use proptest::prelude::*;
 use tsbus_des::{
-    splitmix64_finalize, Component, ComponentId, Context, EventId, Message, MessageExt,
+    splitmix64_finalize, Component, ComponentId, Context, EventId, Message, MessageExt, SelfTag,
     SimDuration, SimTime, Simulator,
 };
 
@@ -500,6 +505,223 @@ proptest! {
         prop_assert_eq!(&pooled.0, &expected_logs, "delivery logs differ from the oracle");
         prop_assert_eq!(pooled.2, expected_events, "event count differs from the oracle");
         let unpooled = run_fan_out(&program, false).expect("same program, same bounds");
+        prop_assert_eq!(&pooled.0, &unpooled.0, "delivery logs diverged with pooling off");
+        prop_assert_eq!(&pooled.1, &unpooled.1, "event ids diverged with pooling off");
+        prop_assert_eq!(pooled.2, unpooled.2, "event counts diverged with pooling off");
+    }
+}
+
+/// Whether a child a recorder schedules for itself goes as a tag event,
+/// derived from the program's `salt` and the child's tag alone.
+fn sent_as_tag(salt: u64, tag: u64) -> bool {
+    splitmix64_finalize(salt.rotate_left(17) ^ tag) & 1 == 1
+}
+
+/// Packs a planned event into a kernel tag: depth in the low two bits.
+fn pack(tag: u64, depth: u32) -> u64 {
+    debug_assert!(depth <= MAX_DEPTH);
+    tag << 2 | u64::from(depth)
+}
+
+/// Per-recorder `(slice, time, tag, arrived as a tag event)` logs.
+type MixedLogs = Vec<Vec<(usize, SimTime, u64, bool)>>;
+
+/// A `Planner` that sends some of its own children as tag events.
+#[derive(Debug)]
+struct MixedPlanner {
+    salt: u64,
+    log: Vec<(SimTime, u64, bool)>,
+    last_far: Option<EventId>,
+    scheduled: Vec<EventId>,
+}
+
+impl Component for MixedPlanner {
+    fn handle(&mut self, ctx: &mut Context<'_>, msg: Box<dyn Message>) {
+        let (tag, depth, as_tag) = match ctx.tag() {
+            Some(packed) => {
+                assert!(msg.is::<SelfTag>(), "a tag event arrives as a SelfTag");
+                (packed >> 2, (packed & 3) as u32, true)
+            }
+            None => {
+                let evt = msg
+                    .downcast::<PlannedEvt>()
+                    .expect("boxed deliveries are PlannedEvt");
+                let planned = (evt.tag, evt.depth, false);
+                ctx.recycle_box(evt);
+                planned
+            }
+        };
+        self.log.push((ctx.now(), tag, as_tag));
+        let plan = Plan::of(self.salt, tag, depth);
+        if plan.cancel_last_far {
+            if let Some(id) = self.last_far.take() {
+                ctx.cancel(id);
+            }
+        }
+        let me = ctx.self_id();
+        for (k, child) in plan.children.iter().enumerate() {
+            let (next, delay) = (child_tag(tag, k), SimDuration::from_nanos(child.delay_ns));
+            let target = ComponentId::from_raw(child.target);
+            let id = if target == me && sent_as_tag(self.salt, next) {
+                ctx.schedule_tag_in(delay, pack(next, depth + 1))
+            } else {
+                let evt = PlannedEvt {
+                    tag: next,
+                    depth: depth + 1,
+                };
+                ctx.schedule_in(delay, target, evt)
+            };
+            self.scheduled.push(id);
+            if child.horizon == Horizon::Far {
+                self.last_far = Some(id);
+            }
+        }
+    }
+}
+
+/// A mixed run's delivery logs, the ids every schedule call returned and
+/// the dispatched-event count.
+type MixedObserved = (MixedLogs, Vec<EventId>, u64);
+
+/// Runs `program` with mixed planners, slice by slice.
+fn run_mixed(program: &FanOut, pooling: bool) -> Result<MixedObserved, String> {
+    let mut sim = Simulator::with_seed(42);
+    sim.set_pooling(pooling);
+    let ids: Vec<_> = (0..RECORDERS)
+        .map(|r| {
+            let planner = MixedPlanner {
+                salt: program.salt,
+                log: Vec::new(),
+                last_far: None,
+                scheduled: Vec::new(),
+            };
+            sim.add_component(format!("mixed{r}"), planner)
+        })
+        .collect();
+    let mut scheduled: Vec<EventId> = sim.with_context(|ctx| {
+        program
+            .initial
+            .iter()
+            .enumerate()
+            .map(|(tag, &(delay_ns, target, cancel))| {
+                let evt = PlannedEvt {
+                    tag: tag as u64,
+                    depth: 0,
+                };
+                let target = ids[usize::from(target) % RECORDERS];
+                let id = ctx.schedule_in(SimDuration::from_nanos(delay_ns), target, evt);
+                if cancel {
+                    ctx.cancel(id);
+                }
+                id
+            })
+            .collect()
+    });
+    let mut logs: MixedLogs = vec![Vec::new(); RECORDERS];
+    for (slice, bound) in program.slices().into_iter().enumerate() {
+        let bound = SimTime::from_nanos(bound);
+        sim.run_until(bound);
+        if sim.now() != bound {
+            return Err(format!("slice {slice}: now {} != bound {bound}", sim.now()));
+        }
+        for (r, &id) in ids.iter().enumerate() {
+            let planner: &MixedPlanner = sim.component(id).expect("registered");
+            for &(time, tag, as_tag) in &planner.log[logs[r].len()..] {
+                if time > bound {
+                    return Err(format!(
+                        "slice {slice}: tag {tag} fired at {time} > {bound}"
+                    ));
+                }
+                logs[r].push((slice, time, tag, as_tag));
+            }
+        }
+    }
+    for &id in &ids {
+        let planner: &MixedPlanner = sim.component(id).expect("registered");
+        scheduled.extend_from_slice(&planner.scheduled);
+    }
+    Ok((logs, scheduled, sim.events_processed()))
+}
+
+/// The mixed oracle: the fan-out oracle's list scan, with each delivery
+/// marked by the form its sender chose.
+fn mixed_oracle(program: &FanOut) -> (MixedLogs, u64) {
+    struct Pending {
+        time: u64,
+        order: u64,
+        recorder: usize,
+        tag: u64,
+        depth: u32,
+        as_tag: bool,
+    }
+    let mut pending: Vec<Pending> = Vec::new();
+    for (tag, &(delay_ns, target, cancel)) in program.initial.iter().enumerate() {
+        if !cancel {
+            pending.push(Pending {
+                time: delay_ns,
+                order: tag as u64,
+                recorder: usize::from(target) % RECORDERS,
+                tag: tag as u64,
+                depth: 0,
+                as_tag: false,
+            });
+        }
+    }
+    let mut next_order = program.initial.len() as u64;
+    let mut last_far: Vec<Option<u64>> = vec![None; RECORDERS];
+    let mut logs: MixedLogs = vec![Vec::new(); RECORDERS];
+    let mut delivered = 0;
+    for (slice, bound) in program.slices().into_iter().enumerate() {
+        while let Some(at) = (0..pending.len())
+            .filter(|&i| pending[i].time <= bound)
+            .min_by_key(|&i| (pending[i].time, pending[i].order))
+        {
+            let event = pending.swap_remove(at);
+            delivered += 1;
+            let r = event.recorder;
+            let time = SimTime::from_nanos(event.time);
+            logs[r].push((slice, time, event.tag, event.as_tag));
+            let plan = Plan::of(program.salt, event.tag, event.depth);
+            if plan.cancel_last_far {
+                if let Some(order) = last_far[r].take() {
+                    pending.retain(|p| p.order != order);
+                }
+            }
+            for (k, child) in plan.children.iter().enumerate() {
+                let order = next_order;
+                next_order += 1;
+                let tag = child_tag(event.tag, k);
+                pending.push(Pending {
+                    time: event.time + child.delay_ns,
+                    order,
+                    recorder: child.target,
+                    tag,
+                    depth: event.depth + 1,
+                    as_tag: child.target == r && sent_as_tag(program.salt, tag),
+                });
+                if child.horizon == Horizon::Far {
+                    last_far[r] = Some(order);
+                }
+            }
+        }
+    }
+    (logs, delivered)
+}
+
+proptest! {
+    /// Boxed and tag events mixed, with same-instant ties, in-handler
+    /// cancels of either kind and `run_until` slices: deliveries match the
+    /// list-scan oracle, each in the form it was sent, and pooling is
+    /// invisible to logs, event ids and counts.
+    #[test]
+    fn mixed_tag_and_boxed_events_match_oracle(program in fan_out_strategy()) {
+        let (expected_logs, expected_events) = mixed_oracle(&program);
+        let pooled = run_mixed(&program, true);
+        prop_assert!(pooled.is_ok(), "{}", pooled.as_ref().err().map_or("", String::as_str));
+        let pooled = pooled.expect("checked above");
+        prop_assert_eq!(&pooled.0, &expected_logs, "delivery logs differ from the oracle");
+        prop_assert_eq!(pooled.2, expected_events, "event count differs from the oracle");
+        let unpooled = run_mixed(&program, false).expect("same program, same bounds");
         prop_assert_eq!(&pooled.0, &unpooled.0, "delivery logs diverged with pooling off");
         prop_assert_eq!(&pooled.1, &unpooled.1, "event ids diverged with pooling off");
         prop_assert_eq!(pooled.2, unpooled.2, "event counts diverged with pooling off");
